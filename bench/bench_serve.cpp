@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   report.Config("seed", static_cast<double>(world.seed));
   report.Config("mode", quick ? "quick" : "full");
 
-  auto buffer = serve::CompileSnapshot(
+  auto buffer = serve::CompileSnapshotV2(
       world.final_blocks,
       serve::ClassifiedFrom(
           std::span<const core::BlockResult>(world.pipeline.results)),

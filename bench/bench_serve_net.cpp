@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
                      "serving layer (no paper figure)");
   const bench::World& world = bench::GetWorld();
 
-  auto buffer = serve::CompileSnapshot(
+  auto buffer = serve::CompileSnapshotV2(
       world.final_blocks,
       serve::ClassifiedFrom(
           std::span<const core::BlockResult>(world.pipeline.results)),

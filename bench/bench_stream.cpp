@@ -10,7 +10,7 @@
 //   2. Identical output: per-/24 classifications match the batch
 //      pipeline bit for bit, and every delta-published snapshot —
 //      including the final one — is byte-identical to a full
-//      CompileSnapshot of the same state (exit 1 on any divergence).
+//      CompileSnapshotV2 of the same state (exit 1 on any divergence).
 //
 // The streaming run happens FIRST so its ru_maxrss high-water mark is
 // not polluted by the batch reference run that follows; the reported
@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::byte> full_reference = serve::CompileSnapshot(
+  std::vector<std::byte> full_reference = serve::CompileSnapshotV2(
       cluster::AggregateIdentical(batch.HomogeneousBlocks()),
       serve::ClassifiedFrom(std::span<const core::BlockResult>(batch.results)),
       stream_config.epoch_base + stats.publishes - 1);

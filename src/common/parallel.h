@@ -4,7 +4,7 @@
 // edge generation, MCL expansion/inflation, cluster validation reprobing —
 // runs through this one primitive so that a single `threads` knob governs a
 // whole campaign and so that results are *bit-identical for any thread
-// count*.  Three entry points, one discipline:
+// count*.  Two entry points, one discipline:
 //
 //  * `ForEachChunk(count, grain, body)` — the preferred primitive.  The
 //    index range [0, count) is split into `shard_count` *contiguous*
@@ -25,18 +25,13 @@
 //    must derive any randomness from i (stable hashing / per-index
 //    forked RNGs), never from a shared sequential stream.  Under that
 //    discipline the outputs cannot depend on the thread count.
-//  * `ForEachShard(count, body)` is the legacy shard-level variant for
-//    bodies that want per-worker scratch: `body(shard, shard_count)` is
-//    invoked once per shard and iterates its items
-//    `i = shard, shard + shard_count, ...` itself (the historical
-//    interleaved assignment; new code should prefer ForEachChunk).
 //
-// Determinism caveat for per-shard accumulation: chunk boundaries (and
-// the interleave stride) depend on the effective shard count, so a body
-// that keeps per-shard state must stitch its output back *in item
-// order* (per-item slots, or per-chunk buffers concatenated in chunk
-// order — chunks ascend, so that is item order too).  All call sites in
-// this repository follow that rule; see DESIGN.md §10.
+// Determinism caveat for per-shard accumulation: chunk boundaries
+// depend on the effective shard count, so a body that keeps per-shard
+// state must stitch its output back *in item order* (per-item slots, or
+// per-chunk buffers concatenated in chunk order — chunks ascend, so that
+// is item order too).  All call sites in this repository follow that
+// rule; see DESIGN.md §10.
 //
 // There is deliberately no work stealing: stealing makes the item→worker
 // assignment scheduling-dependent, which is harmless for embarrassingly
@@ -183,28 +178,6 @@ class ThreadPool {
     });
   }
 
-  /// Legacy shard-level variant: `body(shard, shard_count)` once per
-  /// shard in [0, shard_count) with shard_count = min(thread_count(),
-  /// count); the body iterates `i = shard; i < count; i += shard_count`
-  /// itself and may keep per-shard scratch.
-  template <typename Body>
-  void ForEachShard(std::size_t count, Body&& body) {
-    if (count == 0) return;
-    const std::size_t shards = std::min<std::size_t>(
-        static_cast<std::size_t>(thread_count()), count);
-    if (shards == 1 || InsidePoolBody()) {
-      body(std::size_t{0}, std::size_t{1});
-      return;
-    }
-    std::remove_reference_t<Body>* context = &body;
-    DispatchRaw(shards,
-                [](void* raw, std::size_t shard, std::size_t shard_count) {
-                  (*static_cast<std::remove_reference_t<Body>*>(raw))(
-                      shard, shard_count);
-                },
-                context);
-  }
-
   /// The batched dispatch all front-ends funnel into: runs
   /// `fn(context, shard, shards)` once per shard (the calling thread is
   /// shard 0), waits for completion, and rethrows the lowest-shard
@@ -285,15 +258,6 @@ void ForEach(ThreadPool* pool, std::size_t count, Body&& body) {
     return;
   }
   for (std::size_t i = 0; i < count; ++i) body(i);
-}
-
-template <typename Body>
-void ForEachShard(ThreadPool* pool, std::size_t count, Body&& body) {
-  if (pool != nullptr) {
-    pool->ForEachShard(count, body);
-    return;
-  }
-  if (count > 0) body(std::size_t{0}, std::size_t{1});
 }
 
 template <typename Body>

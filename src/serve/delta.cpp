@@ -230,14 +230,7 @@ std::optional<std::vector<std::byte>> ApplyPatch(
     return std::nullopt;
   }
 
-  // The patched snapshot keeps the base's format version, so patched ==
-  // full recompile holds for v1 and v2 bases alike.
-  if (base.version() == kSnapshotVersion2) {
-    return AssembleSnapshotV2(
-        merged, std::span<const std::byte>(blocktab, m * 12),
-        std::span<const std::byte>(hops, h * 4), new_epoch);
-  }
-  return AssembleSnapshot(
+  return AssembleSnapshotV2(
       merged, std::span<const std::byte>(blocktab, m * 12),
       std::span<const std::byte>(hops, h * 4), new_epoch);
 }

@@ -19,8 +19,10 @@
 //   20      4     u32 block_count    m' (replacement block table)
 //   24      4     u32 hop_count      h' (replacement hop pool)
 //   28      4     u32 reserved          (== 0)
-//   32      8     u64 base_checksum     (payload checksum of the base
-//                                        snapshot this patch applies to)
+//   32      8     u64 base_checksum     (identity checksum of the base
+//                                        snapshot this patch applies to:
+//                                        Snapshot::checksum(), the fold
+//                                        of its five section checksums)
 //   40      8     u64 new_epoch         (epoch of the patched snapshot)
 //   48      8     u64 payload_bytes     (must equal the derived size)
 //   56      8     u64 payload_checksum  (FNV-1a 64 over the payload)
@@ -40,8 +42,8 @@
 // patch, and the store keeps serving the current snapshot untouched.
 //
 // Contract: ApplyPatch(base, CompileDelta(base, S)) is byte-identical to
-// CompileSnapshot(S) for any state S.  Both sides funnel through
-// BuildSnapshotEntries / AppendBlockTable / AssembleSnapshot, so this
+// CompileSnapshotV2(S) for any state S.  Both sides funnel through
+// BuildSnapshotEntries / AppendBlockTable / AssembleSnapshotV2, so this
 // holds structurally, and the differential gate in bench_stream and the
 // verify_full_reference stream option re-check it at runtime.
 #pragma once
@@ -68,7 +70,7 @@ struct DeltaStats {
   std::size_t unchanged = 0;  ///< base entries carried over untouched
 };
 
-/// Diffs the new state (blocks + classifications, as CompileSnapshot takes
+/// Diffs the new state (blocks + classifications, as CompileSnapshotV2 takes
 /// them) against `base` and compiles the patch that transforms base into
 /// the new state at `new_epoch`.  Always emits the full replacement block
 /// table; entries are diffed.  An empty diff is valid (the patch then only

@@ -1,6 +1,10 @@
 #include "serve/snapshot.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -10,46 +14,36 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define HOBBIT_HAS_MMAP 1
-#include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
-#include <unistd.h>
 #endif
 
 namespace hobbit::serve {
 namespace {
 
 using wire::AppendU32;
-using wire::AppendU64;
-using wire::PadTo4;
 using wire::ReadU32;
 using wire::ReadU64;
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
-/// Derived v1 payload size for given section counts.
-std::uint64_t PayloadBytesFor(std::uint64_t n, std::uint64_t m,
-                              std::uint64_t h) {
-  return n * 4 + n * 4 + n + PadTo4(n) + m * 12 + h * 4;
-}
-
-/// The five v2 section offsets (keys, blocks, classes, blocktab, hops) —
+/// The five section offsets (keys, blocks, classes, blocktab, hops) —
 /// a pure function of the counts, each AlignUp(previous end, 64).
-struct V2Layout {
+struct SectionLayout {
   std::uint64_t offsets[5];
   std::uint64_t sizes[5];
   std::uint64_t file_bytes;
 };
 
-V2Layout LayoutV2(std::uint64_t n, std::uint64_t m, std::uint64_t h) {
-  V2Layout layout;
+SectionLayout LayoutFor(std::uint64_t n, std::uint64_t m, std::uint64_t h) {
+  SectionLayout layout;
   layout.sizes[0] = n * 4;  // keys
   layout.sizes[1] = n * 4;  // blocks
   layout.sizes[2] = n;      // classes
   layout.sizes[3] = m * 12; // blocktab
   layout.sizes[4] = h * 4;  // hops
-  std::uint64_t cursor = kSnapshotV2HeaderBytes;
+  std::uint64_t cursor = kSnapshotHeaderBytes;
   for (int i = 0; i < 5; ++i) {
     cursor = (cursor + kSnapshotAlignment - 1) & ~(kSnapshotAlignment - 1);
     layout.offsets[i] = cursor;
@@ -59,12 +53,25 @@ V2Layout LayoutV2(std::uint64_t n, std::uint64_t m, std::uint64_t h) {
   return layout;
 }
 
-const char* const kV2SectionNames[5] = {"keys", "blocks", "classes",
-                                        "blocktab", "hops"};
+const char* const kSectionNames[5] = {"keys", "blocks", "classes",
+                                      "blocktab", "hops"};
 
 bool LoadFail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
+}
+
+/// Appends the whole file at `path` to *out, 64 KiB at a time.  False
+/// when the file cannot be opened.
+bool ReadWholeFile(const std::string& path, std::vector<std::byte>* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  char chunk[64 * 1024];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    const std::byte* begin = reinterpret_cast<const std::byte*>(chunk);
+    out->insert(out->end(), begin, begin + in.gcount());
+  }
+  return true;
 }
 
 }  // namespace
@@ -141,40 +148,6 @@ void AppendBlockTable(std::span<const cluster::AggregateBlock> blocks,
   }
 }
 
-std::vector<std::byte> AssembleSnapshot(std::span<const SnapshotEntry> entries,
-                                        std::span<const std::byte> blocktab,
-                                        std::span<const std::byte> hops,
-                                        std::uint64_t epoch) {
-  std::vector<std::byte> payload;
-  const std::size_t n = entries.size();
-  const std::size_t m = blocktab.size() / 12;
-  const std::size_t h = hops.size() / 4;
-  payload.reserve(PayloadBytesFor(n, m, h));
-  for (const SnapshotEntry& e : entries) AppendU32(payload, e.key);
-  for (const SnapshotEntry& e : entries) AppendU32(payload, e.block);
-  for (const SnapshotEntry& e : entries) {
-    payload.push_back(static_cast<std::byte>(e.class_token));
-  }
-  payload.resize(payload.size() + PadTo4(n), std::byte{0});
-  payload.insert(payload.end(), blocktab.begin(), blocktab.end());
-  payload.insert(payload.end(), hops.begin(), hops.end());
-
-  std::vector<std::byte> out;
-  out.reserve(kSnapshotHeaderBytes + payload.size());
-  for (char c : kSnapshotMagic) out.push_back(static_cast<std::byte>(c));
-  AppendU32(out, kSnapshotVersion);
-  AppendU32(out, kSnapshotHeaderBytes);
-  AppendU32(out, static_cast<std::uint32_t>(n));
-  AppendU32(out, static_cast<std::uint32_t>(m));
-  AppendU32(out, static_cast<std::uint32_t>(h));
-  AppendU64(out, epoch);
-  AppendU64(out, payload.size());
-  AppendU64(out, Fnv1a64(payload));
-  AppendU64(out, 0);  // reserved
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
 std::vector<std::byte> AssembleSnapshotV2(std::span<const SnapshotEntry> entries,
                                           std::span<const std::byte> blocktab,
                                           std::span<const std::byte> hops,
@@ -182,7 +155,7 @@ std::vector<std::byte> AssembleSnapshotV2(std::span<const SnapshotEntry> entries
   const std::size_t n = entries.size();
   const std::size_t m = blocktab.size() / 12;
   const std::size_t h = hops.size() / 4;
-  const V2Layout layout = LayoutV2(n, m, h);
+  const SectionLayout layout = LayoutFor(n, m, h);
 
   std::vector<std::byte> out(layout.file_bytes, std::byte{0});
   // Sections first, so the header can record their checksums.
@@ -204,8 +177,8 @@ std::vector<std::byte> AssembleSnapshotV2(std::span<const SnapshotEntry> entries
 
   std::byte* header = out.data();
   std::memcpy(header, kSnapshotMagic, 4);
-  wire::StoreU32(header + 4, kSnapshotVersion2);
-  wire::StoreU32(header + 8, kSnapshotV2HeaderBytes);
+  wire::StoreU32(header + 4, kSnapshotVersion);
+  wire::StoreU32(header + 8, kSnapshotHeaderBytes);
   wire::StoreU32(header + 12, static_cast<std::uint32_t>(n));
   wire::StoreU32(header + 16, static_cast<std::uint32_t>(m));
   wire::StoreU32(header + 20, static_cast<std::uint32_t>(h));
@@ -221,16 +194,6 @@ std::vector<std::byte> AssembleSnapshotV2(std::span<const SnapshotEntry> entries
   return out;
 }
 
-std::vector<std::byte> CompileSnapshot(
-    std::span<const cluster::AggregateBlock> blocks,
-    std::span<const ClassifiedPrefix> classified, std::uint64_t epoch) {
-  std::vector<SnapshotEntry> entries = BuildSnapshotEntries(blocks, classified);
-  std::vector<std::byte> blocktab;
-  std::vector<std::byte> hops;
-  AppendBlockTable(blocks, &blocktab, &hops);
-  return AssembleSnapshot(entries, blocktab, hops, epoch);
-}
-
 std::vector<std::byte> CompileSnapshotV2(
     std::span<const cluster::AggregateBlock> blocks,
     std::span<const ClassifiedPrefix> classified, std::uint64_t epoch) {
@@ -239,6 +202,33 @@ std::vector<std::byte> CompileSnapshotV2(
   std::vector<std::byte> hops;
   AppendBlockTable(blocks, &blocktab, &hops);
   return AssembleSnapshotV2(entries, blocktab, hops, epoch);
+}
+
+bool WriteSnapshotFile(const std::string& path,
+                       std::span<const std::byte> bytes, std::string* error) {
+  // The temporary lives next to the target so the rename stays on one
+  // filesystem (and is therefore atomic); the pid keeps two processes
+  // exporting to the same path from sharing a temporary.
+  const std::string temp = path + ".tmp." + std::to_string(::getpid());
+  const int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0666);
+  if (fd < 0) return LoadFail(error, "cannot create " + temp);
+  const std::byte* data = bytes.data();
+  std::size_t left = bytes.size();
+  bool ok = true;
+  while (ok && left > 0) {
+    const ssize_t wrote = ::write(fd, data, left);
+    if (wrote < 0 && errno == EINTR) continue;
+    ok = wrote > 0;
+    if (ok) {
+      data += wrote;
+      left -= static_cast<std::size_t>(wrote);
+    }
+  }
+  ok = ok && ::fsync(fd) == 0;
+  ok = ::close(fd) == 0 && ok;
+  if (ok && ::rename(temp.c_str(), path.c_str()) == 0) return true;
+  ::unlink(temp.c_str());
+  return LoadFail(error, "cannot write " + path);
 }
 
 // ---------------------------------------------------------------------------
@@ -292,16 +282,9 @@ std::shared_ptr<const MmapSource> MmapSource::Map(const std::string& path,
   // mmap failed (unusual filesystem, resource limit): fall through to the
   // owned-copy fallback below so the caller still gets the bytes.
 #endif
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  if (!ReadWholeFile(path, &source->fallback_)) {
     if (error != nullptr) *error = "cannot open " + path;
     return nullptr;
-  }
-  char chunk[64 * 1024];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    const std::byte* begin = reinterpret_cast<const std::byte*>(chunk);
-    source->fallback_.insert(source->fallback_.end(), begin,
-                             begin + in.gcount());
   }
   source->data_ = source->fallback_.data();
   source->size_ = source->fallback_.size();
@@ -336,7 +319,6 @@ void Snapshot::Rebase() {
 Snapshot::Snapshot(const Snapshot& other)
     : buffer_(other.buffer_),
       map_(other.map_),
-      version_(other.version_),
       fully_verified_(other.fully_verified_),
       entry_count_(other.entry_count_),
       block_count_(other.block_count_),
@@ -362,7 +344,6 @@ Snapshot& Snapshot::operator=(const Snapshot& other) {
 Snapshot::Snapshot(Snapshot&& other) noexcept
     : buffer_(std::move(other.buffer_)),
       map_(std::move(other.map_)),
-      version_(other.version_),
       fully_verified_(other.fully_verified_),
       entry_count_(other.entry_count_),
       block_count_(other.block_count_),
@@ -383,7 +364,6 @@ Snapshot& Snapshot::operator=(Snapshot&& other) noexcept {
   if (this != &other) {
     buffer_ = std::move(other.buffer_);
     map_ = std::move(other.map_);
-    version_ = other.version_;
     fully_verified_ = other.fully_verified_;
     entry_count_ = other.entry_count_;
     block_count_ = other.block_count_;
@@ -452,36 +432,28 @@ bool Snapshot::ValidateEntries(std::string* error) const {
 }
 
 bool Snapshot::VerifyPayload(std::string* error) const {
-  if (version_ == kSnapshotVersion) {
-    std::span<const std::byte> payload(base_ + kSnapshotHeaderBytes,
-                                       size_ - kSnapshotHeaderBytes);
-    if (Fnv1a64(payload) != checksum_) {
-      return LoadFail(error, "payload checksum mismatch");
-    }
-  } else {
-    const V2Layout layout = LayoutV2(entry_count_, block_count_, hop_count_);
-    // Padding between sections must be zero: the layout is canonical, so
-    // two compiles of the same state are byte-identical files.
-    for (int i = 0; i < 5; ++i) {
-      const std::size_t pad_begin =
-          i == 0 ? kSnapshotV2HeaderBytes
-                 : static_cast<std::size_t>(layout.offsets[i - 1] +
-                                            layout.sizes[i - 1]);
-      const std::size_t pad_end = static_cast<std::size_t>(layout.offsets[i]);
-      for (std::size_t p = pad_begin; p < pad_end; ++p) {
-        if (base_[p] != std::byte{0}) {
-          return LoadFail(error, "nonzero inter-section padding before " +
-                                     std::string(kV2SectionNames[i]));
-        }
+  const SectionLayout layout = LayoutFor(entry_count_, block_count_, hop_count_);
+  // Padding between sections must be zero: the layout is canonical, so
+  // two compiles of the same state are byte-identical files.
+  for (int i = 0; i < 5; ++i) {
+    const std::size_t pad_begin =
+        i == 0 ? kSnapshotHeaderBytes
+               : static_cast<std::size_t>(layout.offsets[i - 1] +
+                                          layout.sizes[i - 1]);
+    const std::size_t pad_end = static_cast<std::size_t>(layout.offsets[i]);
+    for (std::size_t p = pad_begin; p < pad_end; ++p) {
+      if (base_[p] != std::byte{0}) {
+        return LoadFail(error, "nonzero inter-section padding before " +
+                                   std::string(kSectionNames[i]));
       }
     }
-    for (int i = 0; i < 5; ++i) {
-      std::span<const std::byte> section(
-          base_ + layout.offsets[i], static_cast<std::size_t>(layout.sizes[i]));
-      if (Fnv1a64(section) != ReadU64(base_ + 80 + i * 8)) {
-        return LoadFail(error, std::string("section checksum mismatch (") +
-                                   kV2SectionNames[i] + ")");
-      }
+  }
+  for (int i = 0; i < 5; ++i) {
+    std::span<const std::byte> section(
+        base_ + layout.offsets[i], static_cast<std::size_t>(layout.sizes[i]));
+    if (Fnv1a64(section) != ReadU64(base_ + 80 + i * 8)) {
+      return LoadFail(error, std::string("section checksum mismatch (") +
+                                 kSectionNames[i] + ")");
     }
   }
   return ValidateEntries(error);
@@ -496,81 +468,50 @@ bool Snapshot::Validate(const SnapshotLoadOptions& options,
   if (std::memcmp(base_, kSnapshotMagic, 4) != 0) {
     return LoadFail(error, "bad magic (not a HobbitSnapshot file)");
   }
-  version_ = ReadU32(base_ + 4);
-  if (version_ == kSnapshotVersion) {
-    if (ReadU32(base_ + 8) != kSnapshotHeaderBytes) {
-      return LoadFail(error, "bad header size field");
-    }
-    std::uint64_t n = ReadU32(base_ + 12);
-    std::uint64_t m = ReadU32(base_ + 16);
-    std::uint64_t h = ReadU32(base_ + 20);
-    epoch_ = ReadU64(base_ + 24);
-    std::uint64_t payload_bytes = ReadU64(base_ + 32);
-    checksum_ = ReadU64(base_ + 40);
-    if (ReadU64(base_ + 48) != 0) {
-      return LoadFail(error, "nonzero reserved field");
-    }
-    if (payload_bytes != PayloadBytesFor(n, m, h)) {
-      return LoadFail(error, "payload size field disagrees with section counts");
-    }
-    if (size_ != kSnapshotHeaderBytes + payload_bytes) {
-      return LoadFail(error, size_ < kSnapshotHeaderBytes + payload_bytes
-                                 ? "truncated payload"
-                                 : "trailing bytes after payload");
-    }
-    entry_count_ = n;
-    block_count_ = m;
-    hop_count_ = h;
-    keys_offset_ = kSnapshotHeaderBytes;
-    entry_blocks_offset_ = keys_offset_ + n * 4;
-    classes_offset_ = entry_blocks_offset_ + n * 4;
-    blocktab_offset_ = classes_offset_ + n + PadTo4(n);
-    hops_offset_ = blocktab_offset_ + m * 12;
-  } else if (version_ == kSnapshotVersion2) {
-    if (size_ < kSnapshotV2HeaderBytes) {
-      return LoadFail(error, "truncated header: " + std::to_string(size_) +
-                                 " bytes");
-    }
-    if (ReadU32(base_ + 8) != kSnapshotV2HeaderBytes) {
-      return LoadFail(error, "bad header size field");
-    }
-    std::uint64_t n = ReadU32(base_ + 12);
-    std::uint64_t m = ReadU32(base_ + 16);
-    std::uint64_t h = ReadU32(base_ + 20);
-    epoch_ = ReadU64(base_ + 24);
-    std::uint64_t file_bytes = ReadU64(base_ + 32);
-    if (ReadU64(base_ + 120) != 0) {
-      return LoadFail(error, "nonzero reserved field");
-    }
-    const V2Layout layout = LayoutV2(n, m, h);
-    for (int i = 0; i < 5; ++i) {
-      if (ReadU64(base_ + 40 + i * 8) != layout.offsets[i]) {
-        return LoadFail(error, std::string("bad section offset (") +
-                                   kV2SectionNames[i] + ")");
-      }
-    }
-    if (file_bytes != layout.file_bytes) {
-      return LoadFail(error, "file size field disagrees with section counts");
-    }
-    if (size_ != file_bytes) {
-      return LoadFail(error, size_ < file_bytes ? "truncated payload"
-                                                : "trailing bytes after payload");
-    }
-    entry_count_ = n;
-    block_count_ = m;
-    hop_count_ = h;
-    keys_offset_ = static_cast<std::size_t>(layout.offsets[0]);
-    entry_blocks_offset_ = static_cast<std::size_t>(layout.offsets[1]);
-    classes_offset_ = static_cast<std::size_t>(layout.offsets[2]);
-    blocktab_offset_ = static_cast<std::size_t>(layout.offsets[3]);
-    hops_offset_ = static_cast<std::size_t>(layout.offsets[4]);
-    // The snapshot identity: FNV-1a folded over the five little-endian
-    // section checksum fields.  Stable across mmap/owned loads and equal
-    // for byte-identical files, so delta base matching works unchanged.
-    checksum_ = Fnv1a64({base_ + 80, 40});
-  } else {
-    return LoadFail(error, "unsupported version " + std::to_string(version_));
+  const std::uint32_t version = ReadU32(base_ + 4);
+  if (version != kSnapshotVersion) {
+    return LoadFail(error, "unsupported version " + std::to_string(version) +
+                               " (expected " +
+                               std::to_string(kSnapshotVersion) +
+                               "; re-export the snapshot)");
   }
+  if (ReadU32(base_ + 8) != kSnapshotHeaderBytes) {
+    return LoadFail(error, "bad header size field");
+  }
+  std::uint64_t n = ReadU32(base_ + 12);
+  std::uint64_t m = ReadU32(base_ + 16);
+  std::uint64_t h = ReadU32(base_ + 20);
+  epoch_ = ReadU64(base_ + 24);
+  std::uint64_t file_bytes = ReadU64(base_ + 32);
+  if (ReadU64(base_ + 120) != 0) {
+    return LoadFail(error, "nonzero reserved field");
+  }
+  const SectionLayout layout = LayoutFor(n, m, h);
+  for (int i = 0; i < 5; ++i) {
+    if (ReadU64(base_ + 40 + i * 8) != layout.offsets[i]) {
+      return LoadFail(error, std::string("bad section offset (") +
+                                 kSectionNames[i] + ")");
+    }
+  }
+  if (file_bytes != layout.file_bytes) {
+    return LoadFail(error, "file size field disagrees with section counts");
+  }
+  if (size_ != file_bytes) {
+    return LoadFail(error, size_ < file_bytes ? "truncated payload"
+                                              : "trailing bytes after payload");
+  }
+  entry_count_ = n;
+  block_count_ = m;
+  hop_count_ = h;
+  keys_offset_ = static_cast<std::size_t>(layout.offsets[0]);
+  entry_blocks_offset_ = static_cast<std::size_t>(layout.offsets[1]);
+  classes_offset_ = static_cast<std::size_t>(layout.offsets[2]);
+  blocktab_offset_ = static_cast<std::size_t>(layout.offsets[3]);
+  hops_offset_ = static_cast<std::size_t>(layout.offsets[4]);
+  // The snapshot identity: FNV-1a folded over the five little-endian
+  // section checksum fields.  Stable across mmap/owned loads and equal
+  // for byte-identical files, so delta base matching works unchanged.
+  checksum_ = Fnv1a64({base_ + 80, 40});
 
   if (!options.defer_verification) {
     if (!VerifyPayload(error)) return false;
@@ -602,16 +543,10 @@ std::optional<Snapshot> Snapshot::FromFile(const std::string& path,
     if (!snapshot.Validate(options, error)) return std::nullopt;
     return snapshot;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::vector<std::byte> buffer;
+  if (!ReadWholeFile(path, &buffer)) {
     LoadFail(error, "cannot open " + path);
     return std::nullopt;
-  }
-  std::vector<std::byte> buffer;
-  char chunk[64 * 1024];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    const std::byte* begin = reinterpret_cast<const std::byte*>(chunk);
-    buffer.insert(buffer.end(), begin, begin + in.gcount());
   }
   return FromBuffer(std::move(buffer), error, options);
 }

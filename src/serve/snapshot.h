@@ -6,37 +6,16 @@
 // little-endian buffer that a running service can map or read whole and
 // query without any parsing, allocation, or pointer fixup.
 //
-// Layout (HobbitSnapshot v1; every integer little-endian):
-//
-//   offset  size  field
-//   0       4     magic "HSNP"
-//   4       4     u32 version            (== 1)
-//   8       4     u32 header_bytes      (== 56)
-//   12      4     u32 entry_count    n  (measured /24s, key-sorted)
-//   16      4     u32 block_count    m  (aggregated blocks)
-//   20      4     u32 hop_count      h  (last-hop pool entries)
-//   24      8     u64 epoch             (producer-chosen campaign id)
-//   32      8     u64 payload_bytes     (must equal the derived size)
-//   40      8     u64 payload_checksum  (FNV-1a 64 over the payload)
-//   48      8     u64 reserved          (== 0)
-//   56            payload:
-//     keys      n*4   u32 /24 base addresses, strictly ascending
-//     blocks    n*4   u32 owning block id, or kNoBlock
-//     classes   n*1   u8  Classification value, or kNoClass
-//     pad       0..3  zero bytes realigning to 4
-//     blocktab  m*12  u32 member_count, u32 hop_offset, u32 hop_count
-//     hops      h*4   u32 last-hop addresses, per-block contiguous runs
-//
-// Layout (HobbitSnapshot v2 — the mmap zero-copy form):
+// Layout (HobbitSnapshot, HSNP version 2; every integer little-endian):
 //
 //   offset  size  field
 //   0       4     magic "HSNP"
 //   4       4     u32 version            (== 2)
 //   8       4     u32 header_bytes      (== 128)
-//   12      4     u32 entry_count    n
-//   16      4     u32 block_count    m
-//   20      4     u32 hop_count      h
-//   24      8     u64 epoch
+//   12      4     u32 entry_count    n  (measured /24s, key-sorted)
+//   16      4     u32 block_count    m  (aggregated blocks)
+//   20      4     u32 hop_count      h  (last-hop pool entries)
+//   24      8     u64 epoch             (producer-chosen campaign id)
 //   32      8     u64 file_bytes        (exact total size of the file)
 //   40      8*5   u64 section offsets: keys, blocks, classes, blocktab,
 //                 hops — absolute, each 64-byte aligned, in that order,
@@ -46,20 +25,26 @@
 //                 compiles of the same state are byte-identical.
 //   80      8*5   u64 per-section FNV-1a 64 checksums, same order
 //   120     8     u64 reserved          (== 0)
-//   128           sections (see offsets; same content as the v1 payload
-//                 sections, but individually 64-byte aligned)
+//   128           sections, at the offsets above:
+//     keys      n*4   u32 /24 base addresses, strictly ascending
+//     blocks    n*4   u32 owning block id, or kNoBlock
+//     classes   n*1   u8  Classification value, or kNoClass
+//     blocktab  m*12  u32 member_count, u32 hop_offset, u32 hop_count
+//     hops      h*4   u32 last-hop addresses, per-block contiguous runs
 //
-// The v2 alignment means a server can mmap the file and serve straight
-// out of the page cache: every section start is cache-line aligned, no
-// copy, no fixup.  Per-section checksums let a loader verify sections
-// up front (the default) or defer verification for O(1) cold start
+// The alignment means a server can mmap the file and serve straight out
+// of the page cache: every section start is cache-line aligned, no copy,
+// no fixup.  Per-section checksums let a loader verify sections up front
+// (the default) or defer verification for O(1) cold start
 // (SnapshotLoadOptions::defer_verification; call VerifyPayload later).
+// A file with any other version field is rejected with a message asking
+// for a re-export.
 //
 // Properties the loader enforces (each has a robustness test):
-//  * exact size: header + payload_bytes (v1) / file_bytes (v2), nothing
-//    truncated or trailing; v2 section offsets exactly at the aligned
-//    positions with zero padding between sections;
-//  * checksum over the whole payload (v1) / every section (v2);
+//  * exact size: file_bytes, nothing truncated or trailing; section
+//    offsets exactly at the aligned positions with zero padding between
+//    sections;
+//  * a checksum over every section;
 //  * keys strictly ascending (sorted *and* duplicate-free — binary search
 //    needs no further validation);
 //  * every block id below m or kNoBlock, every class a valid enum value
@@ -87,11 +72,9 @@
 namespace hobbit::serve {
 
 inline constexpr char kSnapshotMagic[4] = {'H', 'S', 'N', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
-inline constexpr std::uint32_t kSnapshotHeaderBytes = 56;
-inline constexpr std::uint32_t kSnapshotVersion2 = 2;
-inline constexpr std::uint32_t kSnapshotV2HeaderBytes = 128;
-/// Section starts in a v2 snapshot are aligned to this (one cache line).
+inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotHeaderBytes = 128;
+/// Section starts are aligned to this (one cache line).
 inline constexpr std::size_t kSnapshotAlignment = 64;
 
 /// Entry sentinel: measured /24 that belongs to no aggregated block.
@@ -99,7 +82,7 @@ inline constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
 /// Entry sentinel: no classification archived for this /24.
 inline constexpr std::uint8_t kNoClass = 0xFF;
 
-/// FNV-1a 64 over a byte range — the payload checksum.
+/// FNV-1a 64 over a byte range — the section checksum.
 std::uint64_t Fnv1a64(std::span<const std::byte> bytes);
 
 /// A /24 destined for the snapshot: key plus optional classification.
@@ -131,42 +114,40 @@ std::vector<SnapshotEntry> BuildSnapshotEntries(
     std::span<const cluster::AggregateBlock> blocks,
     std::span<const ClassifiedPrefix> classified);
 
-/// Serializes the blocktab and hop-pool payload sections for `blocks`
-/// (appended to the given buffers).  Shared by the full compiler and the
-/// patch compiler so both emit bit-identical block sections.
+/// Serializes the blocktab and hop-pool sections for `blocks` (appended
+/// to the given buffers).  Shared by the full compiler and the patch
+/// compiler so both emit bit-identical block sections.
 void AppendBlockTable(std::span<const cluster::AggregateBlock> blocks,
                       std::vector<std::byte>* blocktab,
                       std::vector<std::byte>* hops);
 
-/// Assembles a complete v1 snapshot buffer from pre-resolved parts:
-/// sorted entries plus already-serialized blocktab/hops sections.  Both
-/// CompileSnapshot and the patch applier (serve/delta.h) funnel through
+/// Assembles a complete snapshot buffer from pre-resolved parts: sorted
+/// entries plus already-serialized blocktab/hops sections.  Both
+/// CompileSnapshotV2 and the patch applier (serve/delta.h) funnel through
 /// here, which is what makes a patched snapshot byte-identical to a full
-/// recompile of the same state.
-std::vector<std::byte> AssembleSnapshot(
-    std::span<const SnapshotEntry> entries, std::span<const std::byte> blocktab,
-    std::span<const std::byte> hops, std::uint64_t epoch);
-
-/// Assembles a v2 (64-byte-aligned, section-offset) snapshot from the
-/// same pre-resolved parts.  Deterministic: the layout is a pure
+/// recompile of the same state.  Deterministic: the layout is a pure
 /// function of the section sizes.
 std::vector<std::byte> AssembleSnapshotV2(
     std::span<const SnapshotEntry> entries, std::span<const std::byte> blocktab,
     std::span<const std::byte> hops, std::uint64_t epoch);
 
 /// Lowers a block list plus (optionally empty) per-/24 classifications into
-/// a v1 snapshot buffer.  Equivalent to BuildSnapshotEntries +
-/// AppendBlockTable + AssembleSnapshot.
-std::vector<std::byte> CompileSnapshot(
-    std::span<const cluster::AggregateBlock> blocks,
-    std::span<const ClassifiedPrefix> classified = {},
-    std::uint64_t epoch = 0);
-
-/// As CompileSnapshot, but emits the v2 layout.
+/// a snapshot buffer.  Equivalent to BuildSnapshotEntries +
+/// AppendBlockTable + AssembleSnapshotV2.
 std::vector<std::byte> CompileSnapshotV2(
     std::span<const cluster::AggregateBlock> blocks,
     std::span<const ClassifiedPrefix> classified = {},
     std::uint64_t epoch = 0);
+
+/// Writes `bytes` to `path` crash-safely: a temporary file in the same
+/// directory is written, fsync'ed, then renamed over `path`.  A reader
+/// that has the old file open or mapped keeps its old inode intact (an
+/// in-place rewrite would truncate pages under a live mapping).  Returns
+/// false with a message in *error on any failure; `path` is then left as
+/// it was.
+bool WriteSnapshotFile(const std::string& path,
+                       std::span<const std::byte> bytes,
+                       std::string* error = nullptr);
 
 /// How aggressively a mapped snapshot is faulted into memory at map
 /// time.  Demand paging (kNone) gives the fastest cold start but pays a
@@ -260,12 +241,9 @@ class Snapshot {
   std::size_t block_count() const { return block_count_; }
   std::size_t hop_count() const { return hop_count_; }
   std::uint64_t epoch() const { return epoch_; }
-  /// v1: the payload checksum.  v2: FNV-1a 64 folded over the five
-  /// little-endian section checksums — a stable identity for delta
-  /// base matching either way.
+  /// FNV-1a 64 folded over the five little-endian section checksums —
+  /// a stable identity for delta base matching.
   std::uint64_t checksum() const { return checksum_; }
-  /// Serialized format version (1 or 2).
-  std::uint32_t version() const { return version_; }
   /// True when the payload checks (checksums + invariant scan) have run.
   bool fully_verified() const { return fully_verified_; }
   /// True when the snapshot serves from a live mmap (zero-copy).
@@ -276,7 +254,7 @@ class Snapshot {
   std::span<const std::byte> bytes() const { return {base_, size_}; }
 
   /// Runs the deferred payload verification (section checksums, entry
-  /// and hop-run invariants, v2 inter-section padding).  Returns false
+  /// and hop-run invariants, inter-section padding).  Returns false
   /// with a message in *error on the first violated property.  Pure:
   /// safe to call from any thread on a shared const snapshot.
   bool VerifyPayload(std::string* error = nullptr) const;
@@ -321,7 +299,6 @@ class Snapshot {
   const std::byte* base_ = nullptr;
   std::size_t size_ = 0;
 
-  std::uint32_t version_ = kSnapshotVersion;
   bool fully_verified_ = false;
   std::size_t entry_count_ = 0;
   std::size_t block_count_ = 0;

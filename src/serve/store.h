@@ -68,8 +68,8 @@ class SnapshotStore {
     return SwapWithKind(std::move(snapshot), kind, 0);
   }
 
-  /// Validates `path` as a snapshot (v1 or v2) and swaps it in on
-  /// success.  `options` selects mmap zero-copy and/or deferred payload
+  /// Validates `path` as a snapshot and swaps it in on success.
+  /// `options` selects mmap zero-copy and/or deferred payload
   /// verification (see SnapshotLoadOptions); the default is the owned,
   /// fully-verified read.  On failure returns false, stores a message in
   /// *error (when non-null) and leaves the served snapshot untouched.

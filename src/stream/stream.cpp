@@ -80,7 +80,7 @@ class Aggregator {
         out_->final_snapshot.assign(bytes.begin(), bytes.end());
       }
     } else {
-      out_->final_snapshot = serve::CompileSnapshot(
+      out_->final_snapshot = serve::CompileSnapshotV2(
           out_->blocks, Classified(), config_.epoch_base);
       out_->stats.publishes++;
     }
@@ -132,7 +132,7 @@ class Aggregator {
     if (base_ == nullptr) {
       // Bootstrap: the store has nothing of ours to patch against.
       std::vector<std::byte> bytes =
-          serve::CompileSnapshot(blocks, classified, epoch);
+          serve::CompileSnapshotV2(blocks, classified, epoch);
       std::optional<serve::Snapshot> snapshot =
           serve::Snapshot::FromBuffer(std::move(bytes));
       if (snapshot) {
@@ -158,7 +158,7 @@ class Aggregator {
     base_ = config_.store->Current();
     if (config_.verify_full_reference) {
       const std::vector<std::byte> reference =
-          serve::CompileSnapshot(blocks, classified, epoch);
+          serve::CompileSnapshotV2(blocks, classified, epoch);
       std::span<const std::byte> served = base_->bytes();
       if (served.size() != reference.size() ||
           !std::equal(served.begin(), served.end(), reference.begin())) {

@@ -38,10 +38,10 @@
 // (`verify_full_reference`), which is the byte-identity gate.
 //
 // Churn: `on_segment_boundary` fires between probe waves with no probe
-// in flight; it may mutate the topology (InjectRouteChurn flips ECMP
-// next-hop orders, bumping Topology::mutation_epoch so route memos
-// re-resolve).  Segment boundaries sit at fixed indices, so churned
-// campaigns stay thread-count invariant.
+// in flight; it may mutate the topology (scenario::InjectRouteChurn
+// flips ECMP next-hop orders, bumping Topology::mutation_epoch so route
+// memos re-resolve).  Segment boundaries sit at fixed indices, so
+// churned campaigns stay thread-count invariant.
 #pragma once
 
 #include <array>
@@ -54,7 +54,6 @@
 #include "common/bounded_queue.h"
 #include "hobbit/pipeline.h"
 #include "netsim/internet.h"
-#include "scenario/artifacts.h"
 #include "serve/store.h"
 
 namespace hobbit::stream {
@@ -149,10 +148,5 @@ struct StreamResult {
 /// and queue timing.
 StreamResult RunStreamCampaign(const netsim::Internet& internet,
                                const StreamConfig& config);
-
-/// Route churn now lives with the other world mutators in the scenario
-/// subsystem (scenario/artifacts.h); re-exported here for existing
-/// streaming callers.
-using scenario::InjectRouteChurn;
 
 }  // namespace hobbit::stream

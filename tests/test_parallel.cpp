@@ -31,7 +31,6 @@ TEST(ThreadPool, EmptyRangeNeverInvokesBody) {
   ThreadPool pool(4);
   std::atomic<int> calls{0};
   pool.ForEach(0, [&](std::size_t) { ++calls; });
-  pool.ForEachShard(0, [&](std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
 }
 
@@ -67,34 +66,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<int, std::size_t>{8, 9},    // one extra item
                       std::pair<int, std::size_t>{3, 10000},  // large count
                       std::pair<int, std::size_t>{1, 100}));  // serial pool
-
-TEST(ThreadPool, ShardAssignmentIsTheDocumentedFunction) {
-  // Item i must run on shard i % shard_count, with
-  // shard_count == min(thread_count, count).
-  ThreadPool pool(5);
-  const std::size_t count = 23;
-  std::vector<int> shard_of(count, -1);
-  pool.ForEachShard(count, [&](std::size_t shard, std::size_t shard_count) {
-    EXPECT_EQ(shard_count, 5u);
-    for (std::size_t i = shard; i < count; i += shard_count) {
-      shard_of[i] = static_cast<int>(shard);
-    }
-  });
-  for (std::size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(shard_of[i], static_cast<int>(i % 5)) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, ShardCountShrinksToCount) {
-  ThreadPool pool(8);
-  std::atomic<int> calls{0};
-  pool.ForEachShard(3, [&](std::size_t shard, std::size_t shard_count) {
-    EXPECT_EQ(shard_count, 3u);
-    EXPECT_LT(shard, 3u);
-    ++calls;
-  });
-  EXPECT_EQ(calls.load(), 3);
-}
 
 TEST(ThreadPool, ExceptionPropagatesToCaller) {
   ThreadPool pool(4);
@@ -133,8 +104,7 @@ TEST(ThreadPool, UsableAfterException) {
 }
 
 TEST(ThreadPool, ReusedAcrossSuccessiveForEachCalls) {
-  // The pool's persistent workers must serve many jobs back to back,
-  // including mixes of ForEach and ForEachShard.
+  // The pool's persistent workers must serve many jobs back to back.
   ThreadPool pool(4);
   std::atomic<long> total{0};
   long expected = 0;
@@ -146,10 +116,6 @@ TEST(ThreadPool, ReusedAcrossSuccessiveForEachCalls) {
     expected += static_cast<long>(count) * round +
                 static_cast<long>(count * (count - 1) / 2);
   }
-  pool.ForEachShard(40, [&](std::size_t shard, std::size_t shard_count) {
-    for (std::size_t i = shard; i < 40; i += shard_count) total += 1;
-  });
-  expected += 40;
   EXPECT_EQ(total.load(), expected);
 }
 
@@ -351,13 +317,6 @@ TEST(FreeForEach, NullPoolRunsSeriallyInOrder) {
   std::vector<std::size_t> order;
   ForEach(nullptr, 5, [&](std::size_t i) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-  int shard_calls = 0;
-  ForEachShard(nullptr, 7, [&](std::size_t shard, std::size_t shard_count) {
-    EXPECT_EQ(shard, 0u);
-    EXPECT_EQ(shard_count, 1u);
-    ++shard_calls;
-  });
-  EXPECT_EQ(shard_calls, 1);
   int chunk_calls = 0;
   ForEachChunk(nullptr, 9, 2, [&](ChunkRange chunk) {
     EXPECT_EQ(chunk.begin, 0u);

@@ -1,5 +1,5 @@
 // The HSPT patch layer (serve/delta.h): the byte-identity contract —
-// ApplyPatch(base, CompileDelta(base, S)) == CompileSnapshot(S) for any
+// ApplyPatch(base, CompileDelta(base, S)) == CompileSnapshotV2(S) for any
 // state transition — plus the strict applier's rejection paths and the
 // store's PublishPatch provenance.
 #include "serve/delta.h"
@@ -81,7 +81,7 @@ void FixChecksum(std::vector<std::byte>& patch) {
 TEST(Delta, PatchedSnapshotIsByteIdenticalToFullCompile) {
   const State a = StateA();
   const State b = StateB();
-  Snapshot base = Load(CompileSnapshot(a.blocks, a.classified, 1));
+  Snapshot base = Load(CompileSnapshotV2(a.blocks, a.classified, 1));
 
   DeltaStats stats;
   std::vector<std::byte> patch =
@@ -92,7 +92,7 @@ TEST(Delta, PatchedSnapshotIsByteIdenticalToFullCompile) {
   std::string error;
   auto patched = ApplyPatch(base, patch, &error);
   ASSERT_TRUE(patched.has_value()) << error;
-  EXPECT_EQ(*patched, CompileSnapshot(b.blocks, b.classified, 2));
+  EXPECT_EQ(*patched, CompileSnapshotV2(b.blocks, b.classified, 2));
 }
 
 TEST(Delta, ChainOfPatchesTracksChainOfFullCompiles) {
@@ -100,7 +100,7 @@ TEST(Delta, ChainOfPatchesTracksChainOfFullCompiles) {
   // byte-identical to the full compile of that state at that epoch.
   const State states[2] = {StateA(), StateB()};
   Snapshot current =
-      Load(CompileSnapshot(states[0].blocks, states[0].classified, 1));
+      Load(CompileSnapshotV2(states[0].blocks, states[0].classified, 1));
   for (std::uint64_t step = 1; step <= 3; ++step) {
     const State& next = states[step % 2];
     std::vector<std::byte> patch =
@@ -108,14 +108,14 @@ TEST(Delta, ChainOfPatchesTracksChainOfFullCompiles) {
     auto patched = ApplyPatch(current, patch);
     ASSERT_TRUE(patched.has_value());
     EXPECT_EQ(*patched,
-              CompileSnapshot(next.blocks, next.classified, step + 1));
+              CompileSnapshotV2(next.blocks, next.classified, step + 1));
     current = Load(*patched);
   }
 }
 
 TEST(Delta, EmptyDiffPatchesOnlyTheEpoch) {
   const State a = StateA();
-  Snapshot base = Load(CompileSnapshot(a.blocks, a.classified, 5));
+  Snapshot base = Load(CompileSnapshotV2(a.blocks, a.classified, 5));
   DeltaStats stats;
   std::vector<std::byte> patch =
       CompileDelta(base, a.blocks, a.classified, 6, &stats);
@@ -124,7 +124,7 @@ TEST(Delta, EmptyDiffPatchesOnlyTheEpoch) {
   EXPECT_EQ(stats.unchanged, base.entry_count());
   auto patched = ApplyPatch(base, patch);
   ASSERT_TRUE(patched.has_value());
-  EXPECT_EQ(*patched, CompileSnapshot(a.blocks, a.classified, 6));
+  EXPECT_EQ(*patched, CompileSnapshotV2(a.blocks, a.classified, 6));
 }
 
 TEST(Delta, SmallChangeMakesAPatchSmallerThanTheSnapshot) {
@@ -139,7 +139,7 @@ TEST(Delta, SmallChangeMakesAPatchSmallerThanTheSnapshot) {
         {netsim::Prefix::Of(netsim::Ipv4Address(0x0A000000u + 256u * i), 24),
          2});
   }
-  Snapshot base = Load(CompileSnapshot(big.blocks, big.classified, 1));
+  Snapshot base = Load(CompileSnapshotV2(big.blocks, big.classified, 1));
   big.classified[17].class_token = 3;
   DeltaStats stats;
   std::vector<std::byte> patch =
@@ -149,7 +149,7 @@ TEST(Delta, SmallChangeMakesAPatchSmallerThanTheSnapshot) {
   EXPECT_LT(patch.size(), base.buffer_bytes() / 4);
   auto patched = ApplyPatch(base, patch);
   ASSERT_TRUE(patched.has_value());
-  EXPECT_EQ(*patched, CompileSnapshot(big.blocks, big.classified, 2));
+  EXPECT_EQ(*patched, CompileSnapshotV2(big.blocks, big.classified, 2));
 }
 
 // ------------------------------------------------------------ rejection
@@ -159,7 +159,7 @@ class DeltaRejection : public ::testing::Test {
   void SetUp() override {
     a_ = StateA();
     b_ = StateB();
-    base_ = Load(CompileSnapshot(a_.blocks, a_.classified, 1));
+    base_ = Load(CompileSnapshotV2(a_.blocks, a_.classified, 1));
     patch_ = CompileDelta(base_, b_.blocks, b_.classified, 2);
   }
 
@@ -206,7 +206,7 @@ TEST_F(DeltaRejection, PayloadCorruptionTripsChecksum) {
 }
 
 TEST_F(DeltaRejection, WrongBaseSnapshot) {
-  Snapshot other = Load(CompileSnapshot(b_.blocks, b_.classified, 9));
+  Snapshot other = Load(CompileSnapshotV2(b_.blocks, b_.classified, 9));
   std::string error;
   EXPECT_FALSE(ApplyPatch(other, patch_, &error).has_value());
   EXPECT_NE(error.find("different base"), std::string::npos) << error;
@@ -257,7 +257,7 @@ TEST(StorePublish, PatchPublishAndProvenance) {
   EXPECT_EQ(store.last_publish_kind(), PublishKind::kNone);
 
   // A patch needs a base.
-  Snapshot base = Load(CompileSnapshot(a.blocks, a.classified, 1));
+  Snapshot base = Load(CompileSnapshotV2(a.blocks, a.classified, 1));
   std::vector<std::byte> early =
       CompileDelta(base, b.blocks, b.classified, 2);
   std::string error;
@@ -265,7 +265,7 @@ TEST(StorePublish, PatchPublishAndProvenance) {
   EXPECT_EQ(store.failed_reloads(), 1u);
 
   store.Swap(std::make_shared<const Snapshot>(Load(
-      CompileSnapshot(a.blocks, a.classified, 1))));
+      CompileSnapshotV2(a.blocks, a.classified, 1))));
   EXPECT_EQ(store.last_publish_kind(), PublishKind::kFull);
   EXPECT_EQ(store.last_delta_entries(), 0u);
 
@@ -281,7 +281,7 @@ TEST(StorePublish, PatchPublishAndProvenance) {
   // Served bytes == full compile of the same state.
   std::span<const std::byte> served = store.Current()->bytes();
   std::vector<std::byte> reference =
-      CompileSnapshot(b.blocks, b.classified, 2);
+      CompileSnapshotV2(b.blocks, b.classified, 2);
   EXPECT_TRUE(std::equal(served.begin(), served.end(), reference.begin(),
                          reference.end()));
 }
@@ -302,7 +302,7 @@ TEST(StorePublish, StatsLineCarriesPublishProvenance) {
             std::string::npos);
 
   store.Swap(std::make_shared<const Snapshot>(
-      Load(CompileSnapshot(a.blocks, a.classified, 1))));
+      Load(CompileSnapshotV2(a.blocks, a.classified, 1))));
   EXPECT_NE(stats_reply().find("publish=full delta_entries=0"),
             std::string::npos);
 

@@ -18,7 +18,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -46,7 +45,7 @@ std::vector<std::byte> EpochOne(int n) {
     b.last_hops = {Addr("10.0.0.1")};
     blocks.push_back(std::move(b));
   }
-  return CompileSnapshot(blocks, {}, 1);
+  return CompileSnapshotV2(blocks, {}, 1);
 }
 
 std::vector<std::byte> EpochTwo(int n) {
@@ -57,15 +56,13 @@ std::vector<std::byte> EpochTwo(int n) {
         netsim::Ipv4Address(0x14000000u + 256u * static_cast<unsigned>(i)),
         24));
   }
-  return CompileSnapshot(std::vector<cluster::AggregateBlock>{big}, {}, 2);
+  return CompileSnapshotV2(std::vector<cluster::AggregateBlock>{big}, {}, 2);
 }
 
 std::string WriteTempSnapshot(const std::string& name,
                               const std::vector<std::byte>& bytes) {
   std::string path = ::testing::TempDir() + name;
-  std::ofstream out(path, std::ios::binary);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
+  EXPECT_TRUE(WriteSnapshotFile(path, bytes));
   return path;
 }
 

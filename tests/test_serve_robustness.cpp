@@ -35,28 +35,14 @@ std::vector<std::byte> ValidBuffer() {
   std::vector<ClassifiedPrefix> classified = {
       {Pfx("20.0.1.0/24"),
        static_cast<std::uint8_t>(core::Classification::kSameLastHop)}};
-  return CompileSnapshot(std::vector<cluster::AggregateBlock>{a, b},
-                         classified, 5);
+  return CompileSnapshotV2(std::vector<cluster::AggregateBlock>{a, b},
+                           classified, 5);
 }
 
 void ExpectRejected(std::vector<std::byte> buffer) {
   std::string error;
   EXPECT_FALSE(Snapshot::FromBuffer(std::move(buffer), &error).has_value());
   EXPECT_FALSE(error.empty());
-}
-
-TEST(SnapshotRobustness, TruncationAtEveryLengthIsRejected) {
-  const auto valid = ValidBuffer();
-  for (std::size_t length = 0; length < valid.size(); ++length) {
-    ExpectRejected(
-        std::vector<std::byte>(valid.begin(), valid.begin() + length));
-  }
-}
-
-TEST(SnapshotRobustness, TrailingBytesAreRejected) {
-  auto buffer = ValidBuffer();
-  buffer.push_back(std::byte{0});
-  ExpectRejected(std::move(buffer));
 }
 
 TEST(SnapshotRobustness, BadMagicIsRejected) {
@@ -68,52 +54,18 @@ TEST(SnapshotRobustness, BadMagicIsRejected) {
 }
 
 TEST(SnapshotRobustness, BadVersionIsRejected) {
-  auto buffer = ValidBuffer();
-  buffer[4] = std::byte{3};  // v1 and v2 are real; v3 is not
-  std::string error;
-  EXPECT_FALSE(Snapshot::FromBuffer(buffer, &error).has_value());
-  EXPECT_NE(error.find("version"), std::string::npos);
-}
-
-TEST(SnapshotRobustness, TamperedHeaderFieldsAreRejected) {
-  // header_bytes, entry/block/hop counts, payload size, reserved: flip a
-  // byte in each and expect rejection (counts disagreeing with the true
-  // payload size are caught before any checksum work).
-  for (std::size_t offset : {8u, 12u, 16u, 20u, 32u, 48u}) {
+  // Version 2 is the only layout; the retired packed version 1 is
+  // refused like any other, with a hint to re-export the file.
+  for (std::uint8_t version : {0, 1, 3, 0xFF}) {
     auto buffer = ValidBuffer();
-    buffer[offset] ^= std::byte{0x01};
-    ExpectRejected(std::move(buffer));
+    buffer[4] = std::byte{version};
+    std::string error;
+    EXPECT_FALSE(Snapshot::FromBuffer(buffer, &error).has_value());
+    EXPECT_NE(error.find("unsupported version " + std::to_string(version)),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("re-export"), std::string::npos) << error;
   }
-}
-
-TEST(SnapshotRobustness, PayloadCorruptionFailsTheChecksum) {
-  const auto valid = ValidBuffer();
-  for (std::size_t offset = kSnapshotHeaderBytes; offset < valid.size();
-       ++offset) {
-    auto buffer = valid;
-    buffer[offset] ^= std::byte{0x20};
-    ExpectRejected(std::move(buffer));
-  }
-}
-
-TEST(SnapshotRobustness, ForgedChecksumStillFailsStructuralChecks) {
-  // An attacker fixing up the checksum after corrupting the key order
-  // must still be caught by the sortedness check.
-  auto buffer = ValidBuffer();
-  // Swap the first two keys (payload starts with the key array).
-  for (int i = 0; i < 4; ++i) {
-    std::swap(buffer[kSnapshotHeaderBytes + i],
-              buffer[kSnapshotHeaderBytes + 4 + i]);
-  }
-  std::span<const std::byte> payload(buffer.data() + kSnapshotHeaderBytes,
-                                     buffer.size() - kSnapshotHeaderBytes);
-  std::uint64_t checksum = Fnv1a64(payload);
-  for (int i = 0; i < 8; ++i) {
-    buffer[40 + i] = static_cast<std::byte>((checksum >> (8 * i)) & 0xFF);
-  }
-  std::string error;
-  EXPECT_FALSE(Snapshot::FromBuffer(buffer, &error).has_value());
-  EXPECT_NE(error.find("ascending"), std::string::npos);
 }
 
 class SnapshotFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -128,31 +80,6 @@ TEST_P(SnapshotFuzz, RandomBuffersNeverCrash) {
     }
     std::string error;
     if (!Snapshot::FromBuffer(std::move(buffer), &error).has_value()) {
-      EXPECT_FALSE(error.empty());
-    }
-  }
-}
-
-TEST_P(SnapshotFuzz, MutatedValidSnapshotsNeverCrash) {
-  netsim::Rng rng(GetParam() + 100);
-  const auto valid = ValidBuffer();
-  for (int i = 0; i < 500; ++i) {
-    auto buffer = valid;
-    int flips = 1 + static_cast<int>(rng.NextBelow(4));
-    for (int f = 0; f < flips; ++f) {
-      buffer[rng.NextBelow(buffer.size())] =
-          static_cast<std::byte>(rng.NextBelow(256));
-    }
-    std::string error;
-    auto snapshot = Snapshot::FromBuffer(std::move(buffer), &error);
-    if (snapshot.has_value()) {
-      // A mutation that survives validation must still answer queries
-      // without faulting (it can only be a same-size checksum collision
-      // or a mutation of ignored bytes — exercise the engine anyway).
-      LookupEngine engine(*snapshot);
-      engine.Lookup(Addr("20.0.1.1"));
-      engine.Covering(Pfx("20.0.0.0/16"));
-    } else {
       EXPECT_FALSE(error.empty());
     }
   }
@@ -180,7 +107,7 @@ TEST(SnapshotRobustness, TextToBinaryRoundTripEquivalence) {
   auto records = core::ReadResults(results_in);
   ASSERT_TRUE(records.has_value());
 
-  auto buffer = CompileSnapshot(
+  auto buffer = CompileSnapshotV2(
       *blocks,
       ClassifiedFrom(std::span<const core::ResultRecord>(*records)), 1);
   std::string error;
@@ -206,24 +133,10 @@ TEST(SnapshotRobustness, TextToBinaryRoundTripEquivalence) {
 }
 
 // ---------------------------------------------------------------------
-// HSNP v2: the aligned section-offset layout has more structure to
-// defend — five offset fields, five section checksums, and the rule
-// that inter-section padding is zero.  Same drill as v1: every
-// corruption rejected with a message, no crash on any mutation.
-
-std::vector<std::byte> ValidBufferV2() {
-  cluster::AggregateBlock a;
-  a.member_24s = {Pfx("20.0.1.0/24"), Pfx("20.0.9.0/24")};
-  a.last_hops = {Addr("10.0.0.1"), Addr("10.0.0.2")};
-  cluster::AggregateBlock b;
-  b.member_24s = {Pfx("99.1.2.0/24")};
-  b.last_hops = {Addr("10.0.0.9")};
-  std::vector<ClassifiedPrefix> classified = {
-      {Pfx("20.0.1.0/24"),
-       static_cast<std::uint8_t>(core::Classification::kSameLastHop)}};
-  return CompileSnapshotV2(std::vector<cluster::AggregateBlock>{a, b},
-                           classified, 5);
-}
+// The aligned section-offset layout has structure to defend — five
+// offset fields, five section checksums, and the rule that
+// inter-section padding is zero: every corruption rejected with a
+// message, no crash on any mutation.
 
 std::uint64_t ReadHeaderU64(const std::vector<std::byte>& buffer,
                             std::size_t offset) {
@@ -244,15 +157,17 @@ std::uint32_t ReadHeaderU32(const std::vector<std::byte>& buffer,
 }
 
 TEST(SnapshotV2Robustness, ValidBufferLoadsAndIsVersion2) {
+  const auto buffer = ValidBuffer();
+  EXPECT_EQ(ReadHeaderU32(buffer, 4), kSnapshotVersion);
+  EXPECT_EQ(kSnapshotVersion, 2u);
   std::string error;
-  auto snapshot = Snapshot::FromBuffer(ValidBufferV2(), &error);
+  auto snapshot = Snapshot::FromBuffer(buffer, &error);
   ASSERT_TRUE(snapshot.has_value()) << error;
-  EXPECT_EQ(snapshot->version(), kSnapshotVersion2);
   EXPECT_TRUE(snapshot->fully_verified());
 }
 
 TEST(SnapshotV2Robustness, TruncationAtEveryLengthIsRejected) {
-  const auto valid = ValidBufferV2();
+  const auto valid = ValidBuffer();
   for (std::size_t length = 0; length < valid.size(); ++length) {
     ExpectRejected(
         std::vector<std::byte>(valid.begin(), valid.begin() + length));
@@ -260,7 +175,7 @@ TEST(SnapshotV2Robustness, TruncationAtEveryLengthIsRejected) {
 }
 
 TEST(SnapshotV2Robustness, TrailingBytesAreRejected) {
-  auto buffer = ValidBufferV2();
+  auto buffer = ValidBuffer();
   buffer.push_back(std::byte{0});
   ExpectRejected(std::move(buffer));
 }
@@ -273,7 +188,7 @@ TEST(SnapshotV2Robustness, TamperedHeaderFieldsAreRejected) {
     offsets.push_back(40 + section * 8);
   }
   for (std::size_t offset : offsets) {
-    auto buffer = ValidBufferV2();
+    auto buffer = ValidBuffer();
     buffer[offset] ^= std::byte{0x01};
     ExpectRejected(std::move(buffer));
   }
@@ -281,7 +196,7 @@ TEST(SnapshotV2Robustness, TamperedHeaderFieldsAreRejected) {
 
 TEST(SnapshotV2Robustness, TamperedSectionChecksumsAreRejected) {
   for (int section = 0; section < 5; ++section) {
-    auto buffer = ValidBufferV2();
+    auto buffer = ValidBuffer();
     buffer[80 + section * 8] ^= std::byte{0x01};
     ExpectRejected(std::move(buffer));
   }
@@ -290,8 +205,8 @@ TEST(SnapshotV2Robustness, TamperedSectionChecksumsAreRejected) {
 TEST(SnapshotV2Robustness, PayloadCorruptionAtEveryByteIsRejected) {
   // Every post-header byte is covered by a section checksum or by the
   // zero-padding rule — flipping any single one must reject the load.
-  const auto valid = ValidBufferV2();
-  for (std::size_t offset = kSnapshotV2HeaderBytes; offset < valid.size();
+  const auto valid = ValidBuffer();
+  for (std::size_t offset = kSnapshotHeaderBytes; offset < valid.size();
        ++offset) {
     auto buffer = valid;
     buffer[offset] ^= std::byte{0x20};
@@ -303,7 +218,7 @@ TEST(SnapshotV2Robustness, NonzeroInterSectionPaddingIsRejected) {
   // Locate real padding from the header's own fields: the keys section
   // (a handful of entries) ends well before the 64-aligned blocks
   // section, so the gap is guaranteed non-empty for this buffer.
-  auto buffer = ValidBufferV2();
+  auto buffer = ValidBuffer();
   const std::uint64_t keys_offset = ReadHeaderU64(buffer, 40);
   const std::uint64_t blocks_offset = ReadHeaderU64(buffer, 48);
   const std::uint64_t keys_end =
@@ -319,7 +234,7 @@ TEST(SnapshotV2Robustness, NonzeroInterSectionPaddingIsRejected) {
 TEST(SnapshotV2Robustness, ForgedSectionChecksumStillFailsStructuralChecks) {
   // Fix up the keys-section checksum after breaking the key order: the
   // sortedness invariant must still reject the buffer.
-  auto buffer = ValidBufferV2();
+  auto buffer = ValidBuffer();
   const std::uint64_t keys_offset = ReadHeaderU64(buffer, 40);
   const std::size_t keys_bytes = std::size_t{4} * ReadHeaderU32(buffer, 12);
   for (int i = 0; i < 4; ++i) {
@@ -339,7 +254,7 @@ class SnapshotV2Fuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SnapshotV2Fuzz, MutatedValidSnapshotsNeverCrash) {
   netsim::Rng rng(GetParam() + 500);
-  const auto valid = ValidBufferV2();
+  const auto valid = ValidBuffer();
   for (int i = 0; i < 500; ++i) {
     auto buffer = valid;
     int flips = 1 + static_cast<int>(rng.NextBelow(4));
@@ -364,7 +279,7 @@ TEST_P(SnapshotV2Fuzz, DeferredLoadsOfMutationsNeverCrash) {
   // VerifyPayload must still catch (or pass) without faulting, and any
   // load that sneaks through must answer queries safely.
   netsim::Rng rng(GetParam() + 900);
-  const auto valid = ValidBufferV2();
+  const auto valid = ValidBuffer();
   SnapshotLoadOptions defer;
   defer.defer_verification = true;
   for (int i = 0; i < 300; ++i) {

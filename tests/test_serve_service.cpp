@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "serve/service.h"
@@ -24,16 +23,14 @@ std::vector<std::byte> SampleSnapshotBytes(std::uint64_t epoch) {
   std::vector<ClassifiedPrefix> classified = {
       {Pfx("20.0.1.0/24"),
        static_cast<std::uint8_t>(core::Classification::kSameLastHop)}};
-  return CompileSnapshot(std::vector<cluster::AggregateBlock>{a, b},
+  return CompileSnapshotV2(std::vector<cluster::AggregateBlock>{a, b},
                          classified, epoch);
 }
 
 std::string WriteTemp(const std::string& name,
                       const std::vector<std::byte>& bytes) {
   std::string path = ::testing::TempDir() + name;
-  std::ofstream out(path, std::ios::binary);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
+  EXPECT_TRUE(WriteSnapshotFile(path, bytes));
   return path;
 }
 

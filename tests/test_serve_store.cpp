@@ -9,7 +9,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -56,11 +55,11 @@ std::vector<cluster::AggregateBlock> BlocksTwo(int n) {
 }
 
 std::vector<std::byte> EpochOne(int n) {
-  return CompileSnapshot(BlocksOne(n), {}, 1);
+  return CompileSnapshotV2(BlocksOne(n), {}, 1);
 }
 
 std::vector<std::byte> EpochTwo(int n) {
-  return CompileSnapshot(BlocksTwo(n), {}, 2);
+  return CompileSnapshotV2(BlocksTwo(n), {}, 2);
 }
 
 std::shared_ptr<const Snapshot> Load(const std::vector<std::byte>& bytes) {
@@ -174,16 +173,11 @@ TEST(SnapshotStore, ConcurrentFileReloadsAgainstReaders) {
   const std::string good_path = ::testing::TempDir() + "store_epoch1.snap";
   const std::string next_path = ::testing::TempDir() + "store_epoch2.snap";
   const std::string bad_path = ::testing::TempDir() + "store_corrupt.snap";
-  auto write = [](const std::string& path, std::vector<std::byte> bytes) {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  };
-  write(good_path, EpochOne(16));
-  write(next_path, EpochTwo(16));
+  ASSERT_TRUE(WriteSnapshotFile(good_path, EpochOne(16)));
+  ASSERT_TRUE(WriteSnapshotFile(next_path, EpochTwo(16)));
   auto corrupt = EpochTwo(16);
   corrupt[corrupt.size() - 1] ^= std::byte{0xFF};
-  write(bad_path, corrupt);
+  ASSERT_TRUE(WriteSnapshotFile(bad_path, corrupt));
 
   SnapshotStore store;
   ASSERT_TRUE(store.ReloadFromFile(good_path));
@@ -282,7 +276,7 @@ TEST(SnapshotStore, DeltaPublishUnderConcurrentLookups) {
     ASSERT_TRUE(store.PublishPatch(patch, &error)) << error;
     // Byte-identity of the patched snapshot against the full compile.
     std::span<const std::byte> served = store.Current()->bytes();
-    std::vector<std::byte> reference = CompileSnapshot(next, {}, epoch);
+    std::vector<std::byte> reference = CompileSnapshotV2(next, {}, epoch);
     ASSERT_EQ(served.size(), reference.size());
     ASSERT_TRUE(std::equal(served.begin(), served.end(),
                            reference.begin()));
@@ -376,13 +370,8 @@ TEST(SnapshotStore, CorruptPatchLeavesLiveSnapshotUntouched) {
 TEST(SnapshotStore, ServiceSessionsDuringReloads) {
   const std::string a_path = ::testing::TempDir() + "svc_epoch1.snap";
   const std::string b_path = ::testing::TempDir() + "svc_epoch2.snap";
-  auto write = [](const std::string& path, std::vector<std::byte> bytes) {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  };
-  write(a_path, EpochOne(8));
-  write(b_path, EpochTwo(8));
+  ASSERT_TRUE(WriteSnapshotFile(a_path, EpochOne(8)));
+  ASSERT_TRUE(WriteSnapshotFile(b_path, EpochTwo(8)));
 
   SnapshotStore store;
   ServeMetrics metrics;

@@ -329,7 +329,7 @@ serve::Snapshot BuildSnapshot(std::size_t member_count) {
     blocks.push_back(std::move(block));
   }
   auto snapshot = serve::Snapshot::FromBuffer(
-      serve::CompileSnapshot(blocks, {}, 5));
+      serve::CompileSnapshotV2(blocks, {}, 5));
   EXPECT_TRUE(snapshot.has_value());
   return *snapshot;
 }

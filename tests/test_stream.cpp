@@ -18,6 +18,7 @@
 #include "common/bounded_queue.h"
 #include "hobbit/pipeline.h"
 #include "netsim/internet.h"
+#include "scenario/artifacts.h"
 #include "serve/snapshot.h"
 #include "serve/store.h"
 
@@ -176,7 +177,7 @@ core::PipelineConfig SmallBatch(std::uint64_t seed) {
 
 // The streamed stages must reproduce the batch pipeline bit for bit:
 // same per-/24 classifications, same aggregates, and a final snapshot
-// byte-identical to CompileSnapshot over the batch outputs.
+// byte-identical to CompileSnapshotV2 over the batch outputs.
 TEST(StreamCampaign, MatchesBatchPipeline) {
   netsim::Internet internet = netsim::BuildInternet(netsim::TinyConfig(21));
   core::PipelineResult batch = RunPipeline(internet, SmallBatch(21));
@@ -208,7 +209,7 @@ TEST(StreamCampaign, MatchesBatchPipeline) {
     EXPECT_EQ(stream.blocks[i].last_hops, reference_blocks[i].last_hops);
   }
 
-  std::vector<std::byte> reference = serve::CompileSnapshot(
+  std::vector<std::byte> reference = serve::CompileSnapshotV2(
       reference_blocks,
       serve::ClassifiedFrom(
           std::span<const core::BlockResult>(batch.results)),
@@ -232,7 +233,7 @@ TEST(StreamCampaign, ThreadCountInvariantUnderChurn) {
     config.segment = 40;
     netsim::Rng churn_rng = netsim::Rng(23).Fork(0xC4024ULL);
     config.on_segment_boundary = [&internet, churn_rng](std::size_t) mutable {
-      InjectRouteChurn(internet.topology, churn_rng, 3);
+      scenario::InjectRouteChurn(internet.topology, churn_rng, 3);
     };
     return RunStreamCampaign(internet, config);
   };
@@ -318,7 +319,7 @@ TEST(RouteChurn, FlipsEntriesAndBumpsMutationEpoch) {
   netsim::Internet internet = netsim::BuildInternet(netsim::TinyConfig(41));
   const std::uint64_t before = internet.topology.mutation_epoch();
   netsim::Rng rng(99);
-  std::size_t applied = InjectRouteChurn(internet.topology, rng, 5);
+  std::size_t applied = scenario::InjectRouteChurn(internet.topology, rng, 5);
   EXPECT_GT(applied, 0u);  // TinyConfig worlds always have ECMP entries
   EXPECT_GT(internet.topology.mutation_epoch(), before);
 }
@@ -336,7 +337,7 @@ TEST(RouteChurn, ChangesMeasurementOutcomeEventually) {
       netsim::Rng churn_rng = netsim::Rng(43).Fork(0xC4024ULL);
       config.on_segment_boundary = [&internet,
                                     churn_rng](std::size_t) mutable {
-        InjectRouteChurn(internet.topology, churn_rng, 8);
+        scenario::InjectRouteChurn(internet.topology, churn_rng, 8);
       };
     }
     return RunStreamCampaign(internet, config);

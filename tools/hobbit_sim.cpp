@@ -16,7 +16,7 @@
 //   hobbit_sim lookup     <prefix/24> --blocks FILE
 //   hobbit_sim export-snapshot --out FILE [--blocks FILE [--results FILE]]
 //                         [--seed N] [--scale S] [--threads T] [--mcl]
-//                         [--epoch E] [--v2]
+//                         [--epoch E]
 //   hobbit_sim stream-campaign [--seed N] [--scale S] [--threads T]
 //                         [--window W] [--segment B] [--publish-every K]
 //                         [--churn-every M] [--verify] [--out FILE]
@@ -75,7 +75,7 @@ Args ParseArgs(int argc, char** argv) {
       std::string name = token.substr(2);
       // Boolean flags take no value; value flags consume the next token.
       if (name == "mcl" || name == "mda" || name == "verify" ||
-          name == "mda-lite" || name == "stream" || name == "v2") {
+          name == "mda-lite" || name == "stream") {
         args.flags[name] = "1";
       } else if (i + 1 < argc) {
         args.flags[name] = argv[++i];
@@ -110,7 +110,7 @@ int Usage() {
       "  lookup     <prefix/24> --blocks FILE\n"
       "  export-snapshot --out FILE [--blocks FILE [--results FILE]]\n"
       "             [--seed N] [--scale S] [--threads T] [--mcl]\n"
-      "             [--epoch E] [--v2]\n"
+      "             [--epoch E]\n"
       "  stream-campaign [--seed N] [--scale S] [--threads T]\n"
       "             [--window W] [--segment B] [--publish-every K]\n"
       "             [--churn-every M] [--verify] [--out FILE] [--epoch E]\n"
@@ -394,6 +394,11 @@ int CmdLookup(const Args& args) {
 // --blocks — a fresh simulated campaign (seed/scale/threads/mcl flags as
 // for `measure`), so results flow straight into the compiler.
 int CmdExportSnapshot(const Args& args) {
+  if (args.Has("v2")) {
+    std::cerr << "export-snapshot: --v2 was removed; snapshots are always "
+                 "written in the one (version 2) layout\n";
+    return 2;
+  }
   if (!args.Has("out")) {
     std::cerr << "export-snapshot needs --out\n";
     return 2;
@@ -450,23 +455,19 @@ int CmdExportSnapshot(const Args& args) {
     classified = serve::ClassifiedFrom(
         std::span<const core::BlockResult>(result.results));
   }
-  // Default layout is the v1 packed form; --v2 emits the 64-byte-aligned
-  // mmap-servable layout (HSNP v2) — pair it with `hobbit_serve --mmap`
-  // for zero-copy serving.  (README "Serving snapshots" documents both.)
+  // The 64-byte-aligned layout serves zero-copy under
+  // `hobbit_serve --mmap`; the crash-safe write never truncates a file a
+  // running server may have mapped.
   std::vector<std::byte> snapshot =
-      args.Has("v2") ? serve::CompileSnapshotV2(blocks, classified, epoch)
-                     : serve::CompileSnapshot(blocks, classified, epoch);
-  std::ofstream out(args.Get("out", ""), std::ios::binary);
-  if (!out ||
-      !out.write(reinterpret_cast<const char*>(snapshot.data()),
-                 static_cast<std::streamsize>(snapshot.size()))) {
-    std::cerr << "cannot write --out file\n";
+      serve::CompileSnapshotV2(blocks, classified, epoch);
+  std::string error;
+  if (!serve::WriteSnapshotFile(args.Get("out", ""), snapshot, &error)) {
+    std::cerr << "cannot write --out file: " << error << "\n";
     return 1;
   }
   std::cout << "snapshot (" << blocks.size() << " blocks, "
             << classified.size() << " classified /24s, "
-            << snapshot.size() << " bytes, epoch " << epoch
-            << (args.Has("v2") ? ", v2" : ", v1") << ") -> "
+            << snapshot.size() << " bytes, epoch " << epoch << ") -> "
             << args.Get("out", "") << "\n";
   return 0;
 }
@@ -503,7 +504,7 @@ int CmdStreamCampaign(const Args& args) {
     }
     config.on_segment_boundary = [&](std::size_t) {
       churn_flips +=
-          stream::InjectRouteChurn(internet.topology, churn_rng, 4);
+          scenario::InjectRouteChurn(internet.topology, churn_rng, 4);
     };
   }
   const std::uint64_t epoch_before = internet.topology.mutation_epoch();
@@ -548,12 +549,10 @@ int CmdStreamCampaign(const Args& args) {
     return 1;
   }
   if (args.Has("out")) {
-    std::ofstream out(args.Get("out", ""), std::ios::binary);
-    if (!out ||
-        !out.write(
-            reinterpret_cast<const char*>(result.final_snapshot.data()),
-            static_cast<std::streamsize>(result.final_snapshot.size()))) {
-      std::cerr << "cannot write --out file\n";
+    std::string error;
+    if (!serve::WriteSnapshotFile(args.Get("out", ""), result.final_snapshot,
+                                  &error)) {
+      std::cerr << "cannot write --out file: " << error << "\n";
       return 1;
     }
     std::cout << "final snapshot (" << result.final_snapshot.size()
