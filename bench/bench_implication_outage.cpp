@@ -33,6 +33,7 @@ int main() {
     std::vector<netsim::Ipv4Address> all_actives;
   };
   std::vector<SplitCase> cases;
+  core::BlockProber prober = core::MakeReprobeProber(world.internet);
   for (std::size_t i = 0;
        i < world.pipeline.results.size() && cases.size() < 60; ++i) {
     const core::BlockResult& r = world.pipeline.results[i];
@@ -41,7 +42,7 @@ int main() {
       continue;
     }
     core::BlockResult full = core::ReprobeBlock(
-        world.internet, world.pipeline.study_blocks[i], world.seed + i);
+        prober, world.pipeline.study_blocks[i], world.seed + i);
     auto groups = core::GroupByLastHop(full.observations);
     if (!core::IsAlignedDisjoint(groups)) continue;
     SplitCase c;

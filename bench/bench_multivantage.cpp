@@ -50,18 +50,21 @@ int main() {
   std::size_t grew_with_second = 0, grew_with_third = 0;
   std::uint64_t probes_1 = 0, probes_3 = 0;
   double set_ratio_sum = 0;
+  // One warm prober per vantage, reused across blocks.
+  core::BlockProber p1(internet.simulator.get(), nullptr, reprobe);
+  core::BlockProber p2(sim_b.get(), nullptr, reprobe);
+  core::BlockProber p3(sim_c.get(), nullptr, reprobe);
   for (std::size_t i = 0; i < study.size() && blocks < 400; i += 3) {
-    core::BlockProber p1(internet.simulator.get(), nullptr, reprobe);
-    core::BlockProber p2(sim_b.get(), nullptr, reprobe);
-    core::BlockProber p3(sim_c.get(), nullptr, reprobe);
     core::BlockResult r1 = p1.ProbeBlock(study[i], netsim::Rng(900 + i));
     if (r1.last_hop_set.empty()) continue;
     if (r1.observations.size() > kMaxUsable) continue;
     core::BlockResult r2 = p2.ProbeBlock(study[i], netsim::Rng(901 + i));
     core::BlockResult r3 = p3.ProbeBlock(study[i], netsim::Rng(902 + i));
     ++blocks;
-    probes_1 += p1.probes_sent();
-    probes_3 += p1.probes_sent() + p2.probes_sent() + p3.probes_sent();
+    probes_1 += static_cast<std::uint64_t>(r1.probes_used);
+    probes_3 += static_cast<std::uint64_t>(r1.probes_used) +
+                static_cast<std::uint64_t>(r2.probes_used) +
+                static_cast<std::uint64_t>(r3.probes_used);
 
     auto union_size = [&](const core::BlockResult& a,
                           const core::BlockResult& b,

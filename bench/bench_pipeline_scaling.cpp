@@ -59,7 +59,6 @@ CampaignRun RunCampaign(const netsim::Internet& internet, std::uint64_t seed,
   config.prober.incremental_grouping = fast_path;
   config.prober.route_memo = fast_path;
 
-  internet.simulator->ResetProbeCounter();
   auto start = std::chrono::steady_clock::now();
   core::PipelineResult result = core::RunPipeline(internet, config);
   auto stop = std::chrono::steady_clock::now();

@@ -39,6 +39,7 @@ int main() {
   std::map<std::string, std::size_t> compositions;
   std::size_t hierarchical = 0;
   std::size_t aligned_disjoint = 0;
+  core::BlockProber prober = core::MakeReprobeProber(world.internet);
   for (std::size_t i = 0; i < world.pipeline.results.size(); ++i) {
     const core::BlockResult& result = world.pipeline.results[i];
     if (result.classification !=
@@ -53,9 +54,9 @@ int main() {
     // group, under-spanning the true sub-blocks; reprobe the flagged /24
     // exhaustively before reading its composition (the paper probed these
     // at the 95% level, i.e. with many addresses per group).
-    core::BlockResult reprobed = core::ReprobeBlock(
-        world.internet, world.pipeline.study_blocks[i],
-        world.seed + 0x7AB2ULL + i);
+    core::BlockResult reprobed =
+        core::ReprobeBlock(prober, world.pipeline.study_blocks[i],
+                           world.seed + 0x7AB2ULL + i);
     auto full_groups = core::GroupByLastHop(reprobed.observations);
     if (full_groups.size() < 2) full_groups = groups;
     ++compositions[CompositionLabel(

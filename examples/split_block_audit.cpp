@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
   analysis::TextTable table({"prefix", "sub-blocks (observed)",
                              "WHOIS assignments", "owner"});
   std::size_t hierarchical = 0, flagged = 0, whois_confirmed = 0;
+  core::BlockProber prober = core::MakeReprobeProber(internet);
   for (std::size_t i = 0; i < result.results.size(); ++i) {
     const core::BlockResult& r = result.results[i];
     if (r.classification !=
@@ -43,8 +44,8 @@ int main(int argc, char** argv) {
     }
     ++hierarchical;
     // Reprobe exhaustively before judging the composition.
-    core::BlockResult full = core::ReprobeBlock(
-        internet, result.study_blocks[i], config.seed + i);
+    core::BlockResult full =
+        core::ReprobeBlock(prober, result.study_blocks[i], config.seed + i);
     auto groups = core::GroupByLastHop(full.observations);
     if (!core::IsAlignedDisjoint(groups)) continue;
     ++flagged;
@@ -79,8 +80,8 @@ int main(int argc, char** argv) {
         core::Classification::kDifferentButHierarchical) {
       continue;
     }
-    core::BlockResult full = core::ReprobeBlock(
-        internet, result.study_blocks[i], config.seed + i);
+    core::BlockResult full =
+        core::ReprobeBlock(prober, result.study_blocks[i], config.seed + i);
     auto groups = core::GroupByLastHop(full.observations);
     if (!core::IsAlignedDisjoint(groups)) continue;
     const netsim::TruthRecord* truth = internet.TruthOf(r.prefix);

@@ -34,14 +34,15 @@ VerdictEvaluation EvaluateVerdicts(const netsim::Internet& internet,
 FlagEvaluation EvaluateAlignedDisjointFlag(
     const netsim::Internet& internet, const core::PipelineResult& result) {
   FlagEvaluation evaluation;
+  core::BlockProber prober = core::MakeReprobeProber(internet);
   for (std::size_t i = 0; i < result.results.size(); ++i) {
     const core::BlockResult& r = result.results[i];
     if (r.classification !=
         core::Classification::kDifferentButHierarchical) {
       continue;
     }
-    core::BlockResult full = core::ReprobeBlock(
-        internet, result.study_blocks[i], 0xF1A6ULL + i);
+    core::BlockResult full =
+        core::ReprobeBlock(prober, result.study_blocks[i], 0xF1A6ULL + i);
     auto groups = core::GroupByLastHop(full.observations);
     if (!core::IsAlignedDisjoint(groups)) continue;
     ++evaluation.flagged;

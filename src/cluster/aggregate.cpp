@@ -280,45 +280,33 @@ void ValidateClusters(const netsim::Internet& internet,
                       std::span<const AggregateBlock> aggregates,
                       MclAggregationResult& result,
                       const ValidationParams& params) {
-  // Snapshot lookup by prefix (study_blocks sorted by prefix).
-  auto find_block =
-      [&](const netsim::Prefix& p) -> const probing::ZmapBlock* {
+  // A sampled pair's two /24s as indices into study_blocks; kMissing
+  // marks a member the snapshot has no record for (never reprobed).
+  constexpr std::size_t kMissing = static_cast<std::size_t>(-1);
+  auto find_block = [&](const netsim::Prefix& p) -> std::size_t {
     auto pos = std::lower_bound(
         study_blocks.begin(), study_blocks.end(), p,
         [](const probing::ZmapBlock& b, const netsim::Prefix& q) {
           return b.prefix < q;
         });
-    if (pos == study_blocks.end() || !(pos->prefix == p)) return nullptr;
-    return &*pos;
+    if (pos == study_blocks.end() || !(pos->prefix == p)) return kMissing;
+    return static_cast<std::size_t>(pos - study_blocks.begin());
   };
 
-  common::PoolRef pool(params.pool, params.threads);
-
-  // Clusters partition the aggregates, so reprobe results never repeat
-  // across clusters: a per-cluster cache loses nothing, and per-cluster
-  // RNGs forked from (seed, cluster index) keep the pair sample — and
-  // therefore the verdict — independent of scheduling.
-  pool->ForEach(result.clusters.size(), [&](std::size_t cluster_index) {
-    ClusterInfo& cluster = result.clusters[cluster_index];
-    netsim::Rng rng(netsim::StableHash(
-        {params.seed, cluster_index, 0x7A11DA7EULL}));
-
-    // Cache: reprobed last-hop set per /24 (local to this cluster).
-    std::map<netsim::Prefix, std::vector<netsim::Ipv4Address>> reprobed;
-    auto reprobe = [&](const netsim::Prefix& p)
-        -> const std::vector<netsim::Ipv4Address>* {
-      auto cached = reprobed.find(p);
-      if (cached != reprobed.end()) return &cached->second;
-      const probing::ZmapBlock* block = find_block(p);
-      if (block == nullptr) return nullptr;
-      core::BlockResult r = core::ReprobeBlock(
-          internet, *block,
-          netsim::StableHash({params.seed, p.base().value()}));
-      return &reprobed.emplace(p, std::move(r.last_hop_set)).first->second;
-    };
-
-    // Collect the member /24s.
-    std::vector<const netsim::Prefix*> members;
+  // Pass 1 (serial, cheap): draw every cluster's pair sample from its own
+  // RNG forked from (seed, cluster index).  A sampled cluster's pairs are
+  // pairs[begin, end).
+  struct ClusterSample {
+    std::size_t cluster;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<ClusterSample> samples;
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  std::vector<const netsim::Prefix*> members;
+  for (std::size_t c = 0; c < result.clusters.size(); ++c) {
+    ClusterInfo& cluster = result.clusters[c];
+    members.clear();
     for (std::uint32_t id : cluster.aggregate_ids) {
       for (const netsim::Prefix& p : aggregates[id].member_24s) {
         members.push_back(&p);
@@ -327,29 +315,75 @@ void ValidateClusters(const netsim::Internet& internet,
     if (members.size() < 2) {
       cluster.identical_pair_ratio = 1.0;
       cluster.validated_homogeneous = true;
-      return;
+      continue;
     }
+    netsim::Rng rng(netsim::StableHash({params.seed, c, 0x7A11DA7EULL}));
     const std::size_t total_pairs = members.size() * (members.size() - 1) / 2;
     const std::size_t want =
         std::min(params.max_pairs_per_cluster, total_pairs);
-    std::size_t identical = 0;
-    std::size_t compared = 0;
+    const std::size_t begin = pairs.size();
     for (std::size_t k = 0; k < want; ++k) {
       std::size_t i = rng.NextBelow(members.size());
       std::size_t j = rng.NextBelow(members.size() - 1);
       if (j >= i) ++j;
-      const auto* set_a = reprobe(*members[i]);
-      const auto* set_b = reprobe(*members[j]);
-      if (set_a == nullptr || set_b == nullptr) continue;
-      ++compared;
-      if (*set_a == *set_b && !set_a->empty()) ++identical;
+      pairs.emplace_back(find_block(*members[i]), find_block(*members[j]));
     }
+    samples.push_back({c, begin, pairs.size()});
+  }
+
+  // Pass 2: the distinct sampled /24s, ascending (= prefix order).
+  std::vector<std::size_t> to_probe;
+  to_probe.reserve(2 * pairs.size());
+  for (const auto& [a, b] : pairs) {
+    if (a != kMissing) to_probe.push_back(a);
+    if (b != kMissing) to_probe.push_back(b);
+  }
+  std::sort(to_probe.begin(), to_probe.end());
+  to_probe.erase(std::unique(to_probe.begin(), to_probe.end()),
+                 to_probe.end());
+
+  // Pass 3: reprobe them all in one chunked pass, one warm reprobe-mode
+  // prober per chunk.  Each /24's reprobe is a pure function of its own
+  // StableHash(seed, prefix) seed, so neither the chunking nor what a
+  // prober probed before can change a reprobed set.
+  std::vector<std::vector<netsim::Ipv4Address>> reprobed(to_probe.size());
+  common::PoolRef pool(params.pool, params.threads);
+  pool->ForEachChunk(to_probe.size(), 1, [&](common::ChunkRange chunk) {
+    core::BlockProber prober = core::MakeReprobeProber(internet);
+    for (std::size_t k = chunk.begin; k < chunk.end; ++k) {
+      const probing::ZmapBlock& block = study_blocks[to_probe[k]];
+      reprobed[k] = core::ReprobeBlock(
+                        prober, block,
+                        netsim::StableHash(
+                            {params.seed, block.prefix.base().value()}))
+                        .last_hop_set;
+    }
+  });
+  auto reprobed_set = [&](std::size_t study_index)
+      -> const std::vector<netsim::Ipv4Address>& {
+    return reprobed[static_cast<std::size_t>(
+        std::lower_bound(to_probe.begin(), to_probe.end(), study_index) -
+        to_probe.begin())];
+  };
+
+  // Pass 4: score every sampled cluster from the reprobed sets.
+  for (const ClusterSample& sample : samples) {
+    std::size_t identical = 0;
+    std::size_t compared = 0;
+    for (std::size_t k = sample.begin; k < sample.end; ++k) {
+      const auto [a, b] = pairs[k];
+      if (a == kMissing || b == kMissing) continue;
+      const auto& set_a = reprobed_set(a);
+      ++compared;
+      if (set_a == reprobed_set(b) && !set_a.empty()) ++identical;
+    }
+    ClusterInfo& cluster = result.clusters[sample.cluster];
     cluster.identical_pair_ratio =
         compared == 0 ? 0.0
                       : static_cast<double>(identical) / compared;
     cluster.validated_homogeneous =
         compared > 0 && identical == compared;
-  });
+  }
 }
 
 std::vector<AggregateBlock> MergeValidatedClusters(

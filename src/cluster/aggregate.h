@@ -106,13 +106,17 @@ MclAggregationResult RunMclAggregation(
 /// validated_homogeneous on every cluster.  `study_blocks` must be the
 /// pipeline's sorted snapshot records (reprobing needs the active-address
 /// lists).
+///
+/// Four passes: sample every cluster's pairs serially, dedupe the sampled
+/// /24s into one sorted list, reprobe that list in one chunked pass with
+/// a warm reprobe-mode prober per chunk, then score every cluster.
 struct ValidationParams {
   std::size_t max_pairs_per_cluster = 64;
   std::uint64_t seed = 99;
-  /// Worker threads for per-cluster reprobing.  Every cluster draws its
-  /// pair sample from an RNG forked from (seed, cluster index), so the
-  /// outcome is bit-identical for any thread count.  Ignored when `pool`
-  /// is set.
+  /// Worker threads for the reprobe pass.  Every cluster draws its pair
+  /// sample from an RNG forked from (seed, cluster index) and every /24
+  /// is reprobed with a seed forked from (seed, prefix), so the outcome
+  /// is bit-identical for any thread count.  Ignored when `pool` is set.
   int threads = 1;
   /// Optional externally owned pool shared across pipeline stages.
   common::ThreadPool* pool = nullptr;

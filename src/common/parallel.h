@@ -118,6 +118,14 @@ struct alignas(kCacheLineSize) CacheAligned {
 template <typename T>
 using PerShard = std::vector<CacheAligned<T>>;
 
+/// The total of per-shard counters (e.g. packets sent per shard's prober).
+template <typename T>
+T SumShards(const PerShard<T>& shards) {
+  T total{};
+  for (const CacheAligned<T>& shard : shards) total += *shard;
+  return total;
+}
+
 /// A persistent pool of `threads - 1` worker threads plus the calling
 /// thread.  Construction is cheap for `threads <= 1` (no threads are
 /// spawned); workers otherwise live until destruction and are reused

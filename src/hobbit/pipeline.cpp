@@ -1,6 +1,7 @@
 #include "hobbit/pipeline.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 
 #include "common/parallel.h"
@@ -70,7 +71,6 @@ CampaignSetup PrepareCampaign(const netsim::Internet& internet,
   // Stage 1: calibration — exhaustively probe a uniform sample.
   const auto calibration_start = std::chrono::steady_clock::now();
   {
-    const std::uint64_t before = simulator->probes_sent();
     const std::size_t universe = setup.study_blocks.size();
     std::size_t want = std::min<std::size_t>(
         universe, static_cast<std::size_t>(std::max(0,
@@ -93,14 +93,16 @@ CampaignSetup PrepareCampaign(const netsim::Internet& internet,
     // so the chunk->block assignment cannot change any output (see
     // tests/test_concurrency.cpp).  Contiguous chunks keep each shard
     // writing adjacent result slots instead of striding the array.
+    common::PerShard<std::uint64_t> probes(pool->thread_count());
     pool->ForEachChunk(want, 1, [&](common::ChunkRange chunk) {
       BlockProber shard_prober(simulator, nullptr, config.prober);
       for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
         setup.calibration[i] = shard_prober.ProbeBlockFully(
             setup.study_blocks[indices[i]], rng.Fork(indices[i]));
       }
+      *probes[chunk.shard] += shard_prober.probes_sent();
     });
-    setup.stats.probes_sent += simulator->probes_sent() - before;
+    setup.stats.probes_sent += common::SumShards(probes);
   }
   setup.table = ConfidenceTable::Build(setup.calibration,
                                        rng.Fork(0x7AB1EULL),
@@ -132,28 +134,32 @@ PipelineResult RunPipeline(const netsim::Internet& internet,
   // Stage 2: the main measurement.
   const auto measurement_start = std::chrono::steady_clock::now();
   {
-    const std::uint64_t before = simulator->probes_sent();
     result.results.resize(result.study_blocks.size());
     const std::size_t block_count = result.study_blocks.size();
+    common::PerShard<std::uint64_t> probes(pool->thread_count());
     pool->ForEachChunk(block_count, 1, [&](common::ChunkRange chunk) {
       BlockProber shard_prober(simulator, &result.table, config.prober);
       for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
         result.results[i] = shard_prober.ProbeBlock(
             result.study_blocks[i], MeasurementRng(config.seed, i));
       }
+      *probes[chunk.shard] += shard_prober.probes_sent();
     });
-    result.stats.probes_sent += simulator->probes_sent() - before;
+    result.stats.probes_sent += common::SumShards(probes);
   }
   result.stats.measurement_seconds = SecondsSince(measurement_start);
   return result;
 }
 
-BlockResult ReprobeBlock(const netsim::Internet& internet,
-                         const probing::ZmapBlock& block,
-                         std::uint64_t seed) {
+BlockProber MakeReprobeProber(const netsim::Internet& internet) {
   ProberOptions options;
   options.reprobe_strategy = true;
-  BlockProber prober(internet.simulator.get(), nullptr, options);
+  return BlockProber(internet.simulator.get(), nullptr, options);
+}
+
+BlockResult ReprobeBlock(BlockProber& prober, const probing::ZmapBlock& block,
+                         std::uint64_t seed) {
+  assert(prober.options().reprobe_strategy);
   return prober.ProbeBlock(block, netsim::Rng(seed));
 }
 

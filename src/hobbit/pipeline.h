@@ -113,10 +113,18 @@ PipelineResult RunPipeline(const netsim::Internet& internet,
                            const PipelineConfig& config,
                            const netsim::Simulator* simulator = nullptr);
 
-/// §6.5 reprobing: re-measures one /24 with the modified strategy (no
-/// early stop, MDA-confident exhaustion of its last-hop set) and returns
-/// the full observation set.
-BlockResult ReprobeBlock(const netsim::Internet& internet,
-                         const probing::ZmapBlock& block, std::uint64_t seed);
+/// A reprobe-mode prober (§6.5 strategy: no early stop, MDA-confident
+/// exhaustion of the last-hop set) on the internet's primary simulator.
+/// Build one per loop or per worker and pass it to every ReprobeBlock
+/// call there: its route memo then stays warm across blocks, instead of
+/// zero-filling a fresh one (router_count × 64 B) for every /24.
+BlockProber MakeReprobeProber(const netsim::Internet& internet);
+
+/// §6.5 reprobing: re-measures one /24 through `prober`, which must be in
+/// reprobe mode (MakeReprobeProber), and returns the full observation
+/// set.  The result is a pure function of (block, seed): the prober's
+/// memo is exact, so which blocks it probed before cannot change it.
+BlockResult ReprobeBlock(BlockProber& prober, const probing::ZmapBlock& block,
+                         std::uint64_t seed);
 
 }  // namespace hobbit::core

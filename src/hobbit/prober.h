@@ -74,7 +74,12 @@ class BlockProber {
   FullyProbedBlock ProbeBlockFully(const probing::ZmapBlock& block,
                                    netsim::Rng rng);
 
+  /// Packets this prober has sent, over every block it measured.  The
+  /// campaign's load accounting (PipelineStats::probes_sent) is the sum
+  /// of this over the per-shard probers.
   std::uint64_t probes_sent() const { return probes_sent_; }
+
+  const ProberOptions& options() const { return options_; }
 
  private:
   /// The probing loop proper.  Deliberately does NOT touch any probe

@@ -188,7 +188,6 @@ int Simulator::ReverseHops(Ipv4Address destination, int forward_hops) const {
 }
 
 ProbeReply Simulator::Send(const ProbeSpec& probe, RouteMemo* memo) const {
-  probes_sent_.fetch_add(1, std::memory_order_relaxed);
   ArtifactContext context;
   ProbeReply reply = SendImpl(probe, memo, &context.path_length);
   // The single artifact application point: every termination path of

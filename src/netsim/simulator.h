@@ -12,7 +12,6 @@
 // identifier) may not.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -83,7 +82,11 @@ class Simulator {
   /// Sends one probe and returns what the source observes.  `memo`, when
   /// non-null, caches FIB resolutions across calls (see route_memo.h);
   /// replies are bit-identical with and without it.  The memo must be
-  /// owned by the calling thread — the simulator itself stays const.
+  /// owned by the calling thread — the simulator itself stays const and
+  /// writes no shared state, not even a packet counter: measurement load
+  /// is counted by the callers that own the probes (per-prober
+  /// BlockProber::probes_sent, summed per shard into
+  /// core::PipelineStats::probes_sent).
   ProbeReply Send(const ProbeSpec& probe, RouteMemo* memo = nullptr) const;
 
   /// The forward router path the given header would take, ending with the
@@ -124,16 +127,6 @@ class Simulator {
   const RttModel& rtt_model() const { return rtt_model_; }
   Ipv4Address source_address() const { return source_address_; }
 
-  /// Number of probes this simulator has answered (measurement-load
-  /// accounting for the efficiency experiments).  Atomic: Send is const
-  /// and safe to call from several measurement threads.
-  std::uint64_t probes_sent() const {
-    return probes_sent_.load(std::memory_order_relaxed);
-  }
-  void ResetProbeCounter() {
-    probes_sent_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   /// Picks the next hop from an ECMP group at `router` for the header.
   RouterId PickNextHop(RouterId router, const EcmpGroup& group,
@@ -152,10 +145,10 @@ class Simulator {
                   RouterId* at_hop,
                   std::vector<RouterId>* full_path = nullptr) const;
 
-  /// Send minus the probe counter and the artifact hook: computes the
-  /// clean reply and reports the walk's path length (0 = unroutable) for
-  /// the hook's ArtifactContext.  Every return path of Send funnels
-  /// through exactly one Rewrite application in Send itself.
+  /// Send minus the artifact hook: computes the clean reply and reports
+  /// the walk's path length (0 = unroutable) for the hook's
+  /// ArtifactContext.  Every return path of Send funnels through exactly
+  /// one Rewrite application in Send itself.
   ProbeReply SendImpl(const ProbeSpec& probe, RouteMemo* memo,
                       int* path_length_out) const;
 
@@ -174,7 +167,6 @@ class Simulator {
   std::uint64_t seed_hash_state_;
   const OutageOverlay* outage_ = nullptr;
   const ReplyArtifacts* artifacts_ = nullptr;
-  mutable std::atomic<std::uint64_t> probes_sent_{0};
 };
 
 }  // namespace hobbit::netsim

@@ -109,11 +109,11 @@ core::PipelineResult RunScenarioPipeline(netsim::Internet& internet,
   // all three agree whenever they run the same schedule.
   const auto measurement_start = std::chrono::steady_clock::now();
   {
-    const std::uint64_t before = simulator->probes_sent();
     const std::size_t total = result.study_blocks.size();
     result.results.resize(total);
     const std::size_t segment =
         spec.segment == 0 ? (total == 0 ? 1 : total) : spec.segment;
+    common::PerShard<std::uint64_t> probes(pool->thread_count());
     std::size_t done = 0;
     std::size_t segment_index = 0;
     while (done < total) {
@@ -128,12 +128,13 @@ core::PipelineResult RunScenarioPipeline(netsim::Internet& internet,
               result.study_blocks[index],
               core::MeasurementRng(config.seed, index));
         }
+        *probes[chunk.shard] += prober.probes_sent();
       });
       done += count;
       ++segment_index;
       ++driver.mutable_stats()->waves;
     }
-    result.stats.probes_sent += simulator->probes_sent() - before;
+    result.stats.probes_sent += common::SumShards(probes);
   }
   result.stats.measurement_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -225,7 +225,7 @@ StreamResult RunStreamCampaign(const netsim::Internet& internet,
   });
 
   const auto measurement_start = std::chrono::steady_clock::now();
-  const std::uint64_t probes_before = simulator->probes_sent();
+  common::PerShard<std::uint64_t> probes(pool->thread_count());
   const std::size_t total = setup.study_blocks.size();
   const std::size_t segment =
       config.segment == 0 ? (total == 0 ? 1 : total) : config.segment;
@@ -258,6 +258,7 @@ StreamResult RunStreamCampaign(const netsim::Internet& internet,
         // that bounds resident observations.
         queue.Push(std::move(item));
       }
+      *probes[chunk.shard] += prober.probes_sent();
     });
     done += count;
     ++segment_index;
@@ -265,7 +266,7 @@ StreamResult RunStreamCampaign(const netsim::Internet& internet,
   queue.Close();
   consumer.join();
 
-  result.stats.probes_sent = simulator->probes_sent() - probes_before;
+  result.stats.probes_sent = common::SumShards(probes);
   result.stats.measurement_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     measurement_start)

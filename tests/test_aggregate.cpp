@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <thread>
+#include <vector>
+
+#include "hobbit/pipeline.h"
+#include "netsim/internet.h"
 #include "test_util.h"
 
 namespace hobbit::cluster {
@@ -191,6 +198,73 @@ TEST(ValidateClusters, EndToEndOnTinyInternet) {
   // Validated merges can only reduce the block count.
   auto merged = MergeValidatedClusters(aggregates, mcl);
   EXPECT_LE(merged.size(), aggregates.size());
+}
+
+// Serial, the smallest pool, a prime that never divides the work
+// evenly, and the machine's own width — as in test_concurrency.cpp.
+std::vector<int> ThreadCounts() {
+  std::vector<int> counts = {1, 2, 7};
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw > 1) counts.push_back(static_cast<int>(hw));
+  return counts;
+}
+
+// FNV-1a 64 over every cluster's verdict: the identical-pair ratio's
+// bits, then the validated flag.
+std::uint64_t VerdictHash(const MclAggregationResult& result) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  auto fold = [&hash](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (const ClusterInfo& cluster : result.clusters) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &cluster.identical_pair_ratio, sizeof bits);
+    fold(&bits, sizeof bits);
+    const unsigned char validated = cluster.validated_homogeneous ? 1 : 0;
+    fold(&validated, 1);
+  }
+  return hash;
+}
+
+TEST(ValidateClusters, GoldenVerdicts) {
+  // Pins the validation verdicts and the campaign's packet count of one
+  // fixed world, at every thread count.  Any restructuring of the
+  // reprobe pass must reproduce these constants bit for bit.
+  netsim::InternetConfig world;
+  world.seed = 42;
+  world.scale = 0.05;
+  netsim::Internet internet = netsim::BuildInternet(world);
+  for (int threads : ThreadCounts()) {
+    SCOPED_TRACE(threads);
+    core::PipelineConfig config;
+    config.seed = 42;
+    config.threads = threads;
+    config.calibration_blocks = 200;
+    config.samples_per_block = 32;
+    core::PipelineResult pipeline = core::RunPipeline(internet, config);
+    auto homogeneous = pipeline.HomogeneousBlocks();
+    auto aggregates = AggregateIdentical(homogeneous);
+    MclAggregationParams mcl_params;
+    mcl_params.mcl.threads = threads;
+    MclAggregationResult mcl = RunMclAggregation(aggregates, mcl_params);
+    ValidationParams validation;
+    validation.seed = 42;
+    validation.threads = threads;
+    ValidateClusters(internet, pipeline.study_blocks, aggregates, mcl,
+                     validation);
+    std::size_t validated = 0;
+    for (const ClusterInfo& cluster : mcl.clusters) {
+      if (cluster.validated_homogeneous) ++validated;
+    }
+    EXPECT_EQ(mcl.clusters.size(), 122u);
+    EXPECT_EQ(validated, 27u);
+    EXPECT_EQ(VerdictHash(mcl), 0xd94f97bbc78456e9ULL);
+    EXPECT_EQ(pipeline.stats.probes_sent, 510776u);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Concurrency: Simulator::Send is const and documented safe for parallel
 // measurement threads; verify replies are identical regardless of
-// concurrent use and that the probe counter accounts for every packet.
+// concurrent use and that the artifact hook sees every packet.
 //
 // The second half checks the deterministic-sharding contract end to end:
 // RunPipeline, RunMcl, BuildSimilarityGraph and ValidateClusters must
@@ -70,9 +70,11 @@ TEST(Concurrency, ParallelSendsMatchSerialReplies) {
 }
 
 TEST(Concurrency, ProbeCounterCountsEveryPacket) {
+  // Send from several threads at once: the artifact hook still runs
+  // exactly once per packet, so the shared counting oracle is exact.
   test::MiniNet net = test::BuildMiniNet();
   Simulator& simulator = *net.simulator;
-  simulator.ResetProbeCounter();
+  test::SendCounter sends(simulator);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 500;
   std::vector<std::thread> workers;
@@ -85,7 +87,7 @@ TEST(Concurrency, ProbeCounterCountsEveryPacket) {
     });
   }
   for (std::thread& worker : workers) worker.join();
-  EXPECT_EQ(simulator.probes_sent(),
+  EXPECT_EQ(sends.count(),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "netsim/internet.h"
+#include "test_util.h"
 
 namespace hobbit::core {
 namespace {
@@ -133,11 +134,11 @@ TEST_F(PipelineTest, ReprobeSupersetsStandardLastHops) {
   // §6.5: the exhaustive reprobe strategy should find at least as many
   // last hops as the adaptive run did, for homogeneous blocks.
   int checked = 0;
+  BlockProber prober = MakeReprobeProber(internet_);
   for (std::size_t i = 0; i < result_.results.size() && checked < 10; ++i) {
     const BlockResult& r = result_.results[i];
     if (!IsHomogeneous(r.classification)) continue;
-    BlockResult reprobed =
-        ReprobeBlock(internet_, result_.study_blocks[i], 999);
+    BlockResult reprobed = ReprobeBlock(prober, result_.study_blocks[i], 999);
     for (netsim::Ipv4Address router : r.last_hop_set) {
       EXPECT_TRUE(std::binary_search(reprobed.last_hop_set.begin(),
                                      reprobed.last_hop_set.end(), router))
@@ -146,6 +147,47 @@ TEST_F(PipelineTest, ReprobeSupersetsStandardLastHops) {
     ++checked;
   }
   EXPECT_GT(checked, 0);
+}
+
+TEST_F(PipelineTest, ReusedReprobeProberMatchesFreshProbers) {
+  // Reuse is legal: a reprobe is a pure function of (block, seed), so one
+  // prober carried across ~50 blocks (warm route memo) returns exactly
+  // what a fresh prober per block (cold memo) does.
+  BlockProber reused = MakeReprobeProber(internet_);
+  std::size_t compared = 0;
+  for (std::size_t i = 0; i < result_.study_blocks.size() && compared < 50;
+       i += 2, ++compared) {
+    const probing::ZmapBlock& block = result_.study_blocks[i];
+    const std::uint64_t seed = 0x5EED00ULL + i;
+    BlockResult warm = ReprobeBlock(reused, block, seed);
+    BlockProber fresh_prober = MakeReprobeProber(internet_);
+    BlockResult fresh = ReprobeBlock(fresh_prober, block, seed);
+    SCOPED_TRACE(block.prefix.ToString());
+    EXPECT_EQ(warm.last_hop_set, fresh.last_hop_set);
+    EXPECT_EQ(warm.probes_used, fresh.probes_used);
+    ASSERT_EQ(warm.observations.size(), fresh.observations.size());
+    for (std::size_t k = 0; k < warm.observations.size(); ++k) {
+      EXPECT_EQ(warm.observations[k].address, fresh.observations[k].address);
+      EXPECT_TRUE(warm.observations[k].last_hops ==
+                  fresh.observations[k].last_hops);
+    }
+  }
+  EXPECT_EQ(compared, 50u);
+}
+
+TEST_F(PipelineTest, ProbesSentMatchesIndependentSendCount) {
+  // PipelineStats::probes_sent sums the per-shard probers' counts; an
+  // independent hook on the simulator must see exactly that many packets
+  // (the zmap snapshot reads liveness without sending probes).
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    PipelineConfig config = SmallPipeline(21);
+    config.threads = threads;
+    test::SendCounter sends(*internet_.simulator);
+    PipelineResult result = RunPipeline(internet_, config);
+    EXPECT_GT(result.stats.probes_sent, 0u);
+    EXPECT_EQ(result.stats.probes_sent, sends.count());
+  }
 }
 
 TEST_F(PipelineTest, ThreadCountDoesNotChangeResults) {

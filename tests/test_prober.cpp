@@ -191,10 +191,10 @@ TEST(BlockProber, ProbesUsedMatchesSimulatorLoadOnEveryExitPath) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     BlockProber prober(net.simulator.get(), c.table, c.options);
-    const std::uint64_t before = net.simulator->probes_sent();
+    test::SendCounter sends(*net.simulator);
     BlockResult result = prober.ProbeBlock(FullBlock(c.prefix),
                                            netsim::Rng(1));
-    const std::uint64_t delta = net.simulator->probes_sent() - before;
+    const std::uint64_t delta = sends.count();
     EXPECT_EQ(result.classification, c.expected);
     // probes_used must equal the probes the simulator actually answered
     // for this block — recorded exactly once, on every exit path.

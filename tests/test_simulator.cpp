@@ -131,14 +131,20 @@ TEST(Simulator, CarvedPrefixRoutesToItsOwnGateway) {
 }
 
 TEST(Simulator, ProbeCounterAdvances) {
+  // The artifact hook sees every Send exactly once: the independent
+  // packet count the load-accounting tests rely on.
   MiniNet net = BuildMiniNet();
-  net.simulator->ResetProbeCounter();
+  test::SendCounter sends(*net.simulator);
   ProbeSpec probe;
   probe.destination = Addr("20.0.1.9");
   probe.ttl = 64;
   net.simulator->Send(probe);
   net.simulator->Send(probe);
-  EXPECT_EQ(net.simulator->probes_sent(), 2u);
+  EXPECT_EQ(sends.count(), 2u);
+  probe.destination = Addr("20.0.3.9");  // silent gateway: still a packet
+  probe.ttl = 6;
+  net.simulator->Send(probe);
+  EXPECT_EQ(sends.count(), 3u);
 }
 
 TEST(Simulator, RttPositiveAndGrowsWithDistance) {

@@ -2,9 +2,12 @@
 // ground truth, used by the simulator / probing / prober tests.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "netsim/artifacts.h"
 #include "netsim/host_model.h"
 #include "netsim/internet.h"
 #include "netsim/ipv4.h"
@@ -23,6 +26,33 @@ inline netsim::Prefix Pfx(const char* text) {
   auto p = netsim::Prefix::Parse(text);
   return p ? *p : netsim::Prefix();
 }
+
+/// An independent count of Simulator::Send calls: a reply-artifact hook
+/// that leaves every reply untouched and only counts it.  Send applies
+/// the hook exactly once per probe, so the count sees every packet
+/// without changing any.  Installs itself with SetReplyArtifacts for its
+/// lifetime; safe to share across measurement threads.
+class SendCounter : public netsim::ReplyArtifacts {
+ public:
+  explicit SendCounter(netsim::Simulator& simulator) : simulator_(simulator) {
+    simulator_.SetReplyArtifacts(this);
+  }
+  ~SendCounter() override { simulator_.SetReplyArtifacts(nullptr); }
+  SendCounter(const SendCounter&) = delete;
+  SendCounter& operator=(const SendCounter&) = delete;
+
+  void Rewrite(const netsim::ProbeSpec&, const netsim::ArtifactContext&,
+               netsim::ProbeReply&) const override {
+    count_.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::uint64_t count() const {
+    return count_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  netsim::Simulator& simulator_;
+  mutable std::atomic<std::uint64_t> count_{0};
+};
 
 /// A deterministic mini Internet:
 ///
