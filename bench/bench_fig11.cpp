@@ -55,7 +55,7 @@ int main() {
     const probing::ZmapBlock* snapshot = find_snapshot(block->prefix);
     if (snapshot == nullptr) continue;
     sampled_24s.emplace(block->prefix, sampled_24s.size());
-    for (std::uint8_t octet : snapshot->active_octets) {
+    for (std::uint8_t octet : snapshot->ActiveOctets()) {
       destinations.push_back(
           netsim::Ipv4Address(block->prefix.base().value() | octet));
       destination_24.push_back(block->prefix);

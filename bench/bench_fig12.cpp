@@ -37,7 +37,7 @@ int main() {
         scheme >= netsim::kRdnsTwcBase + netsim::kTwcPatternCount) {
       continue;
     }
-    for (std::uint8_t octet : snapshot.active_octets) {
+    for (int k = 0; k < snapshot.ActiveCount(); ++k) {
       members_by_24[snapshot.prefix].push_back(
           static_cast<std::uint32_t>(pattern_ids.size()));
       pattern_ids.push_back(scheme);

@@ -37,7 +37,7 @@ int main() {
        ++i) {
     const probing::ZmapBlock& snapshot = world.pipeline.study_blocks[i];
     std::vector<netsim::Ipv4Address> clients;
-    for (std::uint8_t octet : snapshot.active_octets) {
+    for (std::uint8_t octet : snapshot.ActiveOctets()) {
       clients.push_back(
           netsim::Ipv4Address(snapshot.prefix.base().value() | octet));
     }

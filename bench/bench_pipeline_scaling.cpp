@@ -43,6 +43,7 @@ using namespace hobbit;
 
 struct CampaignRun {
   double seconds = 0.0;
+  double snapshot_seconds = 0.0;     // stage 0 (the zmap scan) alone
   double measurement_seconds = 0.0;  // stage 2 (the main campaign) alone
   std::uint64_t probes = 0;
   std::size_t blocks = 0;
@@ -65,6 +66,7 @@ CampaignRun RunCampaign(const netsim::Internet& internet, std::uint64_t seed,
 
   CampaignRun run;
   run.seconds = std::chrono::duration<double>(stop - start).count();
+  run.snapshot_seconds = result.stats.snapshot_seconds;
   run.measurement_seconds = result.stats.measurement_seconds;
   run.probes = result.stats.probes_sent;
   run.blocks = result.results.size();
@@ -191,13 +193,13 @@ int main(int argc, char** argv) {
   for (double scale : scales) {
     internet = BuildAt(scale, seed);
     std::printf("\nscale %.3g\n", scale);
-    std::printf("%10s %10s %12s %12s %12s %9s %10s\n", "threads", "path",
-                "total[s]", "measure[s]", "probes/s", "blocks/s",
-                "vs ref");
+    std::printf("%10s %10s %12s %10s %12s %12s %9s %10s\n", "threads",
+                "path", "total[s]", "snap[s]", "measure[s]", "probes/s",
+                "blocks/s", "vs ref");
 
     CampaignRun reference = RunCampaign(internet, seed, scale, 1, false);
-    std::printf("%10d %10s %12.3f %12.3f %12.0f %9.1f %9s\n", 1,
-                "reference", reference.seconds,
+    std::printf("%10d %10s %12.3f %10.3f %12.3f %12.0f %9.1f %9s\n", 1,
+                "reference", reference.seconds, reference.snapshot_seconds,
                 reference.measurement_seconds,
                 reference.probes / reference.seconds,
                 reference.blocks / reference.seconds, "-");
@@ -206,6 +208,8 @@ int main(int argc, char** argv) {
     std::snprintf(tag_buffer, sizeof(tag_buffer), "s%.3g", scale);
     const std::string tag = tag_buffer;
     report.Metric(tag + "_reference_1t_seconds", reference.seconds);
+    report.Metric(tag + "_reference_1t_snapshot_seconds",
+                  reference.snapshot_seconds);
     report.Metric(tag + "_reference_1t_measure_seconds",
                   reference.measurement_seconds);
     report.Metric(tag + "_blocks", static_cast<double>(reference.blocks));
@@ -218,13 +222,17 @@ int main(int argc, char** argv) {
           reference.measurement_seconds / fast.measurement_seconds;
       const bool identical = fast.serialized == reference.serialized;
       all_identical = all_identical && identical;
-      std::printf("%10d %10s %12.3f %12.3f %12.0f %9.1f %8.2fx%s\n", t,
-                  "fast", fast.seconds, fast.measurement_seconds,
+      std::printf("%10d %10s %12.3f %10.3f %12.3f %12.0f %9.1f %8.2fx%s\n",
+                  t, "fast", fast.seconds, fast.snapshot_seconds,
+                  fast.measurement_seconds,
                   fast.probes / fast.seconds,
                   fast.blocks / fast.seconds, measure_speedup,
                   identical ? "" : "  CLASSIFICATION MISMATCH");
       report.Metric(tag + "_fast_" + std::to_string(t) + "t_seconds",
                     fast.seconds);
+      report.Metric(tag + "_fast_" + std::to_string(t) +
+                        "t_snapshot_seconds",
+                    fast.snapshot_seconds);
       report.Metric(tag + "_fast_" + std::to_string(t) +
                         "t_measure_seconds",
                     fast.measurement_seconds);

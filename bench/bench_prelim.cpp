@@ -40,7 +40,7 @@ int main() {
     // One active per /26.
     std::vector<netsim::Ipv4Address> picks;
     int quarter = -1;
-    for (std::uint8_t octet : block.active_octets) {
+    for (std::uint8_t octet : block.ActiveOctets()) {
       if ((octet >> 6) != quarter) {
         quarter = octet >> 6;
         picks.push_back(
@@ -73,11 +73,11 @@ int main() {
       }
     }
 
-    // A /31 pair: two consecutive octets among the actives.
-    for (std::size_t i = 0; i + 1 < block.active_octets.size(); ++i) {
-      std::uint8_t a = block.active_octets[i];
-      std::uint8_t b2 = block.active_octets[i + 1];
-      if ((a ^ b2) != 1 || (a & 1) != 0) continue;
+    // A /31 pair: the lowest even active octet whose odd neighbour is
+    // active too.
+    for (std::uint8_t a : block.ActiveOctets()) {
+      const std::uint8_t b2 = static_cast<std::uint8_t>(a + 1);
+      if ((a & 1) != 0 || !block.IsActive(b2)) continue;
       netsim::Ipv4Address addr_a(block.prefix.base().value() | a);
       netsim::Ipv4Address addr_b(block.prefix.base().value() | b2);
       auto routes_a = probing::EnumerateRoutes(simulator, addr_a, serial);

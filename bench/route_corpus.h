@@ -42,7 +42,7 @@ inline std::vector<BlockRouteSet> CollectRouteCorpus(const World& world,
     if (truth == nullptr || truth->heterogeneous) continue;
     BlockRouteSet entry;
     entry.prefix = block.prefix;
-    for (std::uint8_t octet : block.active_octets) {
+    for (std::uint8_t octet : block.ActiveOctets()) {
       netsim::Ipv4Address address(block.prefix.base().value() | octet);
       std::vector<probing::Route> routes = probing::EnumerateRoutes(
           *world.internet.simulator, address, serial);

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   }
   for (const probing::ZmapBlock& snapshot : result.study_blocks) {
     if (!block_of_24.count(snapshot.prefix)) continue;
-    for (std::uint8_t octet : snapshot.active_octets) {
+    for (std::uint8_t octet : snapshot.ActiveOctets()) {
       destinations.push_back(
           netsim::Ipv4Address(snapshot.prefix.base().value() | octet));
     }

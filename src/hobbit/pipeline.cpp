@@ -58,10 +58,10 @@ CampaignSetup PrepareCampaign(const netsim::Internet& internet,
   const netsim::Rng rng(config.seed);
 
   // Stage 0: snapshot + universe selection (liveness read through the
-  // chosen simulator's epoch).
+  // chosen simulator's epoch), scanned on the campaign's pool.
   const auto snapshot_start = std::chrono::steady_clock::now();
   probing::ZmapSnapshot snapshot =
-      probing::RunZmapScan(internet, internet.study_24s, simulator);
+      probing::RunZmapScan(internet, internet.study_24s, simulator, pool);
   setup.stats.snapshot_active_addresses = snapshot.ActiveCount();
   setup.stats.candidate_24s = snapshot.blocks.size();
   setup.study_blocks = probing::SelectStudyBlocks(snapshot);

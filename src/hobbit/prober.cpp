@@ -17,13 +17,15 @@ class DestinationSchedule {
  public:
   DestinationSchedule(const probing::ZmapBlock& block, netsim::Rng rng)
       : base_(block.prefix.base()), rng_(rng) {
-    for (std::uint8_t octet : block.active_octets) {
-      quarters_[octet >> 6].push_back(octet);
+    // Bit iteration yields each /26's octets in ascending order.
+    for (std::uint8_t octet : block.ActiveOctets()) {
+      const int q = octet >> 6;
+      quarters_[q][size_[q]++] = octet;
     }
     // Probe order inside each /26 is randomized once.
-    for (auto& q : quarters_) {
-      for (std::size_t i = q.size(); i > 1; --i) {
-        std::swap(q[i - 1], q[rng_.NextBelow(i)]);
+    for (int q = 0; q < 4; ++q) {
+      for (std::size_t i = size_[q]; i > 1; --i) {
+        std::swap(quarters_[q][i - 1], quarters_[q][rng_.NextBelow(i)]);
       }
     }
     order_ = {0, 1, 2, 3};
@@ -33,7 +35,7 @@ class DestinationSchedule {
   /// Next destination, or nullopt when all actives are consumed.
   std::optional<netsim::Ipv4Address> Next() {
     std::size_t remaining = 0;
-    for (int q = 0; q < 4; ++q) remaining += quarters_[q].size() - cursor_[q];
+    for (int q = 0; q < 4; ++q) remaining += size_[q] - cursor_[q];
     if (remaining == 0) return std::nullopt;
     while (true) {
       if (round_pos_ == order_.size()) {
@@ -41,7 +43,7 @@ class DestinationSchedule {
         ShuffleOrder();
       }
       const std::uint8_t q = order_[round_pos_++];
-      if (cursor_[q] < quarters_[q].size()) {
+      if (cursor_[q] < size_[q]) {
         std::uint8_t octet = quarters_[q][cursor_[q]++];
         return netsim::Ipv4Address(base_.value() | octet);
       }
@@ -57,7 +59,8 @@ class DestinationSchedule {
 
   netsim::Ipv4Address base_;
   netsim::Rng rng_;
-  std::array<std::vector<std::uint8_t>, 4> quarters_;
+  std::array<std::array<std::uint8_t, 64>, 4> quarters_;
+  std::array<std::size_t, 4> size_ = {0, 0, 0, 0};
   std::array<std::size_t, 4> cursor_ = {0, 0, 0, 0};
   std::array<std::uint8_t, 4> order_;
   std::size_t round_pos_ = 0;
@@ -95,7 +98,7 @@ BlockResult BlockProber::ProbeBlockImpl(const probing::ZmapBlock& block,
                                         probing::LastHopProber& prober) {
   BlockResult result;
   result.prefix = block.prefix;
-  result.active_in_snapshot = static_cast<int>(block.active_octets.size());
+  result.active_in_snapshot = block.ActiveCount();
 
   DestinationSchedule schedule(block, rng.Fork(0x5C4EDULL));
 

@@ -4,6 +4,9 @@
 // Everything is a pure function of (seed, address) via stable hashing, so
 // the ZMap scanner, the Hobbit prober and tests all see one consistent
 // world without storing per-address state for millions of addresses.
+// The snapshot scan makes these queries for every address of every /24,
+// so each query folds the address into the hash once and every draw
+// after that is a single mix (DESIGN.md §16).
 //
 // Liveness is two-stage to reproduce the paper's §3.3 caveat that some
 // addresses active in the ZMap snapshot were gone by probe time: an address
@@ -62,37 +65,44 @@ struct HostModelConfig {
 };
 
 /// Deterministic host-population oracle.
+///
+/// Every draw is `HashToUnit(StableHash({seed, address, salt}))`.  Because
+/// StableHash folds left to right, the model folds `{seed}` once at
+/// construction and each query folds `{address}` once; a draw then costs
+/// a single `Mix64(address_state ^ salt)` (see `StableHashFrom`), bit for
+/// bit the same value.  tests/test_host_model.cpp keeps the unfolded
+/// form as a differential oracle.
 class HostModel {
  public:
-  explicit HostModel(HostModelConfig config) : config_(config) {}
+  explicit HostModel(HostModelConfig config)
+      : config_(config), seed_state_(StableHash({config.seed})) {}
 
   /// Whether the address is populated at all (a machine is plugged in).
   /// Drawn against the subnet's occupancy.  A churn share of addresses
   /// re-rolls per epoch (dynamic assignment); the rest is epoch-stable.
   bool Exists(Ipv4Address address, const Subnet& subnet) const {
-    const bool churns = Draw(address, 0xC4324ULL) < config_.p_address_churn;
-    const std::uint64_t salt =
-        0xE15ULL + (churns ? config_.epoch : 0u) * 0x9E37ULL;
-    return Draw(address, salt) < subnet.occupancy;
+    return Exists(Fold(address), subnet);
   }
 
   /// Active in the ZMap snapshot taken the day before the measurement.
   bool ActiveInSnapshot(Ipv4Address address, const Subnet& subnet) const {
-    return Exists(address, subnet) &&
-           Draw(address, 0x54AFULL + config_.epoch * 0x51DULL) <
+    const std::uint64_t state = Fold(address);
+    return Exists(state, subnet) &&
+           Draw(state, 0x54AFULL + config_.epoch * 0x51DULL) <
                config_.snapshot_availability;
   }
 
   /// Responsive when the Hobbit prober actually sends packets.
   bool ActiveAtProbeTime(Ipv4Address address, const Subnet& subnet) const {
-    return Exists(address, subnet) &&
-           Draw(address, 0x9206EULL + config_.epoch * 0x51DULL) <
+    const std::uint64_t state = Fold(address);
+    return Exists(state, subnet) &&
+           Draw(state, 0x9206EULL + config_.epoch * 0x51DULL) <
                config_.probe_availability;
   }
 
   /// Operating-system family (determines the default TTL of replies).
   TtlFamily OsOf(Ipv4Address address) const {
-    double u = Draw(address, 0x05F4ULL);
+    double u = Draw(Fold(address), 0x05F4ULL);
     if (u < config_.p_unix) return TtlFamily::kUnix64;
     u -= config_.p_unix;
     if (u < config_.p_windows) return TtlFamily::kWindows128;
@@ -106,11 +116,29 @@ class HostModel {
   }
 
  private:
-  double Draw(Ipv4Address address, std::uint64_t salt) const {
-    return HashToUnit(StableHash({config_.seed, address.value(), salt}));
+  /// The hash state after folding `{seed, address}`.
+  std::uint64_t Fold(Ipv4Address address) const {
+    return StableHashFrom(seed_state_, {address.value()});
+  }
+
+  static double Draw(std::uint64_t state, std::uint64_t salt) {
+    return HashToUnit(StableHashFrom(state, {salt}));
+  }
+
+  bool Exists(std::uint64_t state, const Subnet& subnet) const {
+    // The existence salt is 0xE15 + (churns ? epoch : 0) * 0x9E37, which
+    // is 0xE15 in both branches at epoch 0: the churn draw only matters
+    // from the first re-roll on.
+    std::uint64_t salt = 0xE15ULL;
+    if (config_.epoch != 0 &&
+        Draw(state, 0xC4324ULL) < config_.p_address_churn) {
+      salt += config_.epoch * 0x9E37ULL;
+    }
+    return Draw(state, salt) < subnet.occupancy;
   }
 
   HostModelConfig config_;
+  std::uint64_t seed_state_;  // the StableHash state after {seed}
 };
 
 }  // namespace hobbit::netsim

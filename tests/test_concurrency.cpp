@@ -3,7 +3,8 @@
 // concurrent use and that the artifact hook sees every packet.
 //
 // The second half checks the deterministic-sharding contract end to end:
-// RunPipeline, RunMcl, BuildSimilarityGraph and ValidateClusters must
+// RunZmapScan, RunPipeline, RunMcl, BuildSimilarityGraph and
+// ValidateClusters must
 // produce byte-identical results for any thread count (see
 // src/common/parallel.h and DESIGN.md "Parallel execution model").
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "hobbit/resultio.h"
 #include "netsim/internet.h"
 #include "netsim/rng.h"
+#include "probing/zmap.h"
 #include "test_util.h"
 
 namespace hobbit::netsim {
@@ -99,6 +101,52 @@ std::vector<int> ThreadCounts() {
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw > 1) counts.push_back(static_cast<int>(hw));
   return counts;
+}
+
+// FNV-1a over a snapshot: each block's prefix base (little-endian), then
+// its active octets in ascending order.
+std::uint64_t SnapshotHash(const probing::ZmapSnapshot& snapshot) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto fold = [&hash](std::uint32_t byte) {
+    hash = (hash ^ byte) * 0x100000001b3ULL;
+  };
+  for (const probing::ZmapBlock& block : snapshot.blocks) {
+    const std::uint32_t base = block.prefix.base().value();
+    for (int shift = 0; shift < 32; shift += 8) fold((base >> shift) & 0xFF);
+    for (std::uint8_t octet : block.ActiveOctets()) fold(octet);
+  }
+  return hash;
+}
+
+TEST(ZmapScan, GoldenSnapshot) {
+  // Pins the snapshot of two fixed worlds at every thread count.  The
+  // constants were recorded from the original byte-list scan; any
+  // restructuring of the scan must reproduce them bit for bit.
+  struct Golden {
+    std::uint64_t seed, hash, active;
+    std::size_t candidates, study;
+  };
+  const Golden kGolden[] = {
+      {11, 0x699ab74ff1734fbdULL, 166946, 4960, 2821},
+      {42, 0x07a99a54648c35bfULL, 166535, 4962, 2845},
+  };
+  for (const Golden& golden : kGolden) {
+    InternetConfig world;
+    world.seed = golden.seed;
+    world.scale = 0.05;
+    Internet internet = BuildInternet(world);
+    for (int threads : ThreadCounts()) {
+      SCOPED_TRACE(testing::Message() << "seed=" << golden.seed
+                                      << " threads=" << threads);
+      common::ThreadPool pool(threads);
+      probing::ZmapSnapshot snapshot =
+          probing::RunZmapScan(internet, internet.study_24s, nullptr, &pool);
+      EXPECT_EQ(SnapshotHash(snapshot), golden.hash);
+      EXPECT_EQ(snapshot.ActiveCount(), golden.active);
+      EXPECT_EQ(snapshot.blocks.size(), golden.candidates);
+      EXPECT_EQ(probing::SelectStudyBlocks(snapshot).size(), golden.study);
+    }
+  }
 }
 
 TEST(DeterminismProperty, RunPipelineByteIdenticalAcrossThreadCounts) {
@@ -273,40 +321,44 @@ TEST(DeterminismProperty, ValidationByteIdenticalAcrossThreadCounts) {
 TEST(DeterminismProperty, FusedMclIterationByteIdenticalAcrossThreadCounts) {
   // MclIterate fuses expansion/inflation/pruning/renormalization into
   // one dispatch; the resulting matrix (and the convergence delta) must
-  // be bit-identical for every thread count, column by column.
-  Rng rng(101);
-  std::vector<cluster::SparseMatrix::Triplet> triplets;
-  const std::uint32_t n = 80;
-  for (std::uint32_t c = 0; c < n; ++c) {
-    triplets.push_back({c, c, 1.0});
-    for (int k = 0; k < 6; ++k) {
-      triplets.push_back({static_cast<std::uint32_t>(rng.NextBelow(n)), c,
-                          rng.NextUnit()});
-    }
-  }
-  cluster::SparseMatrix m =
-      cluster::SparseMatrix::FromTriplets(n, std::move(triplets));
-  m.NormalizeColumns();
-
-  double baseline_delta = 0.0;
-  cluster::SparseMatrix baseline =
-      m.MclIterate(2.0, 1e-4, 16, nullptr, &baseline_delta);
-  for (int threads : ThreadCounts()) {
-    common::ThreadPool pool(threads);
-    double delta = 0.0;
-    cluster::SparseMatrix result =
-        m.MclIterate(2.0, 1e-4, 16, &pool, &delta);
-    EXPECT_EQ(delta, baseline_delta) << "threads=" << threads;
-    ASSERT_EQ(result.nonzeros(), baseline.nonzeros())
-        << "threads=" << threads;
+  // be bit-identical for every thread count, column by column.  The
+  // 80-column matrix (~0.5 k nonzeros) runs as one inline chunk; the
+  // 400-column one (~2.8 k nonzeros) is above the inline threshold and
+  // is split across the pool.
+  for (std::uint32_t n : {80u, 400u}) {
+    Rng rng(101);
+    std::vector<cluster::SparseMatrix::Triplet> triplets;
     for (std::uint32_t c = 0; c < n; ++c) {
-      auto rc = result.Column(c);
-      auto bc = baseline.Column(c);
-      ASSERT_EQ(rc.count, bc.count) << "threads=" << threads << " col " << c;
-      for (std::size_t i = 0; i < rc.count; ++i) {
-        ASSERT_EQ(rc.rows[i], bc.rows[i]);
-        ASSERT_EQ(rc.values[i], bc.values[i])
-            << "threads=" << threads << " col " << c << " entry " << i;
+      triplets.push_back({c, c, 1.0});
+      for (int k = 0; k < 6; ++k) {
+        triplets.push_back({static_cast<std::uint32_t>(rng.NextBelow(n)), c,
+                            rng.NextUnit()});
+      }
+    }
+    cluster::SparseMatrix m =
+        cluster::SparseMatrix::FromTriplets(n, std::move(triplets));
+    m.NormalizeColumns();
+
+    double baseline_delta = 0.0;
+    cluster::SparseMatrix baseline =
+        m.MclIterate(2.0, 1e-4, 16, nullptr, &baseline_delta);
+    for (int threads : ThreadCounts()) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " threads=" << threads);
+      common::ThreadPool pool(threads);
+      double delta = 0.0;
+      cluster::SparseMatrix result =
+          m.MclIterate(2.0, 1e-4, 16, &pool, &delta);
+      EXPECT_EQ(delta, baseline_delta);
+      ASSERT_EQ(result.nonzeros(), baseline.nonzeros());
+      for (std::uint32_t c = 0; c < n; ++c) {
+        auto rc = result.Column(c);
+        auto bc = baseline.Column(c);
+        ASSERT_EQ(rc.count, bc.count) << "col " << c;
+        for (std::size_t i = 0; i < rc.count; ++i) {
+          ASSERT_EQ(rc.rows[i], bc.rows[i]);
+          ASSERT_EQ(rc.values[i], bc.values[i])
+              << "col " << c << " entry " << i;
+        }
       }
     }
   }

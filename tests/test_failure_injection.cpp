@@ -15,16 +15,8 @@ namespace hobbit {
 namespace {
 
 using test::Addr;
+using test::FullBlock;
 using test::Pfx;
-
-probing::ZmapBlock FullBlock(const char* prefix) {
-  probing::ZmapBlock block;
-  block.prefix = test::Pfx(prefix);
-  for (int octet = 0; octet < 256; ++octet) {
-    block.active_octets.push_back(static_cast<std::uint8_t>(octet));
-  }
-  return block;
-}
 
 TEST(FailureInjection, EntirelySilentWorldYieldsUnresponsiveClass) {
   // Every router silent: traceroute sees only wildcards, the last-hop

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "netsim/rng.h"
+
 #include "test_util.h"
 
 namespace hobbit::netsim {
@@ -106,6 +108,90 @@ TEST(HostModel, DefaultTtlValues) {
   EXPECT_EQ(DefaultTtlOf(TtlFamily::kWindows128), 128);
   EXPECT_EQ(DefaultTtlOf(TtlFamily::kNetwork255), 255);
   EXPECT_EQ(DefaultTtlOf(TtlFamily::kLegacy32), 32);
+}
+
+// The host draws in their unfolded form, one StableHash({seed, address,
+// salt}) per draw and the churn draw at every epoch: the reference the
+// folded HostModel must reproduce bit for bit.
+class UnfoldedHostModel {
+ public:
+  explicit UnfoldedHostModel(HostModelConfig config) : config_(config) {}
+
+  bool Exists(Ipv4Address address, const Subnet& subnet) const {
+    const bool churns = Draw(address, 0xC4324ULL) < config_.p_address_churn;
+    const std::uint64_t salt =
+        0xE15ULL + (churns ? config_.epoch : 0u) * 0x9E37ULL;
+    return Draw(address, salt) < subnet.occupancy;
+  }
+  bool ActiveInSnapshot(Ipv4Address address, const Subnet& subnet) const {
+    return Exists(address, subnet) &&
+           Draw(address, 0x54AFULL + config_.epoch * 0x51DULL) <
+               config_.snapshot_availability;
+  }
+  bool ActiveAtProbeTime(Ipv4Address address, const Subnet& subnet) const {
+    return Exists(address, subnet) &&
+           Draw(address, 0x9206EULL + config_.epoch * 0x51DULL) <
+               config_.probe_availability;
+  }
+  TtlFamily OsOf(Ipv4Address address) const {
+    double u = Draw(address, 0x05F4ULL);
+    if (u < config_.p_unix) return TtlFamily::kUnix64;
+    u -= config_.p_unix;
+    if (u < config_.p_windows) return TtlFamily::kWindows128;
+    u -= config_.p_windows;
+    if (u < config_.p_network) return TtlFamily::kNetwork255;
+    return TtlFamily::kLegacy32;
+  }
+
+ private:
+  double Draw(Ipv4Address address, std::uint64_t salt) const {
+    return HashToUnit(StableHash({config_.seed, address.value(), salt}));
+  }
+
+  HostModelConfig config_;
+};
+
+TEST(HostModel, FoldedDrawsMatchStableHashOracle) {
+  // Epoch 0 pins the skipped churn draw; occupancies 0 and 1 pin the
+  // existence draw's edges.
+  Rng rng(0xF01DULL);
+  for (std::uint32_t epoch : {0u, 1u, 5u}) {
+    for (double occupancy : {0.0, 0.3, 1.0}) {
+      SCOPED_TRACE(testing::Message() << "epoch=" << epoch
+                                      << " occupancy=" << occupancy);
+      HostModelConfig config;
+      config.seed = rng.Next();
+      config.epoch = epoch;
+      const HostModel model(config);
+      const UnfoldedHostModel oracle(config);
+      const Subnet subnet = MakeSubnet(occupancy);
+      int mismatches = 0, exists = 0, snapshot = 0, probe = 0;
+      for (int i = 0; i < 100000; ++i) {
+        const Ipv4Address address(static_cast<std::uint32_t>(rng.Next()));
+        const bool e = model.Exists(address, subnet);
+        const bool s = model.ActiveInSnapshot(address, subnet);
+        const bool p = model.ActiveAtProbeTime(address, subnet);
+        mismatches += e != oracle.Exists(address, subnet);
+        mismatches += s != oracle.ActiveInSnapshot(address, subnet);
+        mismatches += p != oracle.ActiveAtProbeTime(address, subnet);
+        mismatches += model.OsOf(address) != oracle.OsOf(address);
+        exists += e;
+        snapshot += s;
+        probe += p;
+      }
+      EXPECT_EQ(mismatches, 0);
+      // The comparison is not vacuous: every outcome occurs where it can.
+      if (occupancy > 0.0) {
+        EXPECT_GT(snapshot, 0);
+        EXPECT_GT(probe, 0);
+        if (occupancy < 1.0) {
+          EXPECT_LT(exists, 100000);
+        }
+      } else {
+        EXPECT_EQ(exists, 0);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@ namespace hobbit::core {
 namespace {
 
 using test::BuildMiniNet;
+using test::FullBlock;
 using test::MiniNet;
 using test::Pfx;
 
@@ -126,15 +127,6 @@ TEST(IncrementalGrouping, NonLaminarityIsNotLatched) {
   EXPECT_FALSE(grouping.Hierarchical());
   grouping.Add(obs(r1, 40));  // r1:[10,40] now contains r2:[15,30]
   EXPECT_TRUE(grouping.Hierarchical());
-}
-
-probing::ZmapBlock FullBlock(const char* prefix) {
-  probing::ZmapBlock block;
-  block.prefix = Pfx(prefix);
-  for (int octet = 0; octet < 256; ++octet) {
-    block.active_octets.push_back(static_cast<std::uint8_t>(octet));
-  }
-  return block;
 }
 
 void ExpectSameResult(const BlockResult& fast, const BlockResult& reference,

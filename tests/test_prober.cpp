@@ -10,17 +10,9 @@ namespace {
 
 using test::Addr;
 using test::BuildMiniNet;
+using test::FullBlock;
 using test::MiniNet;
 using test::Pfx;
-
-probing::ZmapBlock FullBlock(const char* prefix) {
-  probing::ZmapBlock block;
-  block.prefix = Pfx(prefix);
-  for (int octet = 0; octet < 256; ++octet) {
-    block.active_octets.push_back(static_cast<std::uint8_t>(octet));
-  }
-  return block;
-}
 
 TEST(BlockProber, SingleGatewayStopsAtSixAndClassifiesSame) {
   MiniNet net = BuildMiniNet();
@@ -83,10 +75,9 @@ TEST(BlockProber, SplitBlockIsAlignedDisjoint) {
 
 TEST(BlockProber, TooFewActiveWhenBlockIsNearlyEmpty) {
   MiniNet net = BuildMiniNet();
-  probing::ZmapBlock block;
-  block.prefix = Pfx("20.0.1.0/24");
-  block.active_octets = {1, 65, 129, 193};  // one per /26, but hosts may
-                                            // not be the issue: limit to 4
+  // One active per /26 and no more: only four destinations to probe.
+  probing::ZmapBlock block =
+      test::ZmapBlockOf("20.0.1.0/24", {1, 65, 129, 193});
   BlockProber prober(net.simulator.get(), nullptr, {});
   BlockResult result = prober.ProbeBlock(block, netsim::Rng(1));
   // Four usable destinations, one last hop, never reaches the 6-rule.

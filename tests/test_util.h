@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "netsim/rtt_model.h"
 #include "netsim/simulator.h"
 #include "netsim/topology.h"
+#include "probing/zmap.h"
 
 namespace hobbit::test {
 
@@ -25,6 +27,23 @@ inline netsim::Ipv4Address Addr(const char* text) {
 inline netsim::Prefix Pfx(const char* text) {
   auto p = netsim::Prefix::Parse(text);
   return p ? *p : netsim::Prefix();
+}
+
+/// A scan result for the /24 `prefix` with exactly `octets` active.
+inline probing::ZmapBlock ZmapBlockOf(const char* prefix,
+                                      std::initializer_list<int> octets) {
+  probing::ZmapBlock block;
+  block.prefix = Pfx(prefix);
+  for (int octet : octets) block.SetActive(static_cast<std::uint8_t>(octet));
+  return block;
+}
+
+/// A scan result for the /24 `prefix` with every address active.
+inline probing::ZmapBlock FullBlock(const char* prefix) {
+  probing::ZmapBlock block;
+  block.prefix = Pfx(prefix);
+  block.active.fill(~std::uint64_t{0});
+  return block;
 }
 
 /// An independent count of Simulator::Send calls: a reply-artifact hook

@@ -2,27 +2,52 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+#include <vector>
+
 #include "netsim/internet.h"
 #include "test_util.h"
 
 namespace hobbit::probing {
 namespace {
 
-using test::Pfx;
+using test::ZmapBlockOf;
 
 TEST(Slash26Criterion, RequiresEveryQuarter) {
-  ZmapBlock block;
-  block.prefix = Pfx("20.0.0.0/24");
-  block.active_octets = {1, 65, 129, 193};
-  EXPECT_TRUE(MeetsSlash26Criterion(block));
-  block.active_octets = {1, 2, 3, 65, 129};  // missing the fourth /26
-  EXPECT_FALSE(MeetsSlash26Criterion(block));
-  block.active_octets = {};
-  EXPECT_FALSE(MeetsSlash26Criterion(block));
-  block.active_octets = {0, 64, 128, 192};  // boundary octets
-  EXPECT_TRUE(MeetsSlash26Criterion(block));
-  block.active_octets = {63, 127, 191, 255};
-  EXPECT_TRUE(MeetsSlash26Criterion(block));
+  const auto meets = [](std::initializer_list<int> octets) {
+    return MeetsSlash26Criterion(ZmapBlockOf("20.0.0.0/24", octets));
+  };
+  EXPECT_TRUE(meets({1, 65, 129, 193}));
+  EXPECT_FALSE(meets({1, 2, 3, 65, 129}));  // missing the fourth /26
+  EXPECT_FALSE(meets({}));
+  EXPECT_TRUE(meets({0, 64, 128, 192}));  // boundary octets
+  EXPECT_TRUE(meets({63, 127, 191, 255}));
+}
+
+TEST(ZmapBlock, OctetsIterateAscendingOverTheBitmap) {
+  ZmapBlock block = ZmapBlockOf("20.0.0.0/24", {255, 0, 64, 63, 130, 1, 200});
+  std::vector<int> octets;
+  for (std::uint8_t octet : block.ActiveOctets()) octets.push_back(octet);
+  EXPECT_EQ(octets, (std::vector<int>{0, 1, 63, 64, 130, 200, 255}));
+  EXPECT_EQ(block.ActiveCount(), 7);
+  EXPECT_FALSE(block.empty());
+  for (int octet = 0; octet < 256; ++octet) {
+    const bool listed =
+        std::find(octets.begin(), octets.end(), octet) != octets.end();
+    EXPECT_EQ(block.IsActive(static_cast<std::uint8_t>(octet)), listed);
+  }
+
+  ZmapBlock none = ZmapBlockOf("20.0.0.0/24", {});
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.ActiveCount(), 0);
+  EXPECT_TRUE(none.ActiveOctets().begin() == none.ActiveOctets().end());
+
+  int expected = 0;
+  for (std::uint8_t octet : test::FullBlock("20.0.0.0/24").ActiveOctets()) {
+    EXPECT_EQ(octet, expected++);
+  }
+  EXPECT_EQ(expected, 256);
 }
 
 TEST(ZmapScan, FindsActiveHostsInTinyInternet) {
@@ -36,10 +61,11 @@ TEST(ZmapScan, FindsActiveHostsInTinyInternet) {
     EXPECT_NE(internet.TruthOf(block.prefix), nullptr)
         << block.prefix.ToString();
   }
-  // Octets are unique and sorted within a block.
-  for (const ZmapBlock& block : snapshot.blocks) {
-    for (std::size_t i = 1; i < block.active_octets.size(); ++i) {
-      EXPECT_LT(block.active_octets[i - 1], block.active_octets[i]);
+  // Only /24s with a responder are reported, in target (prefix) order.
+  for (std::size_t i = 0; i < snapshot.blocks.size(); ++i) {
+    EXPECT_FALSE(snapshot.blocks[i].empty());
+    if (i > 0) {
+      EXPECT_LT(snapshot.blocks[i - 1].prefix, snapshot.blocks[i].prefix);
     }
   }
 }
@@ -54,11 +80,8 @@ TEST(ZmapScan, SnapshotMatchesHostModel) {
     netsim::Ipv4Address address(block.prefix.base().value() + octet);
     netsim::SubnetId subnet_id = internet.topology.FindSubnet(address);
     ASSERT_NE(subnet_id, netsim::kNoSubnet);
-    bool listed = std::find(block.active_octets.begin(),
-                            block.active_octets.end(),
-                            static_cast<std::uint8_t>(octet)) !=
-                  block.active_octets.end();
-    EXPECT_EQ(listed, hosts.ActiveInSnapshot(
+    EXPECT_EQ(block.IsActive(static_cast<std::uint8_t>(octet)),
+              hosts.ActiveInSnapshot(
                           address, internet.topology.subnet(subnet_id)));
   }
 }
