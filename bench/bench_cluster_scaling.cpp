@@ -4,15 +4,12 @@
 // has scaled with threads since the beginning; this records that the
 // post-processing stages now do too, and that results stay bit-identical
 // while they do (any mismatch is reported loudly).
-// Also gated here: the fused MclIterate kernel (SoA column gather) must
-// stay bit-identical to the unfused Multiply -> Inflate -> Prune
-// sequence and beat it single-threaded by >= 1.2x.
 //
-// Exit codes: 0 ok, 1 result mismatch (cross-thread or fused-vs-unfused),
-// 2 scaling-gate failure, 3 fused-kernel speedup gate, 77 scaling gates
-// skipped (single-core machine: every multi-thread run time-slices one
-// core, so "speedup" floors would be vacuously low — the report says
-// "skipped-1core" instead of silently passing).  On >= 2 cores the
+// Exit codes: 0 ok, 1 result mismatch across thread counts, 2
+// scaling-gate failure, 77 scaling gates skipped (single-core machine:
+// every multi-thread run time-slices one core, so "speedup" floors would
+// be vacuously low — the report says "skipped-1core" instead of silently
+// passing).  On >= 2 cores the
 // speedup gates are hardware-aware (see RequiredSpeedup): with >= 4
 // cores the full gates apply (4t must reach 2x, no thread count may
 // lose to serial); thread counts beyond the machine's cores only guard
@@ -27,10 +24,8 @@
 #include <vector>
 
 #include "cluster/aggregate.h"
-#include "cluster/sparse.h"
 #include "common.h"
 #include "common/parallel.h"
-#include "netsim/rng.h"
 
 namespace {
 
@@ -103,101 +98,6 @@ double RequiredSpeedup(int threads, unsigned hw, bool quick) {
   return 0.4;
 }
 
-/// A deterministic random similarity-shaped graph for the fused-kernel
-/// gate.  The world at smoke scale is too small to time an MCL
-/// iteration out of the noise (one iteration is microseconds), so the
-/// kernel comparison runs on a fixed-size synthetic graph instead —
-/// same sparsity regime as a paper-scale similarity graph, independent
-/// of HOBBIT_SCALE.
-cluster::Graph SyntheticGraph(std::uint32_t vertices, int edges_per_vertex) {
-  cluster::Graph graph;
-  graph.vertex_count = vertices;
-  netsim::Rng rng(1234);
-  for (std::uint32_t a = 0; a + 1 < vertices; ++a) {
-    for (int e = 0; e < edges_per_vertex; ++e) {
-      const std::uint32_t b = static_cast<std::uint32_t>(
-          a + 1 + rng.NextBelow(vertices - a - 1));
-      graph.edges.push_back({a, b, 0.05 + 0.9 * rng.NextUnit()});
-    }
-  }
-  return graph;
-}
-
-/// The MCL input matrix exactly as RunMcl builds it: symmetrized edges
-/// plus self-loops, column-normalized.
-cluster::SparseMatrix MclMatrix(const cluster::Graph& graph) {
-  std::vector<cluster::SparseMatrix::Triplet> triplets;
-  triplets.reserve(graph.edges.size() * 2 + graph.vertex_count);
-  for (const auto& e : graph.edges) {
-    triplets.push_back({e.a, e.b, e.weight});
-    triplets.push_back({e.b, e.a, e.weight});
-  }
-  for (std::uint32_t v = 0; v < graph.vertex_count; ++v) {
-    triplets.push_back({v, v, 1.0});
-  }
-  cluster::SparseMatrix m = cluster::SparseMatrix::FromTriplets(
-      graph.vertex_count, std::move(triplets));
-  m.NormalizeColumns();
-  return m;
-}
-
-bool SameMatrix(const cluster::SparseMatrix& a,
-                const cluster::SparseMatrix& b) {
-  return a.size() == b.size() && a.nonzeros() == b.nonzeros() &&
-         a.MaxDifference(b) == 0.0;
-}
-
-struct FusedKernelRun {
-  double unfused_seconds = 0.0;
-  double fused_seconds = 0.0;
-  bool identical = true;
-  double speedup() const { return unfused_seconds / fused_seconds; }
-};
-
-/// Times one MCL iteration both ways (single thread) on the world's
-/// similarity matrix, repeated until the measurement is out of the
-/// noise.  Bit-identity of the iterates is part of the check.
-FusedKernelRun CompareFusedKernel(const cluster::SparseMatrix& m) {
-  constexpr double kInflation = 2.0;
-  constexpr double kPrune = 1e-5;
-  constexpr std::size_t kMaxPerColumn = 64;
-  FusedKernelRun run;
-  {
-    cluster::SparseMatrix unfused = m.Multiply(m);
-    unfused.Inflate(kInflation);
-    unfused.Prune(kPrune, kMaxPerColumn);
-    cluster::SparseMatrix fused =
-        m.MclIterate(kInflation, kPrune, kMaxPerColumn);
-    run.identical = SameMatrix(fused, unfused);
-  }
-  // Calibrate repetitions off one unfused iteration (>= ~0.3 s total).
-  auto start = std::chrono::steady_clock::now();
-  {
-    cluster::SparseMatrix probe = m.Multiply(m);
-    probe.Inflate(kInflation);
-    probe.Prune(kPrune, kMaxPerColumn);
-  }
-  const double once = std::max(Seconds(start, std::chrono::steady_clock::now()),
-                               1e-6);
-  const int reps = std::clamp(static_cast<int>(0.3 / once), 3, 200);
-
-  start = std::chrono::steady_clock::now();
-  for (int r = 0; r < reps; ++r) {
-    cluster::SparseMatrix product = m.Multiply(m);
-    product.Inflate(kInflation);
-    product.Prune(kPrune, kMaxPerColumn);
-  }
-  run.unfused_seconds =
-      Seconds(start, std::chrono::steady_clock::now()) / reps;
-  start = std::chrono::steady_clock::now();
-  for (int r = 0; r < reps; ++r) {
-    cluster::SparseMatrix iterate =
-        m.MclIterate(kInflation, kPrune, kMaxPerColumn);
-  }
-  run.fused_seconds = Seconds(start, std::chrono::steady_clock::now()) / reps;
-  return run;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -255,23 +155,6 @@ int main(int argc, char** argv) {
     report.Metric(tag + "_pool_threads",
                   static_cast<double>(pool.thread_count()));
   }
-  // Fused-kernel gate: MclIterate (one dispatch, SoA column gather)
-  // versus the unfused Multiply -> Inflate -> Prune it replaces, single
-  // thread, bit-identical by contract.
-  const double require_fused = quick ? 1.1 : 1.2;
-  cluster::Graph graph =
-      SyntheticGraph(quick ? 20'000 : 60'000, /*edges_per_vertex=*/8);
-  FusedKernelRun fused = CompareFusedKernel(MclMatrix(graph));
-  std::printf("\nfused MclIterate: %.4fs vs unfused %.4fs (%.2fx, "
-              "required >= %.2fx)%s\n",
-              fused.fused_seconds, fused.unfused_seconds, fused.speedup(),
-              require_fused,
-              fused.identical ? "" : "  ITERATE MISMATCH");
-  report.Config("require_fused_speedup", require_fused);
-  report.Metric("fused_iterate_seconds", fused.fused_seconds);
-  report.Metric("unfused_iterate_seconds", fused.unfused_seconds);
-  report.Metric("fused_speedup", fused.speedup());
-  all_identical = all_identical && fused.identical;
   report.Metric("identical", all_identical ? 1.0 : 0.0);
 
   // On one core the thread-scaling floors are vacuous (0.4x collapse
@@ -280,17 +163,11 @@ int main(int argc, char** argv) {
   report.Metric("scaling_gates",
                 scaling_meaningful ? std::string("enforced")
                                    : std::string("skipped-1core"));
-  report.Metric("gates_pass",
-                (gates_pass && fused.speedup() >= require_fused) ? 1.0 : 0.0);
+  report.Metric("gates_pass", gates_pass ? 1.0 : 0.0);
   report.Write();
   std::printf("\nclustering results across thread counts: %s\n",
               all_identical ? "bit-identical" : "MISMATCH (bug!)");
   if (!all_identical) return 1;
-  if (fused.speedup() < require_fused) {
-    std::printf("fused-kernel gate FAILED (%.2fx < %.2fx)\n", fused.speedup(),
-                require_fused);
-    return 3;
-  }
   if (!scaling_meaningful) {
     std::printf("scaling gates SKIPPED (threads_hw=1: multi-thread floors "
                 "are vacuous on one core)\n");

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "cluster/components.h"
-#include "common/arena.h"
 #include "common/parallel.h"
 #include "netsim/rng.h"
 
@@ -69,9 +66,7 @@ Graph BuildSimilarityGraph(std::span<const AggregateBlock> aggregates,
   graph.vertex_count = static_cast<std::uint32_t>(aggregates.size());
   // Flat inverted index: one (router, vertex) pair per membership,
   // sorted by router then vertex.  A router's bucket is then one
-  // contiguous, vertex-ascending run found by binary search — the same
-  // candidates the hash-map reference produces, without per-bucket heap
-  // vectors or hashing on the query path.
+  // contiguous, vertex-ascending run found by binary search.
   std::size_t memberships = 0;
   for (const AggregateBlock& aggregate : aggregates) {
     memberships += aggregate.last_hops.size();
@@ -84,80 +79,11 @@ Graph BuildSimilarityGraph(std::span<const AggregateBlock> aggregates,
     }
   }
   std::sort(by_router.begin(), by_router.end());
-  // Each vertex a emits its edges to higher-numbered neighbours, exactly
-  // as the reference; per shard the edges accumulate in an arena-backed
-  // segment chain, so growth is a bump allocation and never copies the
-  // edges already emitted.  Chunks ascend with the shard index, so
-  // stitching shard buffers in order yields the (a, b)-sorted edge list
-  // for every thread count.
-  struct ShardEdges {
-    ShardEdges() = default;  // Arena's explicit ctor bars aggregate init.
-    common::Arena arena;
-    std::optional<common::ArenaVector<Graph::Edge>> edges;
-  };
-  const std::size_t slots =
-      pool != nullptr ? static_cast<std::size_t>(pool->thread_count()) : 1;
-  common::PerShard<ShardEdges> edges_by_shard(slots);
-  common::ForEachChunk(
-      pool, aggregates.size(), 1, [&](common::ChunkRange chunk) {
-        ShardEdges& shard = *edges_by_shard[chunk.shard];
-        if (!shard.edges.has_value()) {
-          shard.edges.emplace(&shard.arena, /*first_capacity=*/128);
-        }
-        common::ArenaVector<Graph::Edge>& edges = *shard.edges;
-        std::vector<std::uint32_t> candidates;
-        for (std::size_t a = chunk.begin; a < chunk.end; ++a) {
-          candidates.clear();
-          for (netsim::Ipv4Address router : aggregates[a].last_hops) {
-            const std::uint32_t rv = router.value();
-            auto it = std::lower_bound(
-                by_router.begin(), by_router.end(),
-                std::pair<std::uint32_t, std::uint32_t>(rv, 0));
-            for (; it != by_router.end() && it->first == rv; ++it) {
-              if (it->second > a) candidates.push_back(it->second);
-            }
-          }
-          std::sort(candidates.begin(), candidates.end());
-          candidates.erase(
-              std::unique(candidates.begin(), candidates.end()),
-              candidates.end());
-          for (std::uint32_t b : candidates) {
-            double w = Similarity(aggregates[a].last_hops,
-                                  aggregates[b].last_hops);
-            if (w > 0.0) {
-              edges.push_back({static_cast<std::uint32_t>(a), b, w});
-            }
-          }
-        }
-      });
-  std::size_t total = 0;
-  for (const auto& shard : edges_by_shard) {
-    if (shard->edges.has_value()) total += shard->edges->size();
-  }
-  graph.edges.reserve(total);
-  for (const auto& shard : edges_by_shard) {
-    if (shard->edges.has_value()) shard->edges->AppendTo(graph.edges);
-  }
-  return graph;
-}
-
-Graph BuildSimilarityGraphReference(std::span<const AggregateBlock> aggregates,
-                                    common::ThreadPool* pool) {
-  Graph graph;
-  graph.vertex_count = static_cast<std::uint32_t>(aggregates.size());
-  // Inverted index: last-hop interface -> aggregates containing it (each
-  // bucket in ascending vertex order by construction).
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> by_router;
-  for (std::uint32_t v = 0; v < aggregates.size(); ++v) {
-    for (netsim::Ipv4Address router : aggregates[v].last_hops) {
-      by_router[router.value()].push_back(v);
-    }
-  }
   // Each vertex a emits its edges to higher-numbered neighbours.  Shards
-  // take *contiguous* vertex chunks and append into one per-shard edge
-  // buffer (not one vector per vertex); chunks ascend with the shard
-  // index, so concatenating the shard buffers in shard order yields the
-  // same (a, b)-sorted edge list for every thread count.
+  // take contiguous vertex chunks and append into one per-shard edge
+  // buffer; chunks ascend with the shard index, so concatenating the
+  // shard buffers in shard order yields the same (a, b)-sorted edge list
+  // for every thread count.
   const std::size_t slots =
       pool != nullptr ? static_cast<std::size_t>(pool->thread_count()) : 1;
   common::PerShard<std::vector<Graph::Edge>> edges_by_shard(slots);
@@ -168,9 +94,12 @@ Graph BuildSimilarityGraphReference(std::span<const AggregateBlock> aggregates,
         for (std::size_t a = chunk.begin; a < chunk.end; ++a) {
           candidates.clear();
           for (netsim::Ipv4Address router : aggregates[a].last_hops) {
-            auto bucket = by_router.find(router.value());
-            for (std::uint32_t b : bucket->second) {
-              if (b > a) candidates.push_back(b);
+            const std::uint32_t rv = router.value();
+            auto it = std::lower_bound(
+                by_router.begin(), by_router.end(),
+                std::pair<std::uint32_t, std::uint32_t>(rv, 0));
+            for (; it != by_router.end() && it->first == rv; ++it) {
+              if (it->second > a) candidates.push_back(it->second);
             }
           }
           std::sort(candidates.begin(), candidates.end());

@@ -42,22 +42,13 @@ std::vector<AggregateBlock> AggregateIdentical(
 /// §6.3: the similarity graph.  Vertices are aggregates; an edge connects
 /// two aggregates with overlapping last-hop sets, weighted
 /// |A ∩ B| / max(|A|, |B|).  (Weight-1 edges cannot occur: identical sets
-/// were already merged.)  Edge generation shards over vertices on `pool`;
-/// the edge list comes back sorted by (a, b) regardless of thread count.
-///
-/// The production path routes candidate generation through a flat sorted
-/// (router, vertex) inverted index and accumulates each shard's edges in
-/// an arena-backed segment chain (common/arena.h) — no per-bucket heap
-/// vectors, no reallocation copies while edges grow.  Identical output
-/// to the reference below, pinned by tests and the bench gate.
+/// were already merged.)  Candidate pairs come from a flat sorted
+/// (router, vertex) inverted index; edge generation shards over vertices
+/// on `pool`, and the edge list comes back sorted by (a, b) regardless of
+/// thread count (pinned against a brute-force all-pairs oracle in
+/// tests/test_aggregate.cpp).
 Graph BuildSimilarityGraph(std::span<const AggregateBlock> aggregates,
                            common::ThreadPool* pool = nullptr);
-
-/// The original hash-map + std::vector implementation, kept as the
-/// differential reference for BuildSimilarityGraph (tests and
-/// bench_pipeline_scaling compare edges element-for-element).
-Graph BuildSimilarityGraphReference(std::span<const AggregateBlock> aggregates,
-                                    common::ThreadPool* pool = nullptr);
 
 /// §6.6: the experimental rule.  Looks at the distribution of pairwise
 /// /24-level similarity inside a cluster (within-aggregate pairs count as

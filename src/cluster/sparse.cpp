@@ -27,9 +27,9 @@ constexpr std::size_t kInlineIterationNonZeros = 2048;
 // simd.h).  The canonical MCL inflation (2.0) is the vector kernel's
 // single multiply — x*x and a correctly-rounded pow round identically —
 // and other powers take a scalar libm pass followed by the same
-// lane-ordered reduction.  The standalone Inflate kernel and the fused
-// iteration both call this one function, which keeps fused == unfused
-// bit-identity independent of the power and of the dispatched tier.
+// lane-ordered reduction.  The serial oracle in tests/sparse_oracle.h
+// repeats this rule exactly; that is what keeps the fused iteration
+// bit-identical to the unfused sequence for every power and tier.
 inline double InflateSweep(double* values, std::size_t count, double power,
                            const common::simd::Kernels& kernels) {
   if (power == 2.0) return kernels.square_accumulate(values, count);
@@ -39,11 +39,10 @@ inline double InflateSweep(double* values, std::size_t count, double power,
   return kernels.sum(values, count);
 }
 
-// Pruning selection, shared verbatim by Prune and the fused iteration:
-// keep the `max_per_column` largest of `kept` (already in row order),
-// then restore row order.  The exact nth_element/sort call sequence is
-// part of the bit-identity contract between the fused and unfused
-// paths.
+// Pruning selection: keep the `max_per_column` largest of `kept`
+// (already in row order), then restore row order.  The exact
+// nth_element/sort call sequence is part of the bit-identity contract
+// with the unfused oracle (tests/sparse_oracle.h).
 void SelectTopThenSortByRow(
     std::vector<std::pair<double, std::uint32_t>>& kept,
     std::size_t max_per_column) {
@@ -121,191 +120,6 @@ void SparseMatrix::NormalizeColumns(common::ThreadPool* pool) {
       });
 }
 
-void SparseMatrix::Inflate(double power, common::ThreadPool* pool) {
-  // Fused per-column pow + renormalize: each column's floating-point
-  // operations run in the fixed per-column order of the simd contract,
-  // so results cannot depend on the thread count or dispatched tier.
-  const common::simd::Kernels& kernels = common::simd::Active();
-  common::ForEachChunk(
-      pool, n_, kColumnGrain,
-      [this, power, &kernels](common::ChunkRange chunk) {
-        for (std::size_t c = chunk.begin; c < chunk.end; ++c) {
-          double* column = values_.data() + col_start_[c];
-          const std::size_t count = col_start_[c + 1] - col_start_[c];
-          const double sum = InflateSweep(column, count, power, kernels);
-          if (sum <= 0.0) continue;
-          kernels.divide(column, count, sum);
-        }
-      });
-}
-
-void SparseMatrix::Prune(double threshold, std::size_t max_per_column,
-                         common::ThreadPool* pool) {
-  const common::simd::Kernels& kernels = common::simd::Active();
-  if (!common::IsParallel(pool)) {
-    std::vector<std::size_t> new_start(n_ + 1, 0);
-    std::vector<std::uint32_t> new_rows;
-    std::vector<double> new_values;
-    new_rows.reserve(rows_.size());
-    new_values.reserve(values_.size());
-    std::vector<std::pair<double, std::uint32_t>> kept;
-    for (std::uint32_t c = 0; c < n_; ++c) {
-      const std::size_t count = col_start_[c + 1] - col_start_[c];
-      kept.resize(count);
-      kept.resize(kernels.filter_ge(values_.data() + col_start_[c],
-                                    rows_.data() + col_start_[c], count,
-                                    threshold, kept.data()));
-      SelectTopThenSortByRow(kept, max_per_column);
-      for (const auto& [value, row] : kept) {
-        new_rows.push_back(row);
-        new_values.push_back(value);
-      }
-      new_start[c + 1] = new_rows.size();
-    }
-    col_start_ = std::move(new_start);
-    rows_ = std::move(new_rows);
-    values_ = std::move(new_values);
-    NormalizeColumns(pool);
-    return;
-  }
-
-  // Parallel: each shard prunes its contiguous chunk of columns into
-  // one per-shard buffer (per-column contents identical to the serial
-  // path above), stitched back in shard = column order.
-  common::PerShard<ShardColumns> shards(
-      static_cast<std::size_t>(pool->thread_count()));
-  pool->ForEachChunk(n_, kColumnGrain, [&](common::ChunkRange chunk) {
-    ShardColumns& out = *shards[chunk.shard];
-    out.used = true;
-    out.first_column = chunk.begin;
-    out.counts.reserve(chunk.size());
-    std::vector<std::pair<double, std::uint32_t>> kept;
-    for (std::size_t c = chunk.begin; c < chunk.end; ++c) {
-      const std::size_t count = col_start_[c + 1] - col_start_[c];
-      kept.resize(count);
-      kept.resize(kernels.filter_ge(values_.data() + col_start_[c],
-                                    rows_.data() + col_start_[c], count,
-                                    threshold, kept.data()));
-      SelectTopThenSortByRow(kept, max_per_column);
-      for (const auto& [value, row] : kept) {
-        out.rows.push_back(row);
-        out.values.push_back(value);
-      }
-      out.counts.push_back(static_cast<std::uint32_t>(kept.size()));
-    }
-  });
-  std::vector<std::size_t> new_start(n_ + 1, 0);
-  std::vector<std::uint32_t> new_rows;
-  std::vector<double> new_values;
-  std::size_t total = 0;
-  for (const auto& shard : shards) {
-    if (shard->used) total += shard->rows.size();
-  }
-  new_rows.reserve(total);
-  new_values.reserve(total);
-  for (const auto& shard : shards) {
-    const ShardColumns& out = *shard;
-    if (!out.used) continue;
-    for (std::size_t k = 0; k < out.counts.size(); ++k) {
-      new_start[out.first_column + k + 1] =
-          new_start[out.first_column + k] + out.counts[k];
-    }
-    new_rows.insert(new_rows.end(), out.rows.begin(), out.rows.end());
-    new_values.insert(new_values.end(), out.values.begin(),
-                      out.values.end());
-  }
-  col_start_ = std::move(new_start);
-  rows_ = std::move(new_rows);
-  values_ = std::move(new_values);
-  NormalizeColumns(pool);
-}
-
-SparseMatrix SparseMatrix::Multiply(const SparseMatrix& other,
-                                    common::ThreadPool* pool) const {
-  // result = this * other, column by column: result[:,c] is a linear
-  // combination of this's columns selected by other[:,c].  Each output
-  // column is computed by exactly one shard with the same accumulation
-  // order as the serial loop, so the product is thread-count-invariant.
-  SparseMatrix result(n_);
-  if (!common::IsParallel(pool)) {
-    std::vector<double> accumulator(n_, 0.0);
-    std::vector<std::uint32_t> touched;
-    for (std::uint32_t c = 0; c < n_; ++c) {
-      touched.clear();
-      ColumnView oc = other.Column(c);
-      for (std::size_t i = 0; i < oc.count; ++i) {
-        const std::uint32_t k = oc.rows[i];
-        const double w = oc.values[i];
-        ColumnView tc = Column(k);
-        for (std::size_t j = 0; j < tc.count; ++j) {
-          const std::uint32_t r = tc.rows[j];
-          if (accumulator[r] == 0.0) touched.push_back(r);
-          accumulator[r] += w * tc.values[j];
-        }
-      }
-      std::sort(touched.begin(), touched.end());
-      for (std::uint32_t r : touched) {
-        result.rows_.push_back(r);
-        result.values_.push_back(accumulator[r]);
-        accumulator[r] = 0.0;
-      }
-      result.col_start_[c + 1] = result.rows_.size();
-    }
-    return result;
-  }
-
-  common::PerShard<ShardColumns> shards(
-      static_cast<std::size_t>(pool->thread_count()));
-  pool->ForEachChunk(n_, kColumnGrain, [&](common::ChunkRange chunk) {
-    ShardColumns& out = *shards[chunk.shard];
-    out.used = true;
-    out.first_column = chunk.begin;
-    out.counts.reserve(chunk.size());
-    std::vector<double> accumulator(n_, 0.0);
-    std::vector<std::uint32_t> touched;
-    for (std::size_t c = chunk.begin; c < chunk.end; ++c) {
-      touched.clear();
-      ColumnView oc = other.Column(static_cast<std::uint32_t>(c));
-      for (std::size_t i = 0; i < oc.count; ++i) {
-        const std::uint32_t k = oc.rows[i];
-        const double w = oc.values[i];
-        ColumnView tc = Column(k);
-        for (std::size_t j = 0; j < tc.count; ++j) {
-          const std::uint32_t r = tc.rows[j];
-          if (accumulator[r] == 0.0) touched.push_back(r);
-          accumulator[r] += w * tc.values[j];
-        }
-      }
-      std::sort(touched.begin(), touched.end());
-      for (std::uint32_t r : touched) {
-        out.rows.push_back(r);
-        out.values.push_back(accumulator[r]);
-        accumulator[r] = 0.0;
-      }
-      out.counts.push_back(static_cast<std::uint32_t>(touched.size()));
-    }
-  });
-  std::size_t total = 0;
-  for (const auto& shard : shards) {
-    if (shard->used) total += shard->rows.size();
-  }
-  result.rows_.reserve(total);
-  result.values_.reserve(total);
-  for (const auto& shard : shards) {
-    const ShardColumns& out = *shard;
-    if (!out.used) continue;
-    for (std::size_t k = 0; k < out.counts.size(); ++k) {
-      result.col_start_[out.first_column + k + 1] =
-          result.col_start_[out.first_column + k] + out.counts[k];
-    }
-    result.rows_.insert(result.rows_.end(), out.rows.begin(),
-                        out.rows.end());
-    result.values_.insert(result.values_.end(), out.values.begin(),
-                          out.values.end());
-  }
-  return result;
-}
-
 SparseMatrix SparseMatrix::MclIterate(double inflation,
                                       double prune_threshold,
                                       std::size_t max_per_column,
@@ -315,8 +129,9 @@ SparseMatrix SparseMatrix::MclIterate(double inflation,
   // (this × this), inflation, pruning, renormalization and the
   // convergence delta without leaving its shard.  Per column the
   // floating-point operations and their order are exactly those of the
-  // Multiply → Inflate → Prune call sequence (see the pinning test in
-  // tests/test_sparse.cpp), so the fusion — like the thread count and
+  // unfused multiply → inflate → prune → normalize sequence (the serial
+  // oracle in tests/sparse_oracle.h, pinned by tests/test_sparse.cpp), so
+  // the fusion — like the thread count and
   // the dispatched simd tier — cannot change a single bit of the result.
   const common::simd::Kernels& kernels = common::simd::Active();
   if (rows_.size() < kInlineIterationNonZeros) pool = nullptr;
@@ -367,8 +182,7 @@ SparseMatrix SparseMatrix::MclIterate(double inflation,
         accumulator[r] = 0.0;
       }
       // Inflation sweep (vector kernel): pow every entry in row order,
-      // then normalize (columns summing to zero stay unnormalized, as
-      // in Inflate).
+      // then normalize (columns summing to zero stay unnormalized).
       const double sum =
           InflateSweep(column.data(), touched_count, inflation, kernels);
       if (sum > 0.0) {
@@ -377,7 +191,7 @@ SparseMatrix SparseMatrix::MclIterate(double inflation,
       // Pruning (vector compare + compaction) + renormalization over
       // the kept entries.  The kept sum reduces through LaneAccumulator
       // — the same fixed order NormalizeColumns' kernel uses over the
-      // pruned column in the unfused path.
+      // pruned column in the unfused sequence.
       kept.resize(touched_count);
       kept.resize(kernels.filter_ge(column.data(), touched.data(),
                                     touched_count, prune_threshold,

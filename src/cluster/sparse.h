@@ -5,11 +5,11 @@
 // expansion (matrix squaring — flow spreads) with inflation (entry-wise
 // powering — flow sharpens).  Everything here is column-oriented because
 // both normalisation and pruning operate per column.
-// All mutating operations optionally take a `common::ThreadPool*`; work is
-// sharded *by column*, and every column's floating-point operations happen
-// in the same order regardless of the thread count, so parallel results
-// are bit-identical to serial ones (see src/common/parallel.h for the
-// sharding contract).
+// NormalizeColumns and MclIterate optionally take a `common::ThreadPool*`;
+// work is sharded *by column*, and every column's floating-point
+// operations happen in the same order regardless of the thread count, so
+// parallel results are bit-identical to serial ones (see
+// src/common/parallel.h for the sharding contract).
 #pragma once
 
 #include <cstdint>
@@ -54,29 +54,17 @@ class SparseMatrix {
   /// Scales every column to sum 1 (columns with zero sum are left empty).
   void NormalizeColumns(common::ThreadPool* pool = nullptr);
 
-  /// Raises each entry to `power`, then renormalizes columns.
-  void Inflate(double power, common::ThreadPool* pool = nullptr);
-
-  /// Drops entries below `threshold` and keeps at most `max_per_column`
-  /// largest entries per column, then renormalizes.  This is the pruning
-  /// that keeps MCL's iterates sparse.
-  void Prune(double threshold, std::size_t max_per_column,
-             common::ThreadPool* pool = nullptr);
-
-  /// this × other (both column-stochastic n×n); returns the product.
-  SparseMatrix Multiply(const SparseMatrix& other,
-                        common::ThreadPool* pool = nullptr) const;
-
-  /// One fused MCL iteration: expansion (this × this), inflation,
-  /// pruning and column renormalization in a single parallel dispatch —
-  /// bit-identical to the Multiply/Inflate/Prune call sequence (each
-  /// output column's floating-point operations run in exactly the
-  /// reference order), but with one pool wake-up per iteration instead
-  /// of one per kernel and per-shard contiguous output buffers instead
-  /// of per-column allocations.  After expansion each column is gathered
-  /// into a densely packed value array, so inflation, normalization and
-  /// pruning are contiguous (vectorizable) sweeps rather than scatters
-  /// through an n-sized accumulator.  When `max_difference` is non-null
+  /// One MCL iteration: expansion (this × this), inflation (entries
+  /// raised to `inflation`, columns renormalized), pruning (entries below
+  /// `prune_threshold` dropped, at most `max_per_column` largest kept)
+  /// and column renormalization, fused into a single parallel dispatch.
+  /// Each output column's floating-point operations run in exactly the
+  /// order of the unfused step-by-step sequence (the serial oracle in
+  /// tests/sparse_oracle.h), so the result is bit-identical to it.
+  /// After expansion each column is gathered into a densely packed value
+  /// array, so inflation, normalization and pruning are contiguous
+  /// (vectorizable) sweeps rather than scatters through an n-sized
+  /// accumulator.  When `max_difference` is non-null
   /// it receives MaxDifference(result, *this), computed on the fly.
   SparseMatrix MclIterate(double inflation, double prune_threshold,
                           std::size_t max_per_column,

@@ -1,10 +1,10 @@
-// arena.h — bump allocation for hot-path scratch and edge buffers.
+// arena.h — bump allocation for hot-path scratch and member lists.
 //
-// The similarity-graph build and the measurement fast path allocate many
-// short-lived, variably-sized buffers per shard (edge lists, candidate
-// scratch, memo tables).  The general-purpose allocator charges a lock,
-// a size-class search and cache-cold metadata for each of them; an Arena
-// charges a pointer bump.  The intended shape is one Arena per shard
+// The measurement fast path and the streaming campaign allocate many
+// short-lived, variably-sized buffers (memo tables, per-block member
+// lists).  The general-purpose allocator charges a lock, a size-class
+// search and cache-cold metadata for each of them; an Arena charges a
+// pointer bump.  The intended shape is one Arena per shard
 // (`common::PerShard<Arena>`), reset between campaigns, so parallel
 // stages never contend on malloc and objects that are freed together are
 // also laid out together.
@@ -146,8 +146,7 @@ class Arena {
 /// A growable buffer of trivially destructible Ts in arena storage.  A
 /// chain of geometrically growing segments: growth never moves elements,
 /// so `push_back` invalidates nothing, and the only way out is an
-/// in-order copy (`AppendTo`) or walk (`ForEach`) — which is exactly the
-/// stitch-shard-buffers-in-order access pattern of the parallel stages.
+/// in-order copy (`AppendTo`) or walk (`ForEach`).
 template <typename T>
 class ArenaVector {
   static_assert(std::is_trivially_destructible_v<T>,

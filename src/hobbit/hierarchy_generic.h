@@ -134,8 +134,8 @@ void IntersectSortedInPlace(Container& common, const OtherContainer& other) {
 /// members never move a min or max, multi-interface observations join
 /// every touched group (same as the batch grouping), and group count
 /// equals the number of distinct last-hop interfaces either way.  The
-/// differential test (tests/test_incremental_grouping.cpp) checks this on
-/// randomized sequences.
+/// differential tests (tests/test_incremental_grouping.cpp) check this on
+/// randomized sequences and on every prefix of a campaign's observations.
 template <typename Address>
 class BasicIncrementalGrouping {
  public:

@@ -81,8 +81,7 @@ void MergeLastHops(std::vector<netsim::Ipv4Address>& set,
 
 BlockResult BlockProber::ProbeBlock(const probing::ZmapBlock& block,
                                     netsim::Rng rng) {
-  probing::LastHopProber prober(simulator_,
-                                options_.route_memo ? &memo_ : nullptr,
+  probing::LastHopProber prober(simulator_, &memo_,
                                 options_.mda_lite ? probing::MdaMode::kLite
                                                   : probing::MdaMode::kFull);
   BlockResult result = ProbeBlockImpl(block, rng, prober);
@@ -102,22 +101,10 @@ BlockResult BlockProber::ProbeBlockImpl(const probing::ZmapBlock& block,
 
   DestinationSchedule schedule(block, rng.Fork(0x5C4EDULL));
 
-  // Grouping state.  The incremental path folds each observation into
-  // per-last-hop [min, max] ranges as it arrives (O(log g)); the batch
-  // path regroups everything after every probe (the original O(n^2)
-  // reference, kept for differential testing).  Same verdicts either way;
-  // see BasicIncrementalGrouping.
-  IncrementalGrouping incremental;
-  std::vector<AddressGroup> groups;
-  const auto cardinality_now = [&]() {
-    return static_cast<int>(options_.incremental_grouping
-                                ? incremental.group_count()
-                                : groups.size());
-  };
-  const auto non_hierarchical_now = [&]() {
-    return options_.incremental_grouping ? !incremental.Hierarchical()
-                                         : !GroupsAreHierarchical(groups);
-  };
+  // Grouping state: each observation folds into per-last-hop [min, max]
+  // ranges as it arrives (O(log g)), with the same verdicts as a batch
+  // GroupByLastHop regroup; see BasicIncrementalGrouping.
+  IncrementalGrouping grouping;
 
   int usable = 0;                 // destinations with an identified last hop
   int consecutive_no_new = 0;     // reprobe strategy counter
@@ -150,12 +137,8 @@ BlockResult BlockProber::ProbeBlockImpl(const probing::ZmapBlock& block,
     consecutive_no_new =
         result.last_hop_set.size() == before ? consecutive_no_new + 1 : 0;
 
-    if (options_.incremental_grouping) {
-      incremental.Add(result.observations.back());
-    } else {
-      groups = GroupByLastHop(result.observations);
-    }
-    const int cardinality = cardinality_now();
+    grouping.Add(result.observations.back());
+    const int cardinality = static_cast<int>(grouping.group_count());
 
     if (options_.reprobe_strategy) {
       // §6.5: keep going until the last-hop set is exhausted with MDA
@@ -169,7 +152,7 @@ BlockResult BlockProber::ProbeBlockImpl(const probing::ZmapBlock& block,
     }
 
     // Standard strategy terminations.
-    if (common.empty() && cardinality >= 2 && non_hierarchical_now()) {
+    if (common.empty() && cardinality >= 2 && !grouping.Hierarchical()) {
       result.classification = Classification::kNonHierarchical;
       return result;
     }
@@ -201,7 +184,7 @@ BlockResult BlockProber::ProbeBlockImpl(const probing::ZmapBlock& block,
                                 : Classification::kTooFewActive;
     return result;
   }
-  const int cardinality = cardinality_now();
+  const int cardinality = static_cast<int>(grouping.group_count());
   if (!common.empty()) {
     // A shared last hop throughout, but we never reached the
     // six-destination rule: the block had too few usable addresses to
@@ -211,7 +194,7 @@ BlockResult BlockProber::ProbeBlockImpl(const probing::ZmapBlock& block,
                                 : Classification::kTooFewActive;
     return result;
   }
-  if (cardinality >= 2 && non_hierarchical_now()) {
+  if (cardinality >= 2 && !grouping.Hierarchical()) {
     result.classification = Classification::kNonHierarchical;
     return result;
   }
@@ -246,8 +229,7 @@ FullyProbedBlock BlockProber::ProbeBlockFully(const probing::ZmapBlock& block,
   result.prefix = block.prefix;
 
   DestinationSchedule schedule(block, rng.Fork(0xF0BBULL));
-  probing::LastHopProber prober(simulator_,
-                                options_.route_memo ? &memo_ : nullptr,
+  probing::LastHopProber prober(simulator_, &memo_,
                                 options_.mda_lite ? probing::MdaMode::kLite
                                                   : probing::MdaMode::kFull);
   std::vector<netsim::Ipv4Address> union_set;

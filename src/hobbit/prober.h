@@ -42,14 +42,6 @@ struct ProberOptions {
   std::uint32_t min_cell_trials = 200;
   /// Reprobing mode: no early stops, MDA-style exhaustion of last hops.
   bool reprobe_strategy = false;
-  /// Maintain grouping state incrementally (O(log g) per observation)
-  /// instead of regrouping every observation after every probe.  The
-  /// classifications are identical; the toggle exists so differential
-  /// tests can compare against the reference batch path.
-  bool incremental_grouping = true;
-  /// Memoize FIB resolutions across a prober's probes (route_memo.h).
-  /// Probe replies are bit-identical either way; toggleable likewise.
-  bool route_memo = true;
   /// Enumerate last-hop interfaces under the MDA-Lite 90 % stopping rule
   /// (probing::MdaLiteProbeCount) instead of full MDA — cheaper per
   /// destination, may miss interfaces of wide hops.  Off by default; the
@@ -94,10 +86,11 @@ class BlockProber {
   const netsim::Simulator* simulator_;
   const ConfidenceTable* table_;
   ProberOptions options_;
-  /// Per-prober route memo — single-owner mutable state, so a prober must
-  /// not be shared across threads (the Simulator it probes through may
-  /// be).  Reused across blocks: the memo's exactness guarantee makes
-  /// cross-block reuse safe and is what amortizes the FIB searches.
+  /// Per-prober route memo (route_memo.h), used by every probe —
+  /// single-owner mutable state, so a prober must not be shared across
+  /// threads (the Simulator it probes through may be).  Reused across
+  /// blocks: the memo's exactness guarantee makes cross-block reuse safe
+  /// and is what amortizes the FIB searches.
   netsim::RouteMemo memo_;
   std::uint64_t probes_sent_ = 0;
 };

@@ -4,12 +4,9 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <cerrno>
@@ -18,6 +15,13 @@
 namespace hobbit::serve {
 
 namespace {
+
+constexpr int kListenBacklog = 128;
+/// Bytes read per read() call.
+constexpr std::size_t kReadChunkBytes = 64u * 1024;
+/// read() calls per readiness event, so one firehose connection cannot
+/// starve the rest (level-triggered readiness re-fires).
+constexpr int kReadsPerEvent = 4;
 
 bool SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
@@ -32,11 +36,11 @@ std::string Errno(const char* what) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Readiness backends.  Both are level-triggered: a fd with unread input or
-// unwritten output space keeps firing, which lets the per-event read budget
-// simply stop mid-stream and rely on the next wave.
+// Readiness: one level-triggered epoll set.  A fd with unread input or
+// unwritten output space keeps firing, which lets the per-event read
+// budget simply stop mid-stream and rely on the next wave.
 
-class Reactor::Poller {
+class Reactor::EpollPoller {
  public:
   struct Event {
     int fd = -1;
@@ -44,96 +48,27 @@ class Reactor::Poller {
     bool writable = false;
   };
 
-  virtual ~Poller() = default;
-  virtual bool Add(int fd, bool read, bool write) = 0;
-  virtual bool Update(int fd, bool read, bool write) = 0;
-  virtual void Remove(int fd) = 0;
-  /// Fills *out; returns false only on an unrecoverable backend error
-  /// (EINTR is retried by returning an empty wave).
-  virtual bool Wait(int timeout_ms, std::vector<Event>* out) = 0;
-};
-
-/// poll(2): the always-available fallback, and the only backend off
-/// Linux.  O(n) per wait, fine for the connection counts a test or a
-/// modest deployment sees.
-class Reactor::PollPoller : public Reactor::Poller {
- public:
-  bool Add(int fd, bool read, bool write) override {
-    index_[fd] = fds_.size();
-    fds_.push_back({fd, Mask(read, write), 0});
-    return true;
-  }
-
-  bool Update(int fd, bool read, bool write) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return false;
-    fds_[it->second].events = Mask(read, write);
-    return true;
-  }
-
-  void Remove(int fd) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    std::size_t pos = it->second;
-    index_.erase(it);
-    fds_[pos] = fds_.back();
-    fds_.pop_back();
-    if (pos < fds_.size()) index_[fds_[pos].fd] = pos;
-  }
-
-  bool Wait(int timeout_ms, std::vector<Event>* out) override {
-    out->clear();
-    int n = ::poll(fds_.data(), static_cast<nfds_t>(fds_.size()),
-                   timeout_ms);
-    if (n < 0) {
-      return errno == EINTR;  // spurious wakeup: empty wave, loop retries
-    }
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      Event event;
-      event.fd = p.fd;
-      // Errors and hangups surface as readability so the read path can
-      // collect the real errno / EOF.
-      event.readable =
-          (p.revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL)) != 0;
-      event.writable = (p.revents & POLLOUT) != 0;
-      out->push_back(event);
-      if (static_cast<int>(out->size()) == n) break;
-    }
-    return true;
-  }
-
- private:
-  static short Mask(bool read, bool write) {
-    return static_cast<short>((read ? POLLIN : 0) | (write ? POLLOUT : 0));
-  }
-
-  std::vector<pollfd> fds_;
-  std::unordered_map<int, std::size_t> index_;
-};
-
-#ifdef __linux__
-class Reactor::EpollPoller : public Reactor::Poller {
- public:
   EpollPoller() : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
+  ~EpollPoller() {
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
   }
+  EpollPoller(const EpollPoller&) = delete;
+  EpollPoller& operator=(const EpollPoller&) = delete;
 
-  bool valid() const { return epoll_fd_ >= 0; }
-
-  bool Add(int fd, bool read, bool write) override {
+  bool Add(int fd, bool read, bool write) {
     return Ctl(EPOLL_CTL_ADD, fd, read, write);
   }
-  bool Update(int fd, bool read, bool write) override {
+  bool Update(int fd, bool read, bool write) {
     return Ctl(EPOLL_CTL_MOD, fd, read, write);
   }
-  void Remove(int fd) override {
+  void Remove(int fd) {
     epoll_event unused{};
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &unused);
   }
 
-  bool Wait(int timeout_ms, std::vector<Event>* out) override {
+  /// Fills *out; returns false only on an unrecoverable error (EINTR is
+  /// an empty wave the loop retries).
+  bool Wait(int timeout_ms, std::vector<Event>* out) {
     out->clear();
     epoll_event events[kMaxEvents];
     int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
@@ -141,6 +76,8 @@ class Reactor::EpollPoller : public Reactor::Poller {
     for (int i = 0; i < n; ++i) {
       Event event;
       event.fd = events[i].data.fd;
+      // Errors and hangups surface as readability so the read path can
+      // collect the real errno / EOF.
       event.readable =
           (events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0;
       event.writable = (events[i].events & EPOLLOUT) != 0;
@@ -161,7 +98,6 @@ class Reactor::EpollPoller : public Reactor::Poller {
 
   int epoll_fd_;
 };
-#endif  // __linux__
 
 // ---------------------------------------------------------------------------
 
@@ -183,26 +119,14 @@ struct Reactor::Channel {
 
 Reactor::Reactor(SnapshotStore* store, ServeMetrics* metrics,
                  common::ThreadPool* pool, ReactorOptions options)
-    : options_(std::move(options)), service_(store, metrics, pool) {
-#ifdef __linux__
-  if (!options_.use_poll) {
-    auto epoll = std::make_unique<EpollPoller>();
-    if (epoll->valid()) poller_ = std::move(epoll);
-  }
-#endif
-  if (poller_ == nullptr) poller_ = std::make_unique<PollPoller>();
-  read_scratch_.resize(options_.read_chunk_bytes > 0
-                           ? options_.read_chunk_bytes
-                           : 1);
+    : options_(std::move(options)),
+      service_(store, metrics, pool),
+      poller_(std::make_unique<EpollPoller>()),
+      read_scratch_(kReadChunkBytes) {
   // The self-pipe lets Stop() (any thread, or a signal handler) wake a
   // blocked Wait with one write().
   int pipe_fds[2] = {-1, -1};
-#ifdef __linux__
   if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) == 0) {
-#else
-  if (::pipe(pipe_fds) == 0 && SetNonBlocking(pipe_fds[0]) &&
-      SetNonBlocking(pipe_fds[1])) {
-#endif
     wake_read_fd_ = pipe_fds[0];
     wake_write_fd_ = pipe_fds[1];
     poller_->Add(wake_read_fd_, /*read=*/true, /*write=*/false);
@@ -246,7 +170,7 @@ bool Reactor::Listen(std::string* error) {
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&address),
              sizeof(address)) != 0 ||
-      ::listen(listen_fd_, options_.listen_backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     if (error != nullptr) *error = Errno("bind/listen");
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -257,7 +181,12 @@ bool Reactor::Listen(std::string* error) {
                     &length) == 0) {
     port_ = ntohs(address.sin_port);
   }
-  poller_->Add(listen_fd_, /*read=*/true, /*write=*/false);
+  if (!poller_->Add(listen_fd_, /*read=*/true, /*write=*/false)) {
+    if (error != nullptr) *error = Errno("epoll_ctl");
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return false;
+  }
   return true;
 }
 
@@ -290,14 +219,14 @@ void Reactor::Wake() {
 }
 
 int Reactor::Run() {
-  std::vector<Poller::Event> events;
+  std::vector<EpollPoller::Event> events;
   for (;;) {
     auto now = std::chrono::steady_clock::now();
     if (!poller_->Wait(NextTimeoutMs(now), &events)) return 2;
     now = std::chrono::steady_clock::now();
 
     bool accept_ready = false;
-    for (const Poller::Event& event : events) {
+    for (const EpollPoller::Event& event : events) {
       if (event.fd == wake_read_fd_) {
         char sink[64];
         while (::read(wake_read_fd_, sink, sizeof(sink)) > 0) {
@@ -337,12 +266,8 @@ int Reactor::Run() {
 
 void Reactor::AcceptReady(std::chrono::steady_clock::time_point now) {
   for (;;) {
-#ifdef __linux__
     int fd = ::accept4(listen_fd_, nullptr, nullptr,
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
-#else
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-#endif
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       return;  // EAGAIN/EWOULDBLOCK or a transient accept failure
@@ -391,7 +316,7 @@ void Reactor::AddChannel(int fd, std::chrono::steady_clock::time_point now,
 void Reactor::HandleReadable(Channel* channel,
                              std::chrono::steady_clock::time_point now) {
   if (channel->dead || channel->saw_eof || channel->conn.done()) return;
-  for (int round = 0; round < options_.reads_per_event; ++round) {
+  for (int round = 0; round < kReadsPerEvent; ++round) {
     ssize_t n =
         ::read(channel->fd, read_scratch_.data(), read_scratch_.size());
     if (n > 0) {

@@ -6,8 +6,8 @@
 // the write buffer and its backpressure marks) lives in serve::Connection
 // so it stays unit-testable without sockets.  The division of labour:
 //
-//   reactor  — readiness (epoll on Linux, poll() everywhere / on demand),
-//              accept, read()/write() with EINTR/EAGAIN discipline,
+//   reactor  — readiness (epoll, so the server needs Linux), accept,
+//              read()/write() with EINTR/EAGAIN discipline,
 //              interest updates, idle/slow-client deadlines, graceful
 //              shutdown draining.
 //   connection — bytes -> lines -> commands -> reply bytes.
@@ -58,23 +58,14 @@ struct ReactorOptions {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   std::uint16_t port = 0;
-  int listen_backlog = 128;
   /// Accepted connections beyond this are closed immediately.
   std::size_t max_connections = 1024;
-  /// Bytes read per read() call.
-  std::size_t read_chunk_bytes = 64u * 1024;
-  /// read() calls per readiness event, so one firehose connection
-  /// cannot starve the rest (level-triggered readiness re-fires).
-  int reads_per_event = 4;
   ConnectionLimits limits;
   /// Evict a connection after this long without read or write progress;
   /// <= 0 disables.
   std::chrono::milliseconds idle_timeout{60000};
   /// Shutdown grace: how long Stop() keeps flushing pending replies.
   std::chrono::milliseconds drain_timeout{5000};
-  /// Force the poll() backend even where epoll is available (the
-  /// fallback path is always buildable and testable).
-  bool use_poll = false;
 };
 
 /// Loop counters.  Relaxed atomics: written by the reactor thread,
@@ -137,11 +128,7 @@ class Reactor {
 
  private:
   struct Channel;
-  class Poller;
-  class PollPoller;
-#ifdef __linux__
   class EpollPoller;
-#endif
 
   void Wake();
   void AcceptReady(std::chrono::steady_clock::time_point now);
@@ -164,9 +151,9 @@ class Reactor {
   ReactorOptions options_;
   LineService service_;
 
-  std::unique_ptr<Poller> poller_;
-  std::unordered_map<int, std::unique_ptr<Channel>> channels_;
+  std::unique_ptr<EpollPoller> poller_;
   std::vector<char> read_scratch_;
+  std::unordered_map<int, std::unique_ptr<Channel>> channels_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   int wake_read_fd_ = -1;

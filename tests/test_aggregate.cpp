@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "hobbit/pipeline.h"
 #include "netsim/internet.h"
+#include "netsim/rng.h"
 #include "test_util.h"
 
 namespace hobbit::cluster {
@@ -95,6 +99,79 @@ TEST(SimilarityGraph, NoDuplicateEdgesWhenSharingManyRouters) {
   Graph graph = BuildSimilarityGraph(aggregates);
   ASSERT_EQ(graph.edges.size(), 1u);
   EXPECT_NEAR(graph.edges.front().weight, 2.0 / 3.0, 1e-12);
+}
+
+// Brute-force oracle: every pair a < b, weighted |A ∩ B| / max(|A|, |B|)
+// by a plain merge intersection, emitted when the weight is positive.
+Graph AllPairsSimilarityGraph(std::span<const AggregateBlock> aggregates) {
+  Graph graph;
+  graph.vertex_count = static_cast<std::uint32_t>(aggregates.size());
+  for (std::uint32_t a = 0; a < graph.vertex_count; ++a) {
+    for (std::uint32_t b = a + 1; b < graph.vertex_count; ++b) {
+      const auto& x = aggregates[a].last_hops;
+      const auto& y = aggregates[b].last_hops;
+      std::size_t i = 0, j = 0, common = 0;
+      while (i < x.size() && j < y.size()) {
+        if (x[i] < y[j]) {
+          ++i;
+        } else if (y[j] < x[i]) {
+          ++j;
+        } else {
+          ++common;
+          ++i;
+          ++j;
+        }
+      }
+      const double weight = static_cast<double>(common) /
+                            static_cast<double>(std::max(x.size(), y.size()));
+      if (weight > 0.0) graph.edges.push_back({a, b, weight});
+    }
+  }
+  return graph;
+}
+
+/// Aggregates with overlapping last-hop sets drawn from a small router
+/// pool, so the graph has edges in every shard's vertex chunk.
+std::vector<AggregateBlock> RandomAggregates(std::size_t count) {
+  netsim::Rng rng(97);
+  std::vector<AggregateBlock> aggregates(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    AggregateBlock& block = aggregates[i];
+    block.member_24s.push_back(netsim::Prefix::Of(
+        netsim::Ipv4Address(static_cast<std::uint32_t>((i + 1) << 8)), 24));
+    const std::size_t hops = 2 + rng.NextBelow(4);
+    while (block.last_hops.size() < hops) {
+      const netsim::Ipv4Address hop(
+          0x0A000000u + static_cast<std::uint32_t>(rng.NextBelow(40)));
+      if (std::find(block.last_hops.begin(), block.last_hops.end(), hop) ==
+          block.last_hops.end()) {
+        block.last_hops.push_back(hop);
+      }
+    }
+    std::sort(block.last_hops.begin(), block.last_hops.end());
+  }
+  return aggregates;
+}
+
+// The inverted-index build must emit the oracle's edge list element for
+// element — same (a, b) order, same exact weights — at every thread
+// count.
+TEST(SimilarityGraph, MatchesAllPairsOracleAcrossThreadCounts) {
+  const auto aggregates = RandomAggregates(160);
+  const Graph oracle = AllPairsSimilarityGraph(aggregates);
+  ASSERT_GT(oracle.edges.size(), 0u);
+  for (int threads : {1, 2, 7}) {
+    SCOPED_TRACE(threads);
+    common::ThreadPool pool(threads);
+    const Graph graph = BuildSimilarityGraph(aggregates, &pool);
+    EXPECT_EQ(graph.vertex_count, oracle.vertex_count);
+    ASSERT_EQ(graph.edges.size(), oracle.edges.size());
+    for (std::size_t e = 0; e < oracle.edges.size(); ++e) {
+      EXPECT_EQ(graph.edges[e].a, oracle.edges[e].a) << e;
+      EXPECT_EQ(graph.edges[e].b, oracle.edges[e].b) << e;
+      EXPECT_EQ(graph.edges[e].weight, oracle.edges[e].weight) << e;
+    }
+  }
 }
 
 TEST(MclAggregation, OverlappingFamilesCluster) {

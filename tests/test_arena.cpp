@@ -1,18 +1,13 @@
-// test_arena.cpp — property tests for the bump allocator behind the
-// similarity-graph edge buffers and RouteMemo (src/common/arena.h), plus
-// the cross-thread-count differential for the arena-backed
-// BuildSimilarityGraph.  Lives in the concurrency suite so the tsan
-// preset runs the per-shard isolation and parallel-build properties
-// under ThreadSanitizer.
+// test_arena.cpp — property tests for the bump allocator behind
+// RouteMemo and the streaming campaign's member lists
+// (src/common/arena.h).  Lives in the concurrency suite so the tsan
+// preset runs the per-shard isolation property under ThreadSanitizer.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <vector>
 
-#include "cluster/aggregate.h"
 #include "common/arena.h"
 #include "common/parallel.h"
 #include "netsim/rng.h"
@@ -194,63 +189,3 @@ TEST(ArenaParallel, PerShardArenasStayIsolatedAcrossThreadCounts) {
 
 }  // namespace
 }  // namespace hobbit::common
-
-namespace hobbit::cluster {
-namespace {
-
-/// Synthetic aggregates with overlapping last-hop sets drawn from a
-/// small router pool — dense enough that the similarity graph has real
-/// edges on every shard.
-std::vector<AggregateBlock> SyntheticAggregates(std::size_t count) {
-  netsim::Rng rng(97);
-  std::vector<AggregateBlock> aggregates(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    AggregateBlock& block = aggregates[i];
-    block.member_24s.push_back(netsim::Prefix::Of(
-        netsim::Ipv4Address(static_cast<std::uint32_t>((i + 1) << 8)), 24));
-    const std::size_t hops = 2 + rng.NextBelow(4);
-    std::vector<netsim::Ipv4Address> set;
-    while (set.size() < hops) {
-      const netsim::Ipv4Address hop(
-          0x0A000000u + static_cast<std::uint32_t>(rng.NextBelow(40)));
-      if (std::find(set.begin(), set.end(), hop) == set.end()) {
-        set.push_back(hop);
-      }
-    }
-    std::sort(set.begin(), set.end());
-    block.last_hops = std::move(set);
-  }
-  return aggregates;
-}
-
-// The arena-backed fast path must emit the reference edge list
-// element-for-element — same (a, b) order, same exact weights — for
-// every thread count.  Runs under tsan via the concurrency label.
-TEST(SimilarityGraph, ArenaFastPathMatchesReferenceAcrossThreadCounts) {
-  const auto aggregates = SyntheticAggregates(160);
-  const Graph reference = BuildSimilarityGraphReference(aggregates, nullptr);
-  ASSERT_GT(reference.edges.size(), 0u);
-  auto expect_same = [&](const Graph& got, const std::string& label) {
-    EXPECT_EQ(got.vertex_count, reference.vertex_count) << label;
-    ASSERT_EQ(got.edges.size(), reference.edges.size()) << label;
-    for (std::size_t i = 0; i < reference.edges.size(); ++i) {
-      EXPECT_EQ(got.edges[i].a, reference.edges[i].a) << label << " " << i;
-      EXPECT_EQ(got.edges[i].b, reference.edges[i].b) << label << " " << i;
-      EXPECT_EQ(got.edges[i].weight, reference.edges[i].weight)
-          << label << " " << i;
-    }
-  };
-  expect_same(BuildSimilarityGraph(aggregates, nullptr), "serial");
-  for (int threads : {1, 2, 7}) {
-    common::ThreadPool pool(threads);
-    expect_same(BuildSimilarityGraph(aggregates, &pool),
-                "threads=" + std::to_string(threads));
-    // The reference is itself thread-count invariant; pin that too so
-    // the differential stays meaningful.
-    expect_same(BuildSimilarityGraphReference(aggregates, &pool),
-                "reference threads=" + std::to_string(threads));
-  }
-}
-
-}  // namespace
-}  // namespace hobbit::cluster

@@ -9,9 +9,12 @@
 // src/common/parallel.h and DESIGN.md "Parallel execution model").
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,6 +27,7 @@
 #include "netsim/internet.h"
 #include "netsim/rng.h"
 #include "probing/zmap.h"
+#include "serve/snapshot.h"
 #include "test_util.h"
 
 namespace hobbit::netsim {
@@ -149,6 +153,86 @@ TEST(ZmapScan, GoldenSnapshot) {
   }
 }
 
+// FNV-1a over a final block list: per block its member count and
+// sorted member bases, then its hop count and sorted last hops, each
+// 32-bit value little-endian.
+std::uint64_t BlockListHash(std::span<const cluster::AggregateBlock> blocks) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto fold = [&hash](std::uint32_t value) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      hash = (hash ^ ((value >> shift) & 0xFF)) * 0x100000001b3ULL;
+    }
+  };
+  for (const cluster::AggregateBlock& block : blocks) {
+    fold(static_cast<std::uint32_t>(block.member_24s.size()));
+    for (const Prefix& member : block.member_24s) fold(member.base().value());
+    fold(static_cast<std::uint32_t>(block.last_hops.size()));
+    for (Ipv4Address hop : block.last_hops) fold(hop.value());
+  }
+  return hash;
+}
+
+TEST(Campaign, GoldenChain) {
+  // Pins the whole batch chain — measurement, exact aggregation, MCL,
+  // reprobe validation, the validated merge and the HSNP image — for two
+  // fixed worlds at 1 and 4 threads.  Any restructuring of a stage must
+  // reproduce these constants bit for bit.
+  struct Golden {
+    std::uint64_t seed;
+    std::array<std::size_t, 5> classes;  // Table 1, Classification order
+    std::size_t final_blocks;
+    std::uint64_t block_hash, checksum;
+  };
+  const Golden kGolden[] = {
+      {11, {460, 437, 489, 1204, 231}, 663, 0xf3412dbb5a25857fULL,
+       0x3789ba39321f2fdbULL},
+      {42, {546, 432, 467, 1198, 202}, 678, 0x12f991a2eb397c2dULL,
+       0xb6ac0c3024382c7dULL},
+  };
+  for (const Golden& golden : kGolden) {
+    InternetConfig world;
+    world.seed = golden.seed;
+    world.scale = 0.05;
+    Internet internet = BuildInternet(world);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "seed=" << golden.seed
+                                      << " threads=" << threads);
+      common::ThreadPool pool(threads);
+      core::PipelineConfig config;
+      config.seed = golden.seed;
+      config.pool = &pool;
+      config.calibration_blocks = 200;
+      config.samples_per_block = 32;
+      core::PipelineResult pipeline = core::RunPipeline(internet, config);
+      auto aggregates =
+          cluster::AggregateIdentical(pipeline.HomogeneousBlocks());
+      cluster::MclAggregationParams mcl_params;
+      mcl_params.mcl.pool = &pool;
+      cluster::MclAggregationResult mcl =
+          cluster::RunMclAggregation(aggregates, mcl_params);
+      cluster::ValidationParams validation;
+      validation.seed = golden.seed;
+      validation.pool = &pool;
+      cluster::ValidateClusters(internet, pipeline.study_blocks, aggregates,
+                                mcl, validation);
+      auto blocks = cluster::MergeValidatedClusters(aggregates, mcl);
+      std::string error;
+      auto snapshot = serve::Snapshot::FromBuffer(
+          serve::CompileSnapshotV2(
+              blocks,
+              serve::ClassifiedFrom(
+                  std::span<const core::BlockResult>(pipeline.results)),
+              golden.seed),
+          &error);
+      ASSERT_TRUE(snapshot.has_value()) << error;
+      EXPECT_EQ(pipeline.classification_counts(), golden.classes);
+      EXPECT_EQ(blocks.size(), golden.final_blocks);
+      EXPECT_EQ(BlockListHash(blocks), golden.block_hash);
+      EXPECT_EQ(snapshot->checksum(), golden.checksum);
+    }
+  }
+}
+
 TEST(DeterminismProperty, RunPipelineByteIdenticalAcrossThreadCounts) {
   Internet internet = BuildInternet(TinyConfig(23));
   std::string baseline;
@@ -175,17 +259,16 @@ TEST(DeterminismProperty, RunPipelineByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(DeterminismProperty, FastPathPipelineMatchesReferenceAcrossThreads) {
-  // The measurement fast path (incremental grouping + route memo) must be
-  // an invisible optimization: the full campaign output is byte-identical
-  // to the reference slow path, at every thread count.
+  // The measurement path (incremental grouping + one route memo per
+  // prober) on a second world: the 1-thread run is the reference, and
+  // the full campaign output and packet count must match it byte for
+  // byte at every thread count.
   Internet internet = BuildInternet(TinyConfig(37));
   core::PipelineConfig reference_config;
   reference_config.seed = 37;
   reference_config.threads = 1;
   reference_config.calibration_blocks = 40;
   reference_config.samples_per_block = 32;
-  reference_config.prober.incremental_grouping = false;
-  reference_config.prober.route_memo = false;
   core::PipelineResult reference =
       core::RunPipeline(internet, reference_config);
   std::ostringstream reference_serialized;
@@ -195,14 +278,12 @@ TEST(DeterminismProperty, FastPathPipelineMatchesReferenceAcrossThreads) {
   for (int threads : ThreadCounts()) {
     core::PipelineConfig config = reference_config;
     config.threads = threads;
-    config.prober.incremental_grouping = true;
-    config.prober.route_memo = true;
-    core::PipelineResult fast = core::RunPipeline(internet, config);
+    core::PipelineResult result = core::RunPipeline(internet, config);
     std::ostringstream serialized;
-    core::WriteResults(serialized, fast.results);
+    core::WriteResults(serialized, result.results);
     EXPECT_EQ(serialized.str(), reference_serialized.str())
         << "threads=" << threads;
-    EXPECT_EQ(fast.stats.probes_sent, reference.stats.probes_sent)
+    EXPECT_EQ(result.stats.probes_sent, reference.stats.probes_sent)
         << "threads=" << threads;
   }
 }

@@ -1,23 +1,25 @@
 // test_incremental_grouping.cpp — differential tests of the measurement
 // fast path.  The incremental grouping state must agree with the batch
 // reference (full regroup after every observation) on randomized
-// sequences, and BlockProber must produce identical results whichever
-// combination of fast-path toggles is enabled.
+// sequences and on every prefix of a campaign's real observation
+// sequences, and a last-hop prober must return identical results with
+// and without a route memo.
 #include <algorithm>
 #include <gtest/gtest.h>
 
 #include "hobbit/hierarchy.h"
-#include "hobbit/prober.h"
+#include "hobbit/pipeline.h"
+#include "netsim/internet.h"
 #include "netsim/rng.h"
+#include "netsim/route_memo.h"
+#include "probing/last_hop.h"
 #include "test_util.h"
 
 namespace hobbit::core {
 namespace {
 
 using test::BuildMiniNet;
-using test::FullBlock;
 using test::MiniNet;
-using test::Pfx;
 
 void InsertSortedUnique(LastHopSet& set, netsim::Ipv4Address value) {
   auto pos = std::lower_bound(set.begin(), set.end(), value);
@@ -129,87 +131,71 @@ TEST(IncrementalGrouping, NonLaminarityIsNotLatched) {
   EXPECT_TRUE(grouping.Hierarchical());
 }
 
-void ExpectSameResult(const BlockResult& fast, const BlockResult& reference,
-                      const char* label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(fast.classification, reference.classification);
-  EXPECT_EQ(fast.last_hop_set, reference.last_hop_set);
-  EXPECT_EQ(fast.probes_used, reference.probes_used);
-  EXPECT_EQ(fast.active_in_snapshot, reference.active_in_snapshot);
-  EXPECT_EQ(fast.hosts_unresponsive, reference.hosts_unresponsive);
-  EXPECT_EQ(fast.lasthop_unresponsive, reference.lasthop_unresponsive);
-  ASSERT_EQ(fast.observations.size(), reference.observations.size());
-  for (std::size_t i = 0; i < fast.observations.size(); ++i) {
-    EXPECT_EQ(fast.observations[i].address,
-              reference.observations[i].address);
-    EXPECT_EQ(fast.observations[i].last_hops,
-              reference.observations[i].last_hops);
-  }
-}
-
-TEST(FastPathEquivalence, ProbeBlockIdenticalAcrossToggleCombinations) {
-  MiniNet net = BuildMiniNet();
-  // A saturated confidence table so the confidence-stop path is covered.
-  ConfidenceTable table;
-  for (int i = 0; i < 1000; ++i) {
-    for (int n = 6; n <= 256; ++n) table.Record(2, n, i < 960);
-  }
-  const char* prefixes[] = {"20.0.1.0/24", "20.0.2.0/24", "20.0.3.0/24",
-                            "20.0.4.0/24", "20.0.5.0/24"};
-  const struct {
-    bool incremental, memo;
-  } combos[] = {{true, false}, {false, true}, {true, true}};
-
-  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
-    for (const char* prefix : prefixes) {
-      for (bool reprobe : {false, true}) {
-        const ConfidenceTable* tables[] = {nullptr, &table};
-        for (const ConfidenceTable* t : tables) {
-          ProberOptions reference_options;
-          reference_options.incremental_grouping = false;
-          reference_options.route_memo = false;
-          reference_options.reprobe_strategy = reprobe;
-          reference_options.min_cell_trials = 100;
-          BlockProber reference_prober(net.simulator.get(), t,
-                                       reference_options);
-          BlockResult reference = reference_prober.ProbeBlock(
-              FullBlock(prefix), netsim::Rng(seed));
-
-          for (const auto& combo : combos) {
-            ProberOptions options = reference_options;
-            options.incremental_grouping = combo.incremental;
-            options.route_memo = combo.memo;
-            BlockProber prober(net.simulator.get(), t, options);
-            BlockResult fast =
-                prober.ProbeBlock(FullBlock(prefix), netsim::Rng(seed));
-            ExpectSameResult(fast, reference, prefix);
-          }
-        }
-      }
+TEST(FastPathEquivalence, GroupingMatchesBatchOnEveryObservationPrefix) {
+  // ProbeBlock decides after every observation from IncrementalGrouping.
+  // On real observation sequences — a campaign's, every block, every
+  // prefix of its sequence — that state must give the batch verdict of
+  // GroupByLastHop over the same prefix.
+  netsim::Internet internet = netsim::BuildInternet(netsim::TinyConfig(37));
+  PipelineConfig config;
+  config.seed = 37;
+  config.calibration_blocks = 40;
+  config.samples_per_block = 32;
+  const PipelineResult campaign = RunPipeline(internet, config);
+  ASSERT_FALSE(campaign.results.empty());
+  int non_hierarchical_seen = 0;
+  for (const BlockResult& block : campaign.results) {
+    IncrementalGrouping incremental;
+    std::vector<AddressObservation> prefix;
+    for (const AddressObservation& observation : block.observations) {
+      prefix.push_back(observation);
+      incremental.Add(observation);
+      const auto groups = GroupByLastHop(prefix);
+      ASSERT_EQ(incremental.group_count(), groups.size())
+          << block.prefix.ToString() << " after " << prefix.size();
+      const bool hierarchical = GroupsAreHierarchical(groups);
+      ASSERT_EQ(incremental.Hierarchical(), hierarchical)
+          << block.prefix.ToString() << " after " << prefix.size();
+      if (!hierarchical) ++non_hierarchical_seen;
     }
   }
+  // The campaign must reach the non-hierarchical verdict, not only the
+  // vacuous one.
+  EXPECT_GT(non_hierarchical_seen, 0);
 }
 
-TEST(FastPathEquivalence, ProbeBlockFullyIdenticalWithMemo) {
+TEST(FastPathEquivalence, LastHopProberIdenticalWithAndWithoutMemo) {
+  // The route memo is BlockProber's only fast path on the wire: a
+  // LastHopProber with one must return exactly what a prober without one
+  // returns, destination by destination, under both MDA stopping rules.
+  // One memo spans every block, as in BlockProber.
   MiniNet net = BuildMiniNet();
-  ProberOptions slow;
-  slow.route_memo = false;
-  ProberOptions fast;
-  fast.route_memo = true;
-  BlockProber slow_prober(net.simulator.get(), nullptr, slow);
-  BlockProber fast_prober(net.simulator.get(), nullptr, fast);
-  for (const char* prefix : {"20.0.2.0/24", "20.0.4.0/24"}) {
-    FullyProbedBlock a =
-        slow_prober.ProbeBlockFully(FullBlock(prefix), netsim::Rng(5));
-    FullyProbedBlock b =
-        fast_prober.ProbeBlockFully(FullBlock(prefix), netsim::Rng(5));
-    EXPECT_EQ(a.homogeneous, b.homogeneous);
-    EXPECT_EQ(a.cardinality, b.cardinality);
-    ASSERT_EQ(a.observations.size(), b.observations.size());
-    for (std::size_t i = 0; i < a.observations.size(); ++i) {
-      EXPECT_EQ(a.observations[i].address, b.observations[i].address);
-      EXPECT_EQ(a.observations[i].last_hops, b.observations[i].last_hops);
+  std::vector<netsim::Ipv4Address> destinations;
+  for (const char* base : {"20.0.1.0", "20.0.2.0", "20.0.3.0", "20.0.4.0",
+                           "20.0.5.0"}) {
+    for (std::uint32_t octet = 0; octet < 256; ++octet) {
+      destinations.emplace_back(test::Addr(base).value() | octet);
     }
+  }
+  for (probing::MdaMode mode :
+       {probing::MdaMode::kFull, probing::MdaMode::kLite}) {
+    probing::LastHopProber direct(net.simulator.get(), nullptr, mode);
+    std::vector<probing::LastHopResult> want;
+    for (netsim::Ipv4Address destination : destinations) {
+      want.push_back(direct.Probe(destination));
+    }
+    netsim::RouteMemo memo;
+    probing::LastHopProber memoized(net.simulator.get(), &memo, mode);
+    for (std::size_t i = 0; i < destinations.size(); ++i) {
+      const probing::LastHopResult got = memoized.Probe(destinations[i]);
+      SCOPED_TRACE(destinations[i].ToString());
+      ASSERT_EQ(got.status, want[i].status);
+      ASSERT_EQ(got.last_hops, want[i].last_hops);
+      ASSERT_EQ(got.host_hop, want[i].host_hop);
+      ASSERT_EQ(got.probes_used, want[i].probes_used);
+    }
+    EXPECT_EQ(memoized.probes_sent(), direct.probes_sent());
+    EXPECT_GT(memo.hits(), 0u);
   }
 }
 

@@ -167,7 +167,7 @@ TEST_P(MclPartitionProperty, AlwaysAPartition) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MclPartitionProperty,
                          ::testing::Values(1, 5, 9, 13, 21, 101));
 
-// --- Numerical invariants under the parallel (column-sharded) kernels ---
+// --- Numerical invariants of the parallel (column-sharded) iteration ---
 
 SparseMatrix RandomStochasticMatrix(std::uint64_t seed, std::uint32_t n) {
   netsim::Rng rng(seed);
@@ -195,31 +195,42 @@ void ExpectColumnStochastic(const SparseMatrix& m) {
   }
 }
 
+// 512 columns carry ~2.8 k nonzeros: above MclIterate's inline
+// threshold, so these iterations really split across the pool.
+constexpr std::uint32_t kShardedColumns = 512;
+
 TEST(MclInvariants, ParallelInflationKeepsColumnsStochastic) {
   common::ThreadPool pool(4);
-  SparseMatrix m = RandomStochasticMatrix(17, 64);
-  m.Inflate(2.0, &pool);
-  ExpectColumnStochastic(m);
-  m.Inflate(3.5, &pool);
-  ExpectColumnStochastic(m);
+  SparseMatrix m = RandomStochasticMatrix(17, kShardedColumns);
+  // No pruning (threshold 0, no per-column cap): inflation and its
+  // renormalization alone must leave every column summing to 1.
+  for (double inflation : {2.0, 3.5}) {
+    m = m.MclIterate(inflation, 0.0, kShardedColumns, &pool);
+    ExpectColumnStochastic(m);
+  }
 }
 
 TEST(MclInvariants, ParallelInflationBitIdenticalToSerial) {
-  SparseMatrix serial = RandomStochasticMatrix(29, 80);
-  SparseMatrix parallel = RandomStochasticMatrix(29, 80);
+  // A non-2.0 power takes the pow + lane-sum inflation path.
+  const SparseMatrix m = RandomStochasticMatrix(29, kShardedColumns);
   common::ThreadPool pool(7);
-  serial.Inflate(2.0);
-  parallel.Inflate(2.0, &pool);
+  double serial_delta = 0.0;
+  double parallel_delta = 0.0;
+  SparseMatrix serial = m.MclIterate(3.5, 1e-4, 16, nullptr, &serial_delta);
+  SparseMatrix parallel = m.MclIterate(3.5, 1e-4, 16, &pool, &parallel_delta);
   ASSERT_EQ(serial.nonzeros(), parallel.nonzeros());
   EXPECT_EQ(serial.MaxDifference(parallel), 0.0);
+  EXPECT_EQ(serial_delta, parallel_delta);
 }
 
 TEST(MclInvariants, ParallelExpansionAndPruneStayStochastic) {
   common::ThreadPool pool(4);
-  SparseMatrix m = RandomStochasticMatrix(5, 48);
-  SparseMatrix squared = m.Multiply(m, &pool);
-  squared.Prune(1e-5, 8, &pool);
-  ExpectColumnStochastic(squared);
+  SparseMatrix m = RandomStochasticMatrix(5, kShardedColumns);
+  SparseMatrix next = m.MclIterate(2.0, 1e-5, 8, &pool);
+  ExpectColumnStochastic(next);
+  for (std::uint32_t c = 0; c < next.size(); ++c) {
+    EXPECT_LE(next.Column(c).count, 8u) << "column " << c;
+  }
 }
 
 TEST(MclInvariants, PruningYieldsIdenticalClustersSerialVsParallel) {

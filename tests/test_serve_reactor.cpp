@@ -192,18 +192,14 @@ class Harness {
   int run_result_ = -1;
 };
 
-ReactorOptions TestOptions(bool use_poll) {
+ReactorOptions TestOptions() {
   ReactorOptions options;
-  options.use_poll = use_poll;
   options.idle_timeout = 30000ms;  // generous: tests end via QUIT/Stop
   return options;
 }
 
-// The core conversation matrix runs against both readiness backends.
-class ReactorBackends : public ::testing::TestWithParam<bool> {};
-
-TEST_P(ReactorBackends, PipelinedSessionOverOneByteDribble) {
-  Harness harness(TestOptions(GetParam()), EpochOne(8));
+TEST(Reactor, PipelinedSessionOverOneByteDribble) {
+  Harness harness(TestOptions(), EpochOne(8));
   int client = harness.Connect();
   // CRLF on some lines, pipelined BATCH whose queries trickle in, a
   // comment, and a QUIT — sent one byte at a time to exercise every
@@ -230,8 +226,8 @@ TEST_P(ReactorBackends, PipelinedSessionOverOneByteDribble) {
   ::close(client);
 }
 
-TEST_P(ReactorBackends, ManyConcurrentClientsEachGetTheirOwnAnswers) {
-  Harness harness(TestOptions(GetParam()), EpochOne(64));
+TEST(Reactor, ManyConcurrentClientsEachGetTheirOwnAnswers) {
+  Harness harness(TestOptions(), EpochOne(64));
   constexpr int kClients = 24;
   std::vector<int> clients;
   clients.reserve(kClients);
@@ -250,14 +246,8 @@ TEST_P(ReactorBackends, ManyConcurrentClientsEachGetTheirOwnAnswers) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorBackends,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "poll" : "native";
-                         });
-
 TEST(Reactor, BackpressurePausesReadingUntilTheClientDrains) {
-  ReactorOptions options = TestOptions(false);
+  ReactorOptions options = TestOptions();
   options.limits.write_buffer_cap = 1024;
   options.limits.write_buffer_resume = 256;
   Harness harness(options, EpochOne(8));
@@ -328,7 +318,7 @@ TEST(Reactor, BackpressurePausesReadingUntilTheClientDrains) {
 }
 
 TEST(Reactor, IdleConnectionsAreEvicted) {
-  ReactorOptions options = TestOptions(false);
+  ReactorOptions options = TestOptions();
   options.idle_timeout = 100ms;
   Harness harness(options, EpochOne(4));
   int idle_client = harness.Connect();
@@ -354,7 +344,7 @@ TEST(Reactor, ReloadMidTrafficKeepsAnswersEpochConsistent) {
       WriteTempSnapshot("reactor_epoch1.snap", EpochOne(16));
   const std::string two_path =
       WriteTempSnapshot("reactor_epoch2.snap", EpochTwo(16));
-  Harness harness(TestOptions(false), EpochOne(16));
+  Harness harness(TestOptions(), EpochOne(16));
 
   // 20.0.2.0/24 exists in both epochs with different answers; either is
   // valid at any instant, a blend of the two never is.
@@ -408,7 +398,7 @@ TEST(Reactor, ReloadMidTrafficKeepsAnswersEpochConsistent) {
 }
 
 TEST(Reactor, StopFlushesPendingWritesBeforeClosing) {
-  ReactorOptions options = TestOptions(false);
+  ReactorOptions options = TestOptions();
   options.drain_timeout = 10000ms;
   Harness harness(options, EpochOne(64));
   int client = harness.Connect(/*socket_buffer_bytes=*/4096);
@@ -437,7 +427,7 @@ TEST(Reactor, StopFlushesPendingWritesBeforeClosing) {
 }
 
 TEST(Reactor, ProtocolGarbageClosesOnlyTheOffendingConnection) {
-  Harness harness(TestOptions(false), EpochOne(8));
+  Harness harness(TestOptions(), EpochOne(8));
   int victim = harness.Connect();
   int offender = harness.Connect();
 
@@ -463,7 +453,7 @@ TEST(Reactor, ProtocolGarbageClosesOnlyTheOffendingConnection) {
 }
 
 TEST(Reactor, TcpListenAcceptLoopbackSession) {
-  ReactorOptions options = TestOptions(false);
+  ReactorOptions options = TestOptions();
   Harness harness(options, EpochOne(8));
   // Harness already started Run(); Listen after start is not supported
   // by this harness, so build a standalone reactor for the TCP path.
@@ -475,7 +465,7 @@ TEST(Reactor, TcpListenAcceptLoopbackSession) {
   auto snapshot = Snapshot::FromBuffer(EpochOne(8), &error);
   ASSERT_TRUE(snapshot.has_value()) << error;
   store.Swap(std::make_shared<const Snapshot>(*std::move(snapshot)));
-  Reactor reactor(&store, &metrics, nullptr, TestOptions(false));
+  Reactor reactor(&store, &metrics, nullptr, TestOptions());
   if (!reactor.Listen(&error)) {
     GTEST_SKIP() << "loopback unavailable in this sandbox: " << error;
   }

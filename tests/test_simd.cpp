@@ -21,6 +21,7 @@
 #include "netsim/ipv4.h"
 #include "serve/lookup.h"
 #include "serve/snapshot.h"
+#include "sparse_oracle.h"
 
 namespace hobbit {
 namespace {
@@ -226,14 +227,10 @@ TEST(SimdMclDifferential, ForcedTiersProduceIdenticalMatrices) {
           m.MclIterate(2.0, 1e-4, 12, &pool, &delta);
       ExpectSameMatrix(reference, iterated);
       EXPECT_EQ(std::memcmp(&reference_delta, &delta, sizeof(double)), 0);
-
-      // The unfused sequence under this tier must land on the same
-      // bits too (fused == unfused == every tier).
-      cluster::SparseMatrix unfused = m.Multiply(m, &pool);
-      unfused.Inflate(2.0, &pool);
-      unfused.Prune(1e-4, 12, &pool);
-      ExpectSameMatrix(reference, unfused);
     }
+    // The unfused oracle under this tier must land on the same bits too
+    // (fused == unfused == every tier).
+    ExpectSameMatrix(reference, test::OracleMclIterate(m, 2.0, 1e-4, 12));
   }
 }
 
@@ -248,17 +245,21 @@ TEST(SimdMclDifferential, ForceAvx2SkipsCleanlyWhenUnsupported) {
 }
 
 TEST(SimdMclDifferential, GeneralPowerInflationMatchesAcrossTiers) {
+  // A non-2.0 power takes the scalar pow pass + lane-ordered sum in the
+  // fused iteration; every tier, thread count and the unfused oracle
+  // must agree on its bits.
   TierGuard guard;
   SetActiveTier(Tier::kScalar);
-  const cluster::SparseMatrix m = RandomStochasticMatrix(150, 7);
-  cluster::SparseMatrix want = m;
-  want.Inflate(1.7, nullptr);  // non-2.0 power: scalar pow + lane sum
+  const cluster::SparseMatrix m = RandomStochasticMatrix(300, 7);
+  const cluster::SparseMatrix want = m.MclIterate(1.7, 1e-4, 12, nullptr);
   for (Tier tier : SupportedTiers()) {
     SCOPED_TRACE(TierName(tier));
     SetActiveTier(tier);
-    cluster::SparseMatrix got = m;
-    got.Inflate(1.7, nullptr);
-    ExpectSameMatrix(want, got);
+    for (int threads : {1, 3}) {
+      common::ThreadPool pool(threads);
+      ExpectSameMatrix(want, m.MclIterate(1.7, 1e-4, 12, &pool));
+    }
+    ExpectSameMatrix(want, test::OracleMclIterate(m, 1.7, 1e-4, 12));
   }
 }
 

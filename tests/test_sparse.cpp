@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "netsim/rng.h"
+#include "sparse_oracle.h"
 
 namespace hobbit::cluster {
 namespace {
@@ -53,10 +54,12 @@ TEST(SparseMatrix, NormalizeColumnsMakesStochastic) {
   EXPECT_DOUBLE_EQ(dense[0][1], 1.0);
 }
 
+// The next four tests pin the unfused oracle's steps (sparse_oracle.h)
+// to their textbook meaning, so the bit-identity tests below compare
+// MclIterate against the right thing.
 TEST(SparseMatrix, InflateSharpensColumns) {
-  SparseMatrix m = SparseMatrix::FromTriplets(
-      2, {{0, 0, 0.75}, {1, 0, 0.25}});
-  m.Inflate(2.0);
+  SparseMatrix m = test::OracleInflate(
+      SparseMatrix::FromTriplets(2, {{0, 0, 0.75}, {1, 0, 0.25}}), 2.0);
   auto dense = ToDense(m);
   // 0.75^2 : 0.25^2 = 9 : 1.
   EXPECT_NEAR(dense[0][0], 0.9, 1e-12);
@@ -64,18 +67,20 @@ TEST(SparseMatrix, InflateSharpensColumns) {
 }
 
 TEST(SparseMatrix, PruneDropsSmallEntries) {
-  SparseMatrix m = SparseMatrix::FromTriplets(
-      3, {{0, 0, 0.98}, {1, 0, 0.01}, {2, 0, 0.01}});
-  m.Prune(0.02, 10);
+  SparseMatrix m = test::OraclePrune(
+      SparseMatrix::FromTriplets(
+          3, {{0, 0, 0.98}, {1, 0, 0.01}, {2, 0, 0.01}}),
+      0.02, 10);
   auto col = m.Column(0);
   ASSERT_EQ(col.count, 1u);
   EXPECT_DOUBLE_EQ(col.values[0], 1.0);  // renormalized
 }
 
 TEST(SparseMatrix, PruneKeepsTopK) {
-  SparseMatrix m = SparseMatrix::FromTriplets(
-      4, {{0, 0, 0.4}, {1, 0, 0.3}, {2, 0, 0.2}, {3, 0, 0.1}});
-  m.Prune(0.0, 2);
+  SparseMatrix m = test::OraclePrune(
+      SparseMatrix::FromTriplets(
+          4, {{0, 0, 0.4}, {1, 0, 0.3}, {2, 0, 0.2}, {3, 0, 0.1}}),
+      0.0, 2);
   auto col = m.Column(0);
   ASSERT_EQ(col.count, 2u);
   EXPECT_EQ(col.rows[0], 0u);
@@ -97,7 +102,7 @@ TEST(SparseMatrix, MultiplyMatchesDenseReference) {
   SparseMatrix b = SparseMatrix::FromTriplets(kN, tb);
   auto da = ToDense(a);
   auto db = ToDense(b);
-  auto dc = ToDense(a.Multiply(b));
+  auto dc = ToDense(test::OracleMultiply(a, b));
   for (std::uint32_t i = 0; i < kN; ++i) {
     for (std::uint32_t j = 0; j < kN; ++j) {
       double want = 0;
@@ -145,35 +150,38 @@ SparseMatrix RandomStochastic(std::uint32_t n, std::uint32_t per_column,
 }
 
 TEST(SparseMatrix, MclIterateMatchesUnfusedSequenceBitForBit) {
-  // The fused iteration must be *bit-identical* to the four-step
-  // sequence it replaced — same FP operations in the same order — and
-  // its reported delta must equal MaxDifference against the input.
+  // The fused iteration must be *bit-identical* to the unfused
+  // four-step oracle — same FP operations in the same order — and its
+  // reported delta must equal MaxDifference against the input.  Power
+  // 2.0 takes the square kernel, 1.7 the pow + sum path.
   for (std::uint64_t seed : {1ull, 42ull, 0xF00Dull}) {
-    SparseMatrix m = RandomStochastic(60, 5, seed);
-    for (int iteration = 0; iteration < 4; ++iteration) {
-      SparseMatrix unfused = m.Multiply(m);
-      unfused.Inflate(2.0);
-      unfused.Prune(1e-4, 12);
-      // Prune renormalizes internally, matching the fused path.
-      double delta = -1.0;
-      SparseMatrix fused = m.MclIterate(2.0, 1e-4, 12, nullptr, &delta);
+    for (double inflation : {2.0, 1.7}) {
+      SCOPED_TRACE(testing::Message() << "seed=" << seed
+                                      << " inflation=" << inflation);
+      SparseMatrix m = RandomStochastic(60, 5, seed);
+      for (int iteration = 0; iteration < 4; ++iteration) {
+        SparseMatrix unfused = test::OracleMclIterate(m, inflation, 1e-4, 12);
+        double delta = -1.0;
+        SparseMatrix fused =
+            m.MclIterate(inflation, 1e-4, 12, nullptr, &delta);
 
-      ASSERT_EQ(fused.size(), unfused.size());
-      ASSERT_EQ(fused.nonzeros(), unfused.nonzeros());
-      for (std::uint32_t c = 0; c < fused.size(); ++c) {
-        auto fc = fused.Column(c);
-        auto uc = unfused.Column(c);
-        ASSERT_EQ(fc.count, uc.count) << "column " << c;
-        for (std::size_t i = 0; i < fc.count; ++i) {
-          ASSERT_EQ(fc.rows[i], uc.rows[i]) << "column " << c;
-          // Exact equality on purpose: the contract is bit identity,
-          // not tolerance.
-          ASSERT_EQ(fc.values[i], uc.values[i])
-              << "column " << c << " entry " << i;
+        ASSERT_EQ(fused.size(), unfused.size());
+        ASSERT_EQ(fused.nonzeros(), unfused.nonzeros());
+        for (std::uint32_t c = 0; c < fused.size(); ++c) {
+          auto fc = fused.Column(c);
+          auto uc = unfused.Column(c);
+          ASSERT_EQ(fc.count, uc.count) << "column " << c;
+          for (std::size_t i = 0; i < fc.count; ++i) {
+            ASSERT_EQ(fc.rows[i], uc.rows[i]) << "column " << c;
+            // Exact equality on purpose: the contract is bit identity,
+            // not tolerance.
+            ASSERT_EQ(fc.values[i], uc.values[i])
+                << "column " << c << " entry " << i;
+          }
         }
+        EXPECT_EQ(delta, fused.MaxDifference(m));
+        m = std::move(fused);
       }
-      EXPECT_EQ(delta, fused.MaxDifference(m));
-      m = std::move(fused);
     }
   }
 }

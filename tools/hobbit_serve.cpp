@@ -17,10 +17,12 @@
 // mode), so the binary pipes cleanly.  SIGINT/SIGTERM trigger a graceful
 // drain: pending replies are flushed before the server exits.
 
+#include <charconv>
 #include <csignal>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "common/parallel.h"
 #include "serve/reactor.h"
@@ -41,7 +43,6 @@ int Usage() {
       "                    [--prefault [populate|willneed]]\n"
       "                    [--listen ADDR] [--port P]\n"
       "                    [--max-connections N] [--idle-timeout-ms T]\n"
-      "                    [--use-poll]\n"
       "  serves LOOKUP/BATCH/RELOAD/STATS/QUIT; without --snapshot,\n"
       "  start empty and load via RELOAD.  --mmap serves snapshots\n"
       "  zero-copy straight from the page cache with per-section\n"
@@ -53,8 +54,26 @@ int Usage() {
       "  readahead (madvise).  Only meaningful with --mmap/--mmap-verify\n"
       "  and applies to RELOADs too.  Default transport is\n"
       "  stdin/stdout; --listen/--port starts the multi-client TCP\n"
-      "  server (--port 0 picks an ephemeral port, printed to stderr).\n";
+      "  server (--port 0 picks an ephemeral port, printed to stderr).\n"
+      "  Numeric flags take a plain decimal in range: --threads 1-1024,\n"
+      "  --port 0-65535, --max-connections 1-1000000, --idle-timeout-ms\n"
+      "  0-86400000 (0 disables idle eviction).\n";
   return 2;
+}
+
+/// Parses all of `text` as a decimal integer in [min, max].  Anything
+/// else — empty, a sign where none fits, trailing characters, overflow —
+/// is rejected rather than read as a prefix or wrapped.
+template <typename T>
+bool ParseNumber(std::string_view text, T min, T max, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || value < min || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace
@@ -70,7 +89,7 @@ int main(int argc, char** argv) {
     if (flag == "--snapshot" && i + 1 < argc) {
       snapshot_path = argv[++i];
     } else if (flag == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], 1, 1024, &threads)) return Usage();
     } else if (flag == "--mmap") {
       load_options.use_mmap = true;
       load_options.defer_verification = true;
@@ -95,16 +114,21 @@ int main(int argc, char** argv) {
       options.bind_address = argv[++i];
       stdio = false;
     } else if (flag == "--port" && i + 1 < argc) {
-      options.port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
+      if (!ParseNumber<std::uint16_t>(argv[++i], 0, 65535, &options.port)) {
+        return Usage();
+      }
       stdio = false;
     } else if (flag == "--max-connections" && i + 1 < argc) {
-      options.max_connections =
-          static_cast<std::size_t>(std::atoll(argv[++i]));
+      if (!ParseNumber<std::size_t>(argv[++i], 1, 1'000'000,
+                                    &options.max_connections)) {
+        return Usage();
+      }
     } else if (flag == "--idle-timeout-ms" && i + 1 < argc) {
-      options.idle_timeout =
-          std::chrono::milliseconds(std::atoll(argv[++i]));
-    } else if (flag == "--use-poll") {
-      options.use_poll = true;
+      long long milliseconds = 0;
+      if (!ParseNumber(argv[++i], 0LL, 86'400'000LL, &milliseconds)) {
+        return Usage();
+      }
+      options.idle_timeout = std::chrono::milliseconds(milliseconds);
     } else {
       return Usage();
     }
