@@ -9,7 +9,8 @@
 // BENCH_microperf.json through the shared reporter with the dispatch
 // tier actually selected (`simd_tier` — HOBBIT_SIMD-clamped) and the
 // host's capability string (`cpu_features`), so checked-in numbers are
-// attributable to the kernel tier that produced them.
+// attributable to the kernel tier that produced them, plus the warm-memo
+// MDA-shaped probe cost (`mda_probe_ns`, ns per simulated probe).
 
 #include <benchmark/benchmark.h>
 
@@ -25,6 +26,8 @@
 #include "hobbit/hierarchy.h"
 #include "netsim/internet.h"
 #include "netsim/rng.h"
+#include "netsim/route_memo.h"
+#include "netsim/simulator.h"
 #include "probing/zmap.h"
 
 namespace {
@@ -78,6 +81,60 @@ void BM_SimulatorEchoProbe(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SimulatorEchoProbe);
+
+// The probes Hobbit's last-hop prober sends into one destination: an
+// echo, the TTL walk out to the host and a 16-flow MDA sweep of the last
+// hop — for every 8th address across four study /24s, all through one
+// memo that stays warm across iterations (a prober keeps its memo across
+// blocks).  One iteration is one probe, so time/iteration is ns/probe.
+std::vector<netsim::ProbeSpec> MdaShapedProbes(
+    const netsim::Internet& internet) {
+  std::vector<netsim::ProbeSpec> probes;
+  auto add = [&probes](netsim::Ipv4Address dst, int ttl,
+                       std::uint16_t flow) {
+    netsim::ProbeSpec probe;
+    probe.destination = dst;
+    probe.ttl = ttl;
+    probe.flow_id = flow;
+    probes.push_back(probe);
+  };
+  const std::size_t stride = internet.study_24s.size() / 4;
+  for (std::size_t b = 0; b < 4; ++b) {
+    const std::uint32_t base = internet.study_24s[b * stride].base().value();
+    for (std::uint32_t octet = 1; octet < 256; octet += 8) {
+      const netsim::Ipv4Address dst(base | octet);
+      const std::size_t routers =
+          internet.simulator->ResolvePath(dst, 0, 0).size();
+      if (routers == 0) continue;
+      const int host_hop = static_cast<int>(routers) + 1;
+      add(dst, 64, 0);
+      for (int ttl = 1; ttl <= host_hop; ++ttl) add(dst, ttl, 1);
+      for (std::uint16_t flow = 1; flow <= 16; ++flow) {
+        add(dst, host_hop - 1, flow);
+      }
+    }
+  }
+  return probes;
+}
+
+void BM_SimulatorMdaProbe(benchmark::State& state) {
+  const netsim::Internet& internet = SharedInternet();
+  const std::vector<netsim::ProbeSpec> probes = MdaShapedProbes(internet);
+  netsim::RouteMemo memo;
+  std::uint64_t serial = 0;
+  for (netsim::ProbeSpec probe : probes) {
+    probe.serial = serial++;
+    internet.simulator->Send(probe, &memo);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    netsim::ProbeSpec probe = probes[i++ % probes.size()];
+    probe.serial = serial++;
+    benchmark::DoNotOptimize(internet.simulator->Send(probe, &memo));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SimulatorMdaProbe)->Unit(benchmark::kNanosecond);
 
 void BM_HierarchyTest(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -184,12 +241,29 @@ BENCHMARK(BM_SimdColumnSweep)
     ->Arg(static_cast<int>(common::simd::Tier::kSse2))
     ->Arg(static_cast<int>(common::simd::Tier::kAvx2));
 
+/// The console reporter, also keeping the per-iteration wall time of the
+/// benchmarks whose numbers go into BENCH_microperf.json.
+class RecordingReporter : public benchmark::ConsoleReporter {
+ public:
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.run_type == Run::RT_Iteration && !run.error_occurred &&
+          run.benchmark_name() == "BM_SimulatorMdaProbe") {
+        mda_probe_ns = run.GetAdjustedRealTime();
+      }
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+  double mda_probe_ns = 0.0;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  RecordingReporter console;
+  benchmark::RunSpecifiedBenchmarks(&console);
   benchmark::Shutdown();
 
   // Attribute the numbers: which kernel tier dispatch actually selected
@@ -200,6 +274,9 @@ int main(int argc, char** argv) {
                 std::string(hobbit::common::simd::TierName(
                     hobbit::common::simd::ActiveTier())));
   report.Metric("cpu_features", hobbit::common::simd::CpuFeatureString());
+  if (console.mda_probe_ns > 0.0) {
+    report.Metric("mda_probe_ns", console.mda_probe_ns);
+  }
   report.Write();
   return 0;
 }

@@ -20,8 +20,8 @@
 //
 // `ArenaVector<T>` is the growable-buffer companion: a segment chain in
 // arena storage, so growth never copies elements and `push_back` is a
-// bump plus a bounds check.  Elements are iterated/stitched in insertion
-// order via `AppendTo`/`ForEach`.
+// bump plus a bounds check.  Elements are stitched out in insertion
+// order via `AppendTo`.
 #pragma once
 
 #include <cstddef>
@@ -146,7 +146,7 @@ class Arena {
 /// A growable buffer of trivially destructible Ts in arena storage.  A
 /// chain of geometrically growing segments: growth never moves elements,
 /// so `push_back` invalidates nothing, and the only way out is an
-/// in-order copy (`AppendTo`) or walk (`ForEach`).
+/// in-order copy (`AppendTo`).
 template <typename T>
 class ArenaVector {
   static_assert(std::is_trivially_destructible_v<T>,
@@ -171,14 +171,6 @@ class ArenaVector {
   void AppendTo(std::vector<T>& out) const {
     for (const Segment* s = head_; s != nullptr; s = s->next) {
       out.insert(out.end(), s->data, s->data + s->count);
-    }
-  }
-
-  /// Visits all elements in insertion order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const Segment* s = head_; s != nullptr; s = s->next) {
-      for (std::size_t i = 0; i < s->count; ++i) fn(s->data[i]);
     }
   }
 

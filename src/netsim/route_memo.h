@@ -1,38 +1,60 @@
-// route_memo.h — exact per-campaign memoization of FIB resolutions.
+// route_memo.h — exact per-prober memoization of the forwarding walk.
 //
-// The simulator resolves a probe's path by running a longest-prefix-match
-// binary search in every router's FIB along the way.  A measurement
-// campaign re-traces the same /24 dozens of times (the §3.3 schedule, MDA
-// flow variation, the TTL walk), so the vast majority of those searches
-// repeat earlier ones with the same answer.  RouteMemo caches them.
+// A probe's path is a chain of per-router decisions: is this router a
+// gateway of the destination's subnet, which FIB entry matches the
+// destination, and which of the entry's next hops the balancer picks.  A
+// measurement campaign sends many probes into one destination in a row
+// (the echo, the TTL walk, an MDA flow sweep), and every one of them asks
+// the same routers the same questions, differing only in the flow
+// identifier or the probe serial.  RouteMemo keeps one *hop row* per
+// router, decoded once per (router, destination) and reused by every
+// later probe to that destination that crosses the router.
 //
-// Correctness is exact, not heuristic.  `Fib::LookupEntry` probes, for
-// every prefix length present in the table, the canonical prefix of the
-// destination at that length.  Two destinations that share their
-// canonical prefix at the table's *longest* present length therefore make
-// the identical probe sequence and get the identical result (including
-// "no match").  The memo keys each cached resolution by that canonical
-// prefix — `dst >> (32 - fib.max_length())` — so a hit is provably the
-// answer the search would have produced.  Load-balancing policy is
-// irrelevant here: the memo caches the *matched entry*, and the per-flow
-// next-hop choice is still made per probe by the simulator.
+// A row holds everything about the router that depends on the
+// destination but not on the probe:
+//   * the gateway bit (the walk ends here);
+//   * the FIB match, itself memoized across destinations: the matched
+//     entry is keyed by `dst >> (32 - fib.max_length())`.
+//     `Fib::LookupEntry` probes, for every prefix length present in the
+//     table, the canonical prefix of the destination at that length, so
+//     two destinations sharing their canonical prefix at the table's
+//     longest present length get the identical result;
+//   * the next hops, inlined when the group is narrow;
+//   * the balancer's hash state, folded as far as the destination allows.
+//     StableHash folds its parts strictly left to right
+//     (`StableHashFrom`), so `StableHashFrom(seed_state, {router, dst,
+//     src})` folded once is bit-identical to the prefix of every per-flow
+//     hash `{router, dst, src, flow}`: a per-flow hop then costs one
+//     `Mix64(state ^ flow) % n`.  The three per-destination policies hash
+//     no probe field at all, so their pick is stored outright.  Only
+//     kPerPacket stays per probe (`{router, dst}` pre-folded, then
+//     `{serial, 0xBEEF}`), because its pick depends on the serial;
+//   * the RouterResponds draw, a pure function of (router, destination),
+//     made on first use.
+// Replies through a memo are therefore bit-identical to replies without
+// one (tests/test_route_memo.cpp checks that differentially).
 //
-// Invalidation: the memo snapshots Topology::mutation_epoch() and drops
-// everything whenever the counter (or the topology identity) changes, so
-// dynamic-topology tests that edit FIBs mid-run stay correct.
+// Invalidation: rows depend on the topology (FIBs, subnets, response
+// models) and on the simulator that decoded them (its seed and source
+// address).  The memo snapshots the topology's identity and
+// mutation_epoch() plus that simulator key, and drops every row when any
+// of them changes — so dynamic-topology tests that edit FIBs mid-run stay
+// correct, and a memo handed from one vantage's simulator to another
+// never serves the first vantage's picks.  A zero-filled row is never
+// taken as decoded, whatever its destination field reads (0.0.0.0
+// included).
 //
 // Threading: a RouteMemo is single-owner mutable state.  Give each
 // measurement thread (or each BlockProber) its own; the shared Simulator
 // stays const and is never written through this path.
 //
-// Cold-start cost: the first lookup zero-fills one 64-byte RouterCache
-// per router in the topology (about 2.9 MB for a 45 k-router world),
-// which costs more than reprobing a whole /24 through a warm memo.  Keep
-// one memo (one BlockProber) per worker or per loop and reuse it across
-// blocks; never build one per /24.
+// Cold-start cost: binding a memo zero-fills one 64-byte row per router in
+// the topology (about 2.9 MB for a 45 k-router world).  On one thread of a
+// 4-core Xeon VM, reprobing a /24 through a fresh memo takes about 0.8 ms,
+// against 0.06 ms through a warm one.  Keep one memo (one BlockProber) per
+// worker or per loop and reuse it across blocks; never build one per /24.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "common/arena.h"
@@ -43,122 +65,99 @@ namespace hobbit::netsim {
 
 class RouteMemo {
  public:
-  /// A memoized forward walk: the router at every hop of the path from
-  /// the vantage to `dst` for one flow, or length 0 for an unroutable
-  /// destination.  Exact, because the walk is a pure function of
-  /// (destination, flow) at a fixed topology epoch: every FIB match keys
-  /// on the destination alone and every load-balancer policy hashes only
-  /// (router, destination, source, flow) — except kPerPacket, whose picks
-  /// depend on the probe serial, so walks through a multi-next-hop
-  /// per-packet balancer are never stored (see Simulator::WalkForward).
-  static constexpr int kMaxCachedHops = 24;
-  struct PathSlot {
-    std::uint32_t dst = 0;
-    std::uint16_t flow = 0;
-    bool filled = false;
-    std::uint8_t length = 0;  // hops to the last-hop router; 0 = unroutable
-    std::array<RouterId, kMaxCachedHops> hops;
+  /// How a decoded row forwards a probe.
+  enum class HopMode : std::uint8_t {
+    kDeadEnd,    ///< no FIB match or an empty group: the walk fails here
+    kGateway,    ///< a gateway of the destination's subnet: the walk ends
+    kFixed,      ///< one next hop for every probe (`next_hops[0]`)
+    kPerFlow,    ///< `next_hops[Mix64(hash_state ^ flow) % count]`
+    /// `next_hops[StableHashFrom(hash_state, {serial, 0xBEEF}) % count]`
+    kPerPacket,
   };
 
-  /// Memoized equivalent of `topology.router(router).fib.LookupEntry(dst)`.
-  const FibEntry* Lookup(const Topology& topology, RouterId router,
-                         Ipv4Address dst) {
-    Validate(topology);
-    const Fib& fib = topology.router(router).fib;
-    if (fib.size() == 0) return nullptr;
-    const int max_length = fib.max_length();
-    const std::uint32_t key =
-        max_length == 0 ? 0u : dst.value() >> (32 - max_length);
-    Slot& slot = caches_[router].slots[key & (kWays - 1)];
-    if (slot.filled && slot.key == key) {
+  static constexpr int kInlineHops = 7;
+
+  /// One router's forwarding facts for one destination; one cache line.
+  struct HopRow {
+    std::uint64_t hash_state = 0;
+    /// `inline_hops`, or the FIB group's own storage when it is wider.
+    const RouterId* next_hops = nullptr;
+    /// FIB memo: the entry matched for destinations with this key.
+    const FibEntry* fib_entry = nullptr;
+    std::uint32_t fib_key = 0;
+    std::uint32_t dst = 0;
+    std::uint16_t next_hop_count = 0;
+    HopMode mode = HopMode::kDeadEnd;
+    std::uint8_t flags = 0;
+    RouterId inline_hops[kInlineHops] = {};
+  };
+  static_assert(sizeof(HopRow) == 64);
+
+  static constexpr std::uint8_t kDecoded = 1;
+  static constexpr std::uint8_t kFibFilled = 2;
+  static constexpr std::uint8_t kRespondsKnown = 4;
+  static constexpr std::uint8_t kResponds = 8;
+
+  /// Validates the memo against `topology` and the calling simulator's
+  /// hash key (`seed_state`, `source`), dropping every row and subnet
+  /// slot when any changed.  Call once per walk, before Row/FindSubnet.
+  void Bind(const Topology& topology, std::uint64_t seed_state,
+            Ipv4Address source) {
+    if (topology_ == &topology && epoch_ == topology.mutation_epoch() &&
+        seed_state_ == seed_state && source_ == source.value()) {
+      return;
+    }
+    topology_ = &topology;
+    epoch_ = topology.mutation_epoch();
+    seed_state_ = seed_state;
+    source_ = source.value();
+    // Both tables live in one per-memo arena: an epoch bump (route churn
+    // in a streaming campaign re-validates every wave) rewinds the arena
+    // and re-carves the same retained chunks — zero-filled arrays laid
+    // out back to back, no allocator round trips.
+    arena_.Reset();
+    rows_ = arena_.AllocateArray<HopRow>(topology.router_count());
+    subnets_ = arena_.AllocateArray<SubnetSlot>(kSubnetSlots);
+  }
+
+  /// The row of `router` decoded for `dst`: served as is when it already
+  /// is, else `decode(row)` fills its forwarding fields first (the memo
+  /// owns `dst` and kDecoded; decode may read and keep the FIB memo).
+  template <typename Decode>
+  HopRow& Row(RouterId router, Ipv4Address dst, Decode&& decode) {
+    HopRow& row = rows_[router];
+    if ((row.flags & kDecoded) != 0 && row.dst == dst.value()) {
       ++hits_;
-      return slot.entry;
+      return row;
     }
     ++misses_;
-    slot.key = key;
-    slot.entry = fib.LookupEntry(dst);
-    slot.filled = true;
-    return slot.entry;
+    row.flags &= kFibFilled;
+    decode(row);
+    row.dst = dst.value();
+    row.flags |= kDecoded;
+    return row;
   }
 
-  /// The cached walk for (dst, flow), or nullptr on a miss.  The pointer
-  /// is invalidated by the next StorePath/Lookup/FindPath call.
-  const PathSlot* FindPath(const Topology& topology, Ipv4Address dst,
-                           std::uint16_t flow) {
-    Validate(topology);
-    const PathSlot& slot = paths_[PathIndex(dst, flow)];
-    if (slot.filled && slot.dst == dst.value() && slot.flow == flow) {
-      ++path_hits_;
-      return &slot;
-    }
-    ++path_misses_;
-    return nullptr;
-  }
-
-  /// Records a completed walk.  `length` 0 marks an unroutable
-  /// destination; `hops[i]` is the router at hop i + 1 (only the first
-  /// `length` entries are read back).  Callers must not store
-  /// serial-dependent walks (kPerPacket fan-out on the path).
-  void StorePath(const Topology& topology, Ipv4Address dst,
-                 std::uint16_t flow, const RouterId* hops, int length) {
-    Validate(topology);
-    PathSlot& slot = paths_[PathIndex(dst, flow)];
-    slot.dst = dst.value();
-    slot.flow = flow;
-    slot.length = static_cast<std::uint8_t>(length);
-    for (int i = 0; i < length; ++i) slot.hops[i] = hops[i];
-    slot.filled = true;
-  }
-
-  /// Memoized equivalent of `topology.FindSubnet(dst)`.  Keyed by the
-  /// full destination address, so a hit is trivially the same answer the
-  /// lookup would have produced.
-  SubnetId FindSubnet(const Topology& topology, Ipv4Address dst) {
-    Validate(topology);
+  /// Memoized equivalent of `topology.FindSubnet(dst)` for the bound
+  /// topology.  Keyed by the full destination address, so a hit is
+  /// trivially the same answer the lookup would have produced.
+  SubnetId FindSubnet(Ipv4Address dst) {
     SubnetSlot& slot = subnets_[static_cast<std::size_t>(
                                     Mix64(dst.value())) &
                                 (kSubnetSlots - 1)];
     if (!slot.filled || slot.dst != dst.value()) {
       slot.dst = dst.value();
-      slot.subnet = topology.FindSubnet(dst);
+      slot.subnet = topology_->FindSubnet(dst);
       slot.filled = true;
     }
     return slot.subnet;
   }
 
+  /// Row lookups served from a decoded row, and rows (re)decoded.
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
-  std::uint64_t path_hits() const { return path_hits_; }
-  std::uint64_t path_misses() const { return path_misses_; }
 
  private:
-  void Validate(const Topology& topology) {
-    if (topology_ == &topology && epoch_ == topology.mutation_epoch()) {
-      return;
-    }
-    topology_ = &topology;
-    epoch_ = topology.mutation_epoch();
-    // All three tables live in one per-memo arena: an epoch bump (route
-    // churn in a streaming campaign re-validates every wave) rewinds the
-    // arena and re-carves the same retained chunks — zero-filled slot
-    // arrays laid out back to back, no allocator round trips.  All slot
-    // types are trivially destructible, which AllocateArray enforces.
-    arena_.Reset();
-    caches_ = arena_.AllocateArray<RouterCache>(topology.router_count());
-    paths_ = arena_.AllocateArray<PathSlot>(kPathSlots);
-    subnets_ = arena_.AllocateArray<SubnetSlot>(kSubnetSlots);
-  }
-
-  static std::size_t PathIndex(Ipv4Address dst, std::uint16_t flow) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(dst.value()) << 16) | flow;
-    return static_cast<std::size_t>(Mix64(key)) & (kPathSlots - 1);
-  }
-
-  // Plenty for one block's schedule (a /24 touches at most a few dozen
-  // (destination, flow) pairs at a time) while staying cache-resident.
-  static constexpr std::size_t kPathSlots = 512;
-
   static constexpr std::size_t kSubnetSlots = 256;
   struct SubnetSlot {
     std::uint32_t dst = 0;
@@ -166,30 +165,15 @@ class RouteMemo {
     bool filled = false;
   };
 
-  // Direct-mapped, 4-way by the key's low bits: a /24 campaign round-robins
-  // across its four /26s, and edge FIBs carry up to /26 entries, so the
-  // four in-flight keys land in distinct slots instead of evicting each
-  // other.
-  static constexpr std::size_t kWays = 4;
-  struct Slot {
-    std::uint32_t key = 0;
-    const FibEntry* entry = nullptr;
-    bool filled = false;
-  };
-  struct RouterCache {
-    std::array<Slot, kWays> slots;
-  };
-
   const Topology* topology_ = nullptr;
   std::uint64_t epoch_ = 0;
+  std::uint64_t seed_state_ = 0;
+  std::uint32_t source_ = 0;
   common::Arena arena_;
-  RouterCache* caches_ = nullptr;
-  PathSlot* paths_ = nullptr;
+  HopRow* rows_ = nullptr;
   SubnetSlot* subnets_ = nullptr;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t path_hits_ = 0;
-  std::uint64_t path_misses_ = 0;
 };
 
 }  // namespace hobbit::netsim

@@ -1,5 +1,6 @@
 #include "netsim/simulator.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace hobbit::netsim {
@@ -56,33 +57,79 @@ std::vector<RouterId> Simulator::ResolvePath(Ipv4Address destination,
                                              std::uint16_t flow_id,
                                              std::uint64_t serial,
                                              RouteMemo* memo) const {
-  if (memo != nullptr) {
-    if (const RouteMemo::PathSlot* cached =
-            memo->FindPath(*topology_, destination, flow_id)) {
-      return std::vector<RouterId>(cached->hops.begin(),
-                                   cached->hops.begin() + cached->length);
+  HopAt unused;
+  std::vector<RouterId> path;
+  WalkForward(destination, flow_id, serial, memo, 0, &unused, &path);
+  return path;
+}
+
+void Simulator::DecodeRow(RouterId router, Ipv4Address dst,
+                          const Subnet& subnet,
+                          RouteMemo::HopRow& row) const {
+  using HopMode = RouteMemo::HopMode;
+  for (RouterId gw : subnet.gateways) {
+    if (gw == router) {
+      row.mode = HopMode::kGateway;
+      return;
     }
   }
-  RouterId unused = kNoRouter;
-  std::vector<RouterId> path;
-  const int length =
-      WalkForward(destination, flow_id, serial, memo, 0, &unused, &path);
-  if (length == 0) return {};
-  return path;
+  const Fib& fib = topology_->router(router).fib;
+  const int max_length = fib.max_length();
+  const std::uint32_t key =
+      max_length == 0 ? 0u : dst.value() >> (32 - max_length);
+  if ((row.flags & RouteMemo::kFibFilled) == 0 || row.fib_key != key) {
+    row.fib_entry = fib.LookupEntry(dst);
+    row.fib_key = key;
+    row.flags |= RouteMemo::kFibFilled;
+  }
+  const FibEntry* entry = row.fib_entry;
+  if (entry == nullptr || entry->group.next_hops.empty()) {
+    row.mode = HopMode::kDeadEnd;
+    return;
+  }
+  const EcmpGroup& group = entry->group;
+  const std::size_t count = group.next_hops.size();
+  row.next_hops = row.inline_hops;
+  if (count == 1 || (group.policy != LbPolicy::kPerFlow &&
+                     group.policy != LbPolicy::kPerPacket)) {
+    // The per-destination policies hash no probe field: one pick serves
+    // every probe to `dst`.
+    row.mode = HopMode::kFixed;
+    row.next_hop_count = 1;
+    row.inline_hops[0] = PickNextHop(router, group, dst, 0, 0);
+    return;
+  }
+  // The hash prefixes PickNextHop folds before the probe's own fields.
+  if (group.policy == LbPolicy::kPerFlow) {
+    row.mode = HopMode::kPerFlow;
+    row.hash_state = StableHashFrom(
+        seed_hash_state_, {router, dst.value(), source_address_.value()});
+  } else {
+    row.mode = HopMode::kPerPacket;
+    row.hash_state = StableHashFrom(seed_hash_state_, {router, dst.value()});
+  }
+  assert(count <= UINT16_MAX);
+  row.next_hop_count = static_cast<std::uint16_t>(count);
+  if (count <= RouteMemo::kInlineHops) {
+    std::copy(group.next_hops.begin(), group.next_hops.end(),
+              row.inline_hops);
+  } else {
+    row.next_hops = group.next_hops.data();
+  }
 }
 
 int Simulator::WalkForward(Ipv4Address destination, std::uint16_t flow_id,
                            std::uint64_t serial, RouteMemo* memo,
-                           int want_hop, RouterId* at_hop,
+                           int want_hop, HopAt* at_hop,
                            std::vector<RouterId>* full_path) const {
   if (memo == nullptr) {
-    // Lean reference walk: no recording overhead.
+    // Reference walk: every hop resolved from the topology.
     SubnetId subnet_id = topology_->FindSubnet(destination);
     if (subnet_id == kNoSubnet) return 0;
     const auto& gateways = topology_->subnet(subnet_id).gateways;
     RouterId current = source_router_;
     for (int hop = 1; hop <= config_.max_hops; ++hop) {
-      if (hop == want_hop) *at_hop = current;
+      if (hop == want_hop) at_hop->router = current;
       if (full_path != nullptr) full_path->push_back(current);
       for (RouterId gw : gateways) {
         if (gw == current) return hop;
@@ -97,62 +144,40 @@ int Simulator::WalkForward(Ipv4Address destination, std::uint16_t flow_id,
     return 0;  // unroutable, a dead end, or a forwarding loop
   }
 
-  if (full_path == nullptr) {
-    if (const RouteMemo::PathSlot* cached =
-            memo->FindPath(*topology_, destination, flow_id)) {
-      if (want_hop >= 1 && want_hop <= cached->length) {
-        *at_hop = cached->hops[want_hop - 1];
-      }
-      return cached->length;
-    }
-  }
-  SubnetId subnet_id = memo->FindSubnet(*topology_, destination);
-  if (subnet_id == kNoSubnet) {
-    memo->StorePath(*topology_, destination, flow_id, nullptr, 0);
-    return 0;
-  }
-  const auto& gateways = topology_->subnet(subnet_id).gateways;
-
-  // Record the walk for the memo as it happens.  Walks whose next hop
-  // ever depends on the probe serial (multi-next-hop per-packet
-  // balancers) or that outrun the slot's capacity are left uncached.
-  std::array<RouterId, RouteMemo::kMaxCachedHops> trail;
-  bool cacheable = true;
-
+  memo->Bind(*topology_, seed_hash_state_, source_address_);
+  const SubnetId subnet_id = memo->FindSubnet(destination);
+  if (subnet_id == kNoSubnet) return 0;
+  const Subnet& subnet = topology_->subnet(subnet_id);
   RouterId current = source_router_;
-  int length = 0;
   for (int hop = 1; hop <= config_.max_hops; ++hop) {
-    if (hop == want_hop) *at_hop = current;
-    if (hop <= RouteMemo::kMaxCachedHops) {
-      trail[hop - 1] = current;
-    } else {
-      cacheable = false;
-    }
+    RouteMemo::HopRow& row =
+        memo->Row(current, destination, [&](RouteMemo::HopRow& fresh) {
+          DecodeRow(current, destination, subnet, fresh);
+        });
+    if (hop == want_hop) *at_hop = {current, &row};
     if (full_path != nullptr) full_path->push_back(current);
-    bool terminal = false;
-    for (RouterId gw : gateways) {
-      if (gw == current) terminal = true;
+    switch (row.mode) {
+      case RouteMemo::HopMode::kGateway:
+        return hop;
+      case RouteMemo::HopMode::kFixed:
+        current = row.next_hops[0];
+        continue;
+      case RouteMemo::HopMode::kPerFlow:
+        current = row.next_hops[Mix64(row.hash_state ^ flow_id) %
+                                row.next_hop_count];
+        continue;
+      case RouteMemo::HopMode::kPerPacket:
+        current = row.next_hops[StableHashFrom(row.hash_state,
+                                               {serial, 0xBEEFULL}) %
+                                row.next_hop_count];
+        continue;
+      case RouteMemo::HopMode::kDeadEnd:
+        break;
     }
-    if (terminal) {
-      length = hop;
-      break;
-    }
-    const FibEntry* entry = memo->Lookup(*topology_, current, destination);
-    if (entry == nullptr || entry->group.next_hops.empty()) break;
-    if (entry->group.policy == LbPolicy::kPerPacket &&
-        entry->group.next_hops.size() > 1) {
-      cacheable = false;
-    }
-    current =
-        PickNextHop(current, entry->group, destination, flow_id, serial);
+    break;
   }
-  // length stays 0 on a dead end or a forwarding loop / absurdly long
-  // path — deterministically per (destination, flow), so cacheable too.
-  if (cacheable) {
-    memo->StorePath(*topology_, destination, flow_id, trail.data(), length);
-  }
-  if (length == 0 && full_path != nullptr) full_path->clear();
-  return length;
+  if (full_path != nullptr) full_path->clear();
+  return 0;
 }
 
 RouterId Simulator::GroundTruthLastHop(Ipv4Address destination,
@@ -161,8 +186,23 @@ RouterId Simulator::GroundTruthLastHop(Ipv4Address destination,
   return path.empty() ? kNoRouter : path.back();
 }
 
-bool Simulator::RouterResponds(RouterId router,
+bool Simulator::RouterResponds(const HopAt& at,
                                Ipv4Address destination) const {
+  if (at.row == nullptr) return DrawResponds(at.router, destination);
+  // The row was decoded for `destination` by this walk; the draw is a
+  // pure function of (router, destination), so it is made once per row.
+  RouteMemo::HopRow& row = *at.row;
+  if ((row.flags & RouteMemo::kRespondsKnown) == 0) {
+    row.flags |= RouteMemo::kRespondsKnown;
+    if (DrawResponds(at.router, destination)) {
+      row.flags |= RouteMemo::kResponds;
+    }
+  }
+  return (row.flags & RouteMemo::kResponds) != 0;
+}
+
+bool Simulator::DrawResponds(RouterId router,
+                             Ipv4Address destination) const {
   const ResponseModel& model = topology_->router(router).response;
   if (model.respond_probability >= 1.0) return true;
   if (model.respond_probability <= 0.0) return false;
@@ -199,7 +239,7 @@ ProbeReply Simulator::Send(const ProbeSpec& probe, RouteMemo* memo) const {
 
 ProbeReply Simulator::SendImpl(const ProbeSpec& probe, RouteMemo* memo,
                                int* path_length_out) const {
-  RouterId expiring = kNoRouter;
+  HopAt expiring;
   const int path_length = WalkForward(probe.destination, probe.flow_id,
                                       probe.serial, memo, probe.ttl,
                                       &expiring);
@@ -214,7 +254,7 @@ ProbeReply Simulator::SendImpl(const ProbeSpec& probe, RouteMemo* memo,
     if (!RouterResponds(expiring, probe.destination)) return {};
     ProbeReply reply;
     reply.kind = ReplyKind::kTtlExceeded;
-    reply.responder = topology_->router(expiring).reply_address;
+    reply.responder = topology_->router(expiring.router).reply_address;
     reply.hop = probe.ttl;
     reply.rtt_ms = rtt_model_.RouterRtt(reply.responder, probe.ttl,
                                         static_cast<std::uint32_t>(probe.serial));
@@ -224,7 +264,7 @@ ProbeReply Simulator::SendImpl(const ProbeSpec& probe, RouteMemo* memo,
   }
 
   SubnetId subnet_id = memo != nullptr
-                           ? memo->FindSubnet(*topology_, probe.destination)
+                           ? memo->FindSubnet(probe.destination)
                            : topology_->FindSubnet(probe.destination);
   if (subnet_id == kNoSubnet) return {};
   const Subnet& subnet = topology_->subnet(subnet_id);

@@ -80,7 +80,7 @@ class Simulator {
             RttModel rtt_model, SimulatorConfig config);
 
   /// Sends one probe and returns what the source observes.  `memo`, when
-  /// non-null, caches FIB resolutions across calls (see route_memo.h);
+  /// non-null, serves each hop from the router's hop row (see route_memo.h);
   /// replies are bit-identical with and without it.  The memo must be
   /// owned by the calling thread — the simulator itself stays const and
   /// writes no shared state, not even a packet counter: measurement load
@@ -133,16 +133,28 @@ class Simulator {
                        Ipv4Address dst, std::uint16_t flow_id,
                        std::uint64_t serial) const;
 
-  /// Allocation-free forward walk used by Send: returns the path length
-  /// (routers traversed, 0 when unroutable) and, when `want_hop` lies on
-  /// the path, stores the router at that 1-based hop in `*at_hop`.
-  /// Identical routing decisions to ResolvePath.  With a memo, whole
-  /// walks are served from (and recorded into) its path cache; pass
-  /// `full_path` to additionally collect every hop (disables the cached
-  /// fast path for this call).
+  /// A router on the walk and, for a memoized walk, its hop row.
+  struct HopAt {
+    RouterId router = kNoRouter;
+    RouteMemo::HopRow* row = nullptr;
+  };
+
+  /// Fills `row` with the forwarding facts of `router` for `dst` (see
+  /// route_memo.h): the same decisions PickNextHop and the reference walk
+  /// make, with every hash input except the probe's own fields folded.
+  void DecodeRow(RouterId router, Ipv4Address dst, const Subnet& subnet,
+                 RouteMemo::HopRow& row) const;
+
+  /// Allocation-free forward walk used by Send and ResolvePath: returns
+  /// the path length (routers traversed, 0 when unroutable) and, when
+  /// `want_hop` lies on the path, stores the router at that 1-based hop
+  /// (plus its row, with a memo) in `*at_hop`.  With a memo every hop is
+  /// served from the router's hop row; without one, from the topology.
+  /// `full_path`, when given, collects every hop (cleared when the
+  /// destination is unroutable).
   int WalkForward(Ipv4Address destination, std::uint16_t flow_id,
                   std::uint64_t serial, RouteMemo* memo, int want_hop,
-                  RouterId* at_hop,
+                  HopAt* at_hop,
                   std::vector<RouterId>* full_path = nullptr) const;
 
   /// Send minus the artifact hook: computes the clean reply and reports
@@ -152,7 +164,10 @@ class Simulator {
   ProbeReply SendImpl(const ProbeSpec& probe, RouteMemo* memo,
                       int* path_length_out) const;
 
-  bool RouterResponds(RouterId router, Ipv4Address destination) const;
+  /// Whether the router at `at` answers a TTL-exceeded probe toward
+  /// `destination`; memoized in the row when the walk had one.
+  bool RouterResponds(const HopAt& at, Ipv4Address destination) const;
+  bool DrawResponds(RouterId router, Ipv4Address destination) const;
 
   int ReverseHops(Ipv4Address destination, int forward_hops) const;
 

@@ -115,9 +115,10 @@ std::size_t InjectRouteChurn(netsim::Topology& topology, netsim::Rng& rng,
 /// Load-balancer reconfiguration: switches up to `groups` randomly
 /// chosen multi-next-hop ECMP groups to `policy`.  With kPerPacket (the
 /// default) this is the false-link generator — per-flow probe sequences
-/// stop pinning a single path.  Bumps mutation_epoch; RouteMemo already
-/// refuses to cache multi-hop per-packet walks, so memoized campaigns
-/// stay exact.  Returns the number of groups actually switched.
+/// stop pinning a single path.  Bumps mutation_epoch, and a RouteMemo
+/// row for a per-packet group still hashes each probe's serial, so
+/// memoized campaigns stay exact.  Returns the number of groups actually
+/// switched.
 std::size_t ReconfigureLoadBalancers(
     netsim::Topology& topology, netsim::Rng& rng, std::size_t groups,
     netsim::LbPolicy policy = netsim::LbPolicy::kPerPacket);

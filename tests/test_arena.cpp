@@ -4,6 +4,7 @@
 // preset runs the per-shard isolation property under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -128,33 +129,32 @@ TEST(ArenaVector, MatchesStdVectorReference) {
   std::vector<std::uint64_t> out;
   actual.AppendTo(out);
   EXPECT_EQ(out, expected);
-  std::size_t i = 0;
-  actual.ForEach([&](const std::uint64_t& value) {
-    ASSERT_LT(i, expected.size());
-    EXPECT_EQ(value, expected[i]);
-    ++i;
-  });
-  EXPECT_EQ(i, expected.size());
+  // AppendTo appends: whatever the destination held stays in front.
+  std::vector<std::uint64_t> prefixed = {7, 8};
+  actual.AppendTo(prefixed);
+  ASSERT_EQ(prefixed.size(), expected.size() + 2);
+  EXPECT_EQ(prefixed[0], 7u);
+  EXPECT_EQ(prefixed[1], 8u);
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                         prefixed.begin() + 2));
 }
 
 TEST(ArenaVector, GrowthNeverMovesElements) {
   Arena arena;
   ArenaVector<std::uint32_t> values(&arena, /*first_capacity=*/2);
   for (std::uint32_t i = 0; i < 100; ++i) values.push_back(i);
-  std::vector<const std::uint32_t*> addresses;
-  values.ForEach([&](const std::uint32_t& v) { addresses.push_back(&v); });
+  std::vector<std::uint32_t> before;
+  values.AppendTo(before);
   // Push enough to force several more segments; earlier elements must
-  // stay exactly where they were.
+  // come back unchanged and in insertion order.
   for (std::uint32_t i = 100; i < 10000; ++i) values.push_back(i);
-  std::size_t i = 0;
-  values.ForEach([&](const std::uint32_t& v) {
-    if (i < addresses.size()) {
-      EXPECT_EQ(&v, addresses[i]) << i;
-      EXPECT_EQ(v, i);
-    }
-    ++i;
-  });
-  EXPECT_EQ(i, 10000u);
+  std::vector<std::uint32_t> after;
+  values.AppendTo(after);
+  ASSERT_EQ(after.size(), 10000u);
+  EXPECT_TRUE(std::equal(before.begin(), before.end(), after.begin()));
+  for (std::uint32_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i], i) << i;
+  }
 }
 
 // The intended deployment shape: one arena per shard, written only by

@@ -1,10 +1,14 @@
-// test_route_memo.cpp — the per-campaign FIB-resolution memo must be an
-// exact, invisible optimization: identical routing results with and
-// without it, across flows, TTLs and topology mutations.
+// test_route_memo.cpp — the per-prober hop-row memo must be an exact,
+// invisible optimization: identical routing results and replies with and
+// without it, across flows, TTLs, balancer policies, vantages and
+// topology mutations.
 #include "netsim/route_memo.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "netsim/internet.h"
 #include "netsim/simulator.h"
 #include "test_util.h"
 
@@ -15,6 +19,72 @@ using test::Addr;
 using test::BuildMiniNet;
 using test::MiniNet;
 using test::Pfx;
+
+/// Records the walk context Send hands the artifact hook, leaving every
+/// reply untouched.
+class RecordingArtifacts : public ReplyArtifacts {
+ public:
+  void Rewrite(const ProbeSpec&, const ArtifactContext& context,
+               ProbeReply&) const override {
+    path_length = context.path_length;
+  }
+  mutable int path_length = -1;
+};
+
+/// Sends `probe` without a memo and through `memo`, and requires the two
+/// replies (and the hook's path length) to match field for field.
+void ExpectSameSend(Simulator& simulator, RouteMemo& memo,
+                    const ProbeSpec& probe) {
+  RecordingArtifacts recorder;
+  simulator.SetReplyArtifacts(&recorder);
+  const ProbeReply direct = simulator.Send(probe);
+  const int direct_length = recorder.path_length;
+  const ProbeReply memoized = simulator.Send(probe, &memo);
+  const int memoized_length = recorder.path_length;
+  simulator.SetReplyArtifacts(nullptr);
+  const std::string where = probe.destination.ToString() + " ttl " +
+                            std::to_string(probe.ttl) + " flow " +
+                            std::to_string(probe.flow_id);
+  ASSERT_EQ(memoized.kind, direct.kind) << where;
+  ASSERT_EQ(memoized.responder, direct.responder) << where;
+  ASSERT_EQ(memoized.reply_ttl, direct.reply_ttl) << where;
+  ASSERT_EQ(memoized.hop, direct.hop) << where;
+  ASSERT_EQ(memoized.rtt_ms, direct.rtt_ms) << where;
+  ASSERT_EQ(memoized_length, direct_length) << where;
+}
+
+/// Every TTL from 1 to one past the host, plus 64, for flows 0-15.
+void SweepDestination(Simulator& simulator, RouteMemo& memo,
+                      Ipv4Address dst, std::uint64_t& serial) {
+  const int host_hop =
+      static_cast<int>(simulator.ResolvePath(dst, 0, 0).size()) + 1;
+  for (std::uint16_t flow = 0; flow < 16; ++flow) {
+    for (int ttl = 1; ttl <= host_hop + 2; ++ttl) {
+      ProbeSpec probe;
+      probe.destination = dst;
+      probe.ttl = ttl == host_hop + 2 ? 64 : ttl;
+      probe.flow_id = flow;
+      probe.serial = serial++;
+      ExpectSameSend(simulator, memo, probe);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+/// Re-points the MiniNet's two balancers — r1 over {m1, m2} and agg over
+/// 20.0.2.0/24's gateways — at `policy`; `wide` makes r1's group wider
+/// than a row's inline next hops (duplicates keep every pick routable).
+void SetBalancers(MiniNet& net, LbPolicy policy, bool wide) {
+  std::vector<RouterId> middle = {net.m1, net.m2};
+  if (wide) {
+    while (middle.size() <= RouteMemo::kInlineHops) {
+      middle.push_back(middle.size() % 2 == 0 ? net.m1 : net.m2);
+    }
+  }
+  net.topology.router(net.r1).fib.Add(Pfx("0.0.0.0/0"), {middle, policy});
+  net.topology.router(net.agg).fib.Add(Pfx("20.0.2.0/24"),
+                                       {{net.gw1, net.gw2}, policy});
+}
 
 std::vector<Ipv4Address> BlockDestinations() {
   std::vector<Ipv4Address> destinations;
@@ -93,6 +163,112 @@ TEST(RouteMemo, InvalidatesWhenTopologyMutates) {
     auto fresh = net.simulator->ResolvePath(dst, flow, 0, nullptr);
     ASSERT_EQ(memoized, fresh) << "flow " << flow;
     ASSERT_EQ(memoized[2], net.m1) << "stale route served from the memo";
+  }
+}
+
+TEST(RouteMemo, SendIdenticalAcrossBalancerModes) {
+  std::uint64_t serial = 1;
+
+  // A generated world: every study /24, at addresses spread over its
+  // /26s, through one warm memo.
+  {
+    Internet internet = BuildInternet(TinyConfig(7));
+    RouteMemo memo;
+    for (const Prefix& slash24 : internet.study_24s) {
+      for (std::uint32_t octet : {1u, 70u, 130u, 254u}) {
+        SweepDestination(*internet.simulator, memo,
+                         Ipv4Address(slash24.base().value() | octet),
+                         serial);
+        if (HasFatalFailure()) return;
+      }
+    }
+    EXPECT_GT(memo.hits(), memo.misses());
+  }
+
+  // Every balancer policy, including multi-next-hop kPerPacket and a
+  // group too wide to inline, with an epoch bump halfway through each
+  // sweep: the policy changes under a warm memo, and the destination
+  // swept last, whose rows the memo holds, is swept again.
+  struct Variant {
+    LbPolicy policy;
+    bool wide;
+    LbPolicy after;
+  };
+  for (const Variant& variant :
+       {Variant{LbPolicy::kPerPacket, false, LbPolicy::kPerFlow},
+        Variant{LbPolicy::kPerPacket, true, LbPolicy::kPerDestination},
+        Variant{LbPolicy::kPerDestinationCyclic, false, LbPolicy::kPerPacket},
+        Variant{LbPolicy::kPerDestAndSrc, false,
+                LbPolicy::kPerDestinationCyclic},
+        Variant{LbPolicy::kPerFlow, true, LbPolicy::kPerDestAndSrc},
+        Variant{LbPolicy::kPerDestination, false, LbPolicy::kPerFlow}}) {
+    SCOPED_TRACE(static_cast<int>(variant.policy));
+    MiniNet net = BuildMiniNet();
+    SetBalancers(net, variant.policy, variant.wide);
+    RouteMemo memo;
+    const std::vector<Ipv4Address> destinations = BlockDestinations();
+    for (std::size_t i = 0; i < destinations.size(); ++i) {
+      if (i == destinations.size() / 2) {
+        SetBalancers(net, variant.after, !variant.wide);
+        SweepDestination(*net.simulator, memo, destinations[i - 1], serial);
+      }
+      SweepDestination(*net.simulator, memo, destinations[i], serial);
+      if (HasFatalFailure()) return;
+    }
+  }
+
+  // One memo used alternately by two vantages' simulators: rows hold
+  // source-dependent picks, so each switch must drop them.
+  {
+    InternetConfig config = TinyConfig(11);
+    config.extra_vantages = 1;
+    Internet internet = BuildInternet(config);
+    std::unique_ptr<Simulator> second =
+        internet.MakeSimulatorAt(internet.extra_vantages[0]);
+    RouteMemo memo;
+    for (const Prefix& slash24 : internet.study_24s) {
+      const Ipv4Address dst(slash24.base().value() | 9u);
+      SweepDestination(*internet.simulator, memo, dst, serial);
+      SweepDestination(*second, memo, dst, serial);
+      if (HasFatalFailure()) return;
+    }
+  }
+
+  // 0.0.0.0 as a routable destination: a zero-filled row reads dst 0, so
+  // only the decoded flag keeps it from passing as decoded.
+  {
+    Topology topology;
+    auto router = [&topology](const char* address) {
+      Router r;
+      r.reply_address = Addr(address);
+      return topology.AddRouter(std::move(r));
+    };
+    const RouterId src = router("10.0.0.1");
+    const RouterId r1 = router("10.0.0.2");
+    const RouterId m1 = router("10.0.0.3");
+    const RouterId m2 = router("10.0.0.4");
+    const RouterId gw = router("10.0.0.5");
+    const Prefix any = Pfx("0.0.0.0/0");
+    topology.router(src).fib.AddSingle(any, r1);
+    topology.router(r1).fib.Add(any, {{m1, m2}, LbPolicy::kPerFlow});
+    topology.router(m1).fib.AddSingle(any, gw);
+    topology.router(m2).fib.AddSingle(any, gw);
+    Subnet subnet;
+    subnet.prefix = Pfx("0.0.0.0/24");
+    subnet.gateways = {gw};
+    subnet.occupancy = 1.0;
+    subnet.base_rtt_ms = 10.0;
+    topology.AddSubnet(std::move(subnet));
+    topology.Seal();
+    HostModelConfig host;
+    host.snapshot_availability = 1.0;
+    host.probe_availability = 1.0;
+    Simulator simulator(&topology, src, Addr("10.0.0.1"), HostModel(host),
+                        RttModel(RttModelConfig{}), SimulatorConfig{});
+    ASSERT_EQ(simulator.ResolvePath(Ipv4Address(0), 0, 0).size(), 4u);
+    RouteMemo memo;
+    SweepDestination(simulator, memo, Ipv4Address(0), serial);
+    SweepDestination(simulator, memo, Addr("0.0.0.1"), serial);
   }
 }
 

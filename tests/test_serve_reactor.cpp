@@ -251,20 +251,29 @@ TEST(Reactor, BackpressurePausesReadingUntilTheClientDrains) {
   options.limits.write_buffer_cap = 1024;
   options.limits.write_buffer_resume = 256;
   Harness harness(options, EpochOne(8));
-  // Small kernel buffers so the pending reply bytes must accumulate in
-  // the connection's write buffer (and trip the cap) rather than vanish
-  // into socket buffering.
+  // Small kernel buffers make the pending reply bytes accumulate in the
+  // connection's write buffer (and trip the cap) early; the kernel may
+  // round the request up, so the test does not rely on the size.
   int client = harness.Connect(/*socket_buffer_bytes=*/4096);
 
-  // ~2000 pipelined lookups -> ~100KB of replies, far beyond the kernel
-  // buffers + cap.  The client writes without reading: once the kernel
-  // path fills, the reactor must hit the cap and pause this connection.
-  constexpr int kLookups = 2000;
+  // At least 2000 pipelined lookups (~100KB of replies), and more until
+  // the pause is seen: the client writes without reading, so whatever
+  // the kernel buffers hold, the reply path eventually fills and the
+  // reactor must hit the cap and pause this connection.  QUIT is held
+  // back until then, so the session cannot end before the pause.
+  constexpr int kMinLookups = 2000;
+  int lookups = 0;
   std::string burst;
-  for (int i = 0; i < kLookups; ++i) {
-    burst += "LOOKUP 20.0." + std::to_string(i % 8) + ".1\n";
-  }
-  burst += "QUIT\n";
+  std::string expected;
+  auto add_lookups = [&](int count) {
+    for (int i = 0; i < count; ++i, ++lookups) {
+      const std::string octet = std::to_string(lookups % 8);
+      burst += "LOOKUP 20.0." + octet + ".1\n";
+      expected += "HIT 20.0." + octet + ".0/24 block=" + octet +
+                  " class=- members=1 hops=1\n";
+    }
+  };
+  add_lookups(kMinLookups);
 
   // Nonblocking writes: push as much as the kernel takes, then hold
   // while verifying the pause engaged.
@@ -285,9 +294,15 @@ TEST(Reactor, BackpressurePausesReadingUntilTheClientDrains) {
   };
   push();
   ASSERT_TRUE(WaitFor([&] {
+    if (harness.reactor().stats().backpressure_pauses.load() >= 1) {
+      return true;
+    }
+    if (written == burst.size()) add_lookups(64);
     push();
-    return harness.reactor().stats().backpressure_pauses.load() >= 1;
+    return false;
   })) << "reactor never paused under an unread reply backlog";
+  burst += "QUIT\n";
+  expected += "BYE\n";
 
   // Now drain: keep writing the remainder while consuming replies.
   std::string reply;
@@ -311,9 +326,10 @@ TEST(Reactor, BackpressurePausesReadingUntilTheClientDrains) {
   ASSERT_TRUE(eof) << "session did not finish after draining";
   EXPECT_EQ(written, burst.size());
   // Every lookup answered, in order, nothing lost under the pauses.
-  EXPECT_EQ(CountLines(reply), static_cast<std::size_t>(kLookups) + 1);
+  EXPECT_EQ(CountLines(reply), static_cast<std::size_t>(lookups) + 1);
   EXPECT_EQ(reply.find("MISS"), std::string::npos);
   EXPECT_NE(reply.rfind("BYE\n"), std::string::npos);
+  EXPECT_EQ(reply, expected);
   ::close(client);
 }
 

@@ -113,6 +113,14 @@ TEST(SimdDispatch, ScalarKernelsMatchLaneAccumulatorContract) {
   }
 }
 
+/// Bitwise buffer equality.  An empty vector's data() may be null, which
+/// memcmp must not see even with a zero length.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 TEST(SimdKernels, AllTiersMatchScalarBitForBit) {
   const auto& reference = KernelsFor(Tier::kScalar);
   for (Tier tier : SupportedTiers()) {
@@ -138,18 +146,14 @@ TEST(SimdKernels, AllTiersMatchScalarBitForBit) {
           reference.square_accumulate(want_sq.data(), size);
       const double got_acc = kernels.square_accumulate(got_sq.data(), size);
       EXPECT_EQ(std::memcmp(&want_acc, &got_acc, sizeof(double)), 0);
-      EXPECT_EQ(std::memcmp(want_sq.data(), got_sq.data(),
-                            size * sizeof(double)),
-                0);
+      EXPECT_TRUE(SameBits(want_sq, got_sq));
 
       // divide
       std::vector<double> want_div = base;
       std::vector<double> got_div = base;
       reference.divide(want_div.data(), size, 0.3721);
       kernels.divide(got_div.data(), size, 0.3721);
-      EXPECT_EQ(std::memcmp(want_div.data(), got_div.data(),
-                            size * sizeof(double)),
-                0);
+      EXPECT_TRUE(SameBits(want_div, got_div));
 
       // filter_ge (threshold at 0 keeps roughly half of (-1, 1))
       std::vector<std::pair<double, std::uint32_t>> want_kept(size);
