@@ -40,12 +40,18 @@ std::optional<Ipv4Address> Ipv4Address::Parse(std::string_view text) {
 
 std::string Ipv4Address::ToString() const {
   std::string out;
-  out.reserve(15);
-  for (int i = 0; i < 4; ++i) {
-    if (i > 0) out.push_back('.');
-    out += std::to_string(Octet(i));
-  }
+  AppendTo(&out);
   return out;
+}
+
+void Ipv4Address::AppendTo(std::string* out) const {
+  char text[15];
+  char* end = text;
+  for (int i = 0; i < 4; ++i) {
+    if (i > 0) *end++ = '.';
+    end = std::to_chars(end, text + sizeof(text), unsigned{Octet(i)}).ptr;
+  }
+  out->append(text, end);
 }
 
 std::optional<Prefix> Prefix::Parse(std::string_view text) {
@@ -67,7 +73,16 @@ std::optional<Prefix> Prefix::Parse(std::string_view text) {
 }
 
 std::string Prefix::ToString() const {
-  return base_.ToString() + "/" + std::to_string(length_);
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Prefix::AppendTo(std::string* out) const {
+  base_.AppendTo(out);
+  char text[3];
+  out->push_back('/');
+  out->append(text, std::to_chars(text, text + sizeof(text), length_).ptr);
 }
 
 }  // namespace hobbit::netsim

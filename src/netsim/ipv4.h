@@ -44,8 +44,10 @@ class Ipv4Address {
     return static_cast<std::uint8_t>(value_ >> (8 * (3 - i)));
   }
 
-  /// Dotted-decimal rendering, e.g. "192.0.2.7".
+  /// Dotted-decimal rendering, e.g. "192.0.2.7"; AppendTo writes the same
+  /// text onto the end of *out.
   std::string ToString() const;
+  void AppendTo(std::string* out) const;
 
   friend constexpr auto operator<=>(Ipv4Address, Ipv4Address) = default;
 
@@ -119,8 +121,10 @@ class Prefix {
         child_length);
   }
 
-  /// "a.b.c.d/len" rendering.
+  /// "a.b.c.d/len" rendering; AppendTo writes the same text onto the end
+  /// of *out.
   std::string ToString() const;
+  void AppendTo(std::string* out) const;
 
   friend constexpr auto operator<=>(const Prefix&, const Prefix&) = default;
 

@@ -1,8 +1,6 @@
 #include "serve/connection.h"
 
 #include <cstring>
-#include <sstream>
-#include <utility>
 
 namespace hobbit::serve {
 
@@ -57,7 +55,7 @@ bool Connection::Ingest(std::string_view bytes) {
   for (;;) {
     switch (framer_.Next(&line)) {
       case LineFramer::Status::kLine:
-        HandleLine(std::move(line));
+        HandleLine(line);
         if (done_) return false;
         break;
       case LineFramer::Status::kNeedMore:
@@ -75,8 +73,8 @@ bool Connection::Ingest(std::string_view bytes) {
 void Connection::OnEof() {
   if (done_) return;
   if (batch_pending_ > 0) {
-    // The peer hung up mid-batch; report the truncation the way the
-    // stream service does, so the client (if still reading) learns why.
+    // The peer hung up mid-batch: the short query list makes the service
+    // report the truncation, so the client (if still reading) learns why.
     Dispatch(batch_header_, batch_lines_);
   }
   done_ = true;
@@ -94,7 +92,7 @@ void Connection::Consume(std::size_t n) {
   RecomputePause();
 }
 
-void Connection::HandleLine(std::string&& line) {
+void Connection::HandleLine(std::string_view line) {
   if (batch_pending_ > 0) {
     batch_lines_.append(line);
     batch_lines_.push_back('\n');
@@ -109,26 +107,21 @@ void Connection::HandleLine(std::string&& line) {
     }
     return;
   }
-  if (line.empty() || line[0] == '#') return;  // same skip rule as Run()
-  auto [command, arg] = SplitCommand(line);
-  std::size_t count = 0;
-  if (command == "BATCH" &&
-      ParseBatchSize(arg, &count) == BatchSizeParse::kOk && count > 0) {
+  if (line.empty() || line[0] == '#') return;  // blank lines and comments
+  if (std::size_t count = BatchLinesAfter(line); count > 0) {
     // Hold the command until its n query lines have arrived; they may
     // span any number of reads (pipelining).
-    batch_header_ = std::move(line);
+    batch_header_.assign(line);
     batch_pending_ = count;
     return;
   }
-  Dispatch(line, std::string());
+  Dispatch(line, {});
 }
 
-void Connection::Dispatch(const std::string& command_line,
-                          const std::string& batch_lines) {
+void Connection::Dispatch(std::string_view command_line,
+                          std::string_view batch_lines) {
   ++commands_;
-  OutbufStream out(&out_);
-  std::istringstream batch_in(batch_lines);
-  if (!service_->HandleCommand(command_line, batch_in, out)) {
+  if (!service_->Execute(command_line, batch_lines, &out_)) {
     done_ = true;  // QUIT: BYE is already buffered, close after flush
   }
   RecomputePause();

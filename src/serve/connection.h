@@ -1,12 +1,13 @@
-// connection.h — per-connection protocol state for the multi-client server.
+// connection.h — per-connection protocol state for the line protocol.
 //
 // The reactor (reactor.h) owns sockets and readiness; everything that can
 // be reasoned about without a socket lives here, so the framing and the
 // pipelined-command driver are plain functions of byte sequences — unit
 // tested with strings and fuzzed with random byte streams, no loopback
-// required.
+// required.  hobbit_serve's stdio mode feeds stdin through a Connection
+// too (LineService::Run), so both transports share every rule below.
 //
-// Three layers, composed bottom-up:
+// Two layers, composed bottom-up:
 //
 //  * `LineFramer` — splits an arbitrary byte stream into protocol lines.
 //    Lines end in '\n' (an optional preceding '\r' is stripped, so CRLF
@@ -14,19 +15,15 @@
 //    NUL byte is a protocol violation that *poisons* the framer — once
 //    hostile bytes have been seen there is no way to know where the next
 //    line boundary was meant to be, so the only safe answer is to stop
-//    parsing and hang up.
-//  * `OutbufStream` — a std::ostream whose streambuf appends to a caller
-//    owned std::string, so LineService's handlers (written against
-//    ostream) emit straight into the connection's write buffer with no
-//    intermediate stringstream copy.
-//  * `Connection` — the protocol driver: feeds framed lines through a
-//    LineService, holding back a pipelined `BATCH n` command until its n
-//    query lines have arrived (they may trickle in over any number of
-//    reads), accumulating replies in the write buffer, and exposing the
-//    backpressure state the reactor acts on: when the write buffer
-//    exceeds `write_buffer_cap` the connection reports `paused()` and
-//    the reactor stops reading from the socket until the peer drains it
-//    below `write_buffer_resume`.
+//    parsing and hang up.  A partial line at EOF is dropped.
+//  * `Connection` — the protocol driver: skips blank and '#' lines, holds
+//    back a pipelined `BATCH n` command until its n query lines have
+//    arrived (they may trickle in over any number of reads), has
+//    `LineService::Execute` append each reply straight into the write
+//    buffer, and exposes the backpressure state the reactor acts on:
+//    when the write buffer exceeds `write_buffer_cap` the connection
+//    reports `paused()` and the reactor stops reading from the socket
+//    until the peer drains it below `write_buffer_resume`.
 //
 // Ownership: Connection borrows the LineService (and through it the
 // SnapshotStore / metrics / thread pool); it owns only its buffers.
@@ -34,8 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <ostream>
-#include <streambuf>
 #include <string>
 #include <string_view>
 
@@ -92,39 +87,6 @@ class LineFramer {
   Status poison_status_ = Status::kNeedMore;  ///< sticky error, once set
 };
 
-/// std::ostream appending to a borrowed std::string.
-class OutbufStream : public std::ostream {
- public:
-  explicit OutbufStream(std::string* out)
-      : std::ostream(nullptr), buffer_(out) {
-    rdbuf(&buffer_);
-  }
-
- private:
-  class AppendBuf : public std::streambuf {
-   public:
-    explicit AppendBuf(std::string* out) : out_(out) {}
-
-   protected:
-    int_type overflow(int_type ch) override {
-      if (ch != traits_type::eof()) {
-        out_->push_back(static_cast<char>(ch));
-      }
-      return ch;
-    }
-    std::streamsize xsputn(const char* data,
-                           std::streamsize count) override {
-      out_->append(data, static_cast<std::size_t>(count));
-      return count;
-    }
-
-   private:
-    std::string* out_;
-  };
-
-  AppendBuf buffer_;
-};
-
 /// One client conversation: framing + pipelined command dispatch + write
 /// buffering.  Transport-free; the reactor (or a test) moves the bytes.
 class Connection {
@@ -166,9 +128,8 @@ class Connection {
  private:
   /// Routes one complete line (skips blanks/comments, manages the
   /// batch-collection state machine, dispatches to the service).
-  void HandleLine(std::string&& line);
-  void Dispatch(const std::string& command_line,
-                const std::string& batch_lines);
+  void HandleLine(std::string_view line);
+  void Dispatch(std::string_view command_line, std::string_view batch_lines);
   void ProtocolError(std::string_view reason);
   void RecomputePause();
 

@@ -1,7 +1,5 @@
 #include "serve/metrics.h"
 
-#include <sstream>
-
 namespace hobbit::serve {
 
 std::uint64_t LatencyHistogram::TotalCount() const {
@@ -29,26 +27,6 @@ std::uint64_t LatencyHistogram::Quantile(double q) const {
     }
   }
   return std::uint64_t{1} << (kBuckets - 1);
-}
-
-std::string ServeMetrics::Format(std::uint64_t generation, std::uint64_t epoch,
-                                 const char* publish,
-                                 std::uint64_t delta_entries) const {
-  std::ostringstream os;
-  os << "lookups=" << lookups.load(std::memory_order_relaxed)
-     << " hits=" << hits.load(std::memory_order_relaxed)
-     << " misses=" << misses.load(std::memory_order_relaxed)
-     << " batches=" << batches.load(std::memory_order_relaxed)
-     << " covering=" << covering_queries.load(std::memory_order_relaxed)
-     << " reloads=" << reloads.load(std::memory_order_relaxed)
-     << " failed_reloads=" << failed_reloads.load(std::memory_order_relaxed)
-     << " generation=" << generation << " epoch=" << epoch
-     << " publish=" << publish << " delta_entries=" << delta_entries << "\n";
-  os << "latency_ns p50=" << latency.Quantile(0.50)
-     << " p90=" << latency.Quantile(0.90)
-     << " p99=" << latency.Quantile(0.99)
-     << " samples=" << latency.TotalCount();
-  return os.str();
 }
 
 }  // namespace hobbit::serve

@@ -13,7 +13,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 namespace hobbit::serve {
 
@@ -53,13 +52,6 @@ struct ServeMetrics {
   std::atomic<std::uint64_t> reloads{0};         ///< successful swaps
   std::atomic<std::uint64_t> failed_reloads{0};
   LatencyHistogram latency;                      ///< one sample per command
-
-  /// The STATS wire rendering (two lines, no trailing newline).
-  /// `publish` / `delta_entries` carry the store's publish provenance
-  /// (last publish kind and patch entry count) into the stats line.
-  std::string Format(std::uint64_t generation, std::uint64_t epoch,
-                     const char* publish = "none",
-                     std::uint64_t delta_entries = 0) const;
 };
 
 }  // namespace hobbit::serve

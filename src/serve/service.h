@@ -1,9 +1,6 @@
 // service.h — the hobbit_serve line protocol, as a library.
 //
-// One command per line on the input stream, one reply (or a reply block)
-// on the output stream — the transport-agnostic core that tools/
-// hobbit_serve.cpp wires to stdin/stdout and tests drive with
-// stringstreams.
+// One command per line, one reply (or a reply block) per command:
 //
 //   LOOKUP <ip|prefix>   exact /24 membership (address or a.b.c.0/24), or
 //                        a covering summary for shorter prefixes
@@ -12,8 +9,9 @@
 //                          MISS 9.9.9.0/24
 //                          COVER 20.0.0.0/16 entries=12 blocks=5
 //   BATCH <n>            the next n lines are queries (ip or /24); n reply
-//                        lines in input order, then "OK <n>".  Batches
-//                        shard over the service's thread pool.
+//                        lines in input order, then "OK <n>".  n is plain
+//                        decimal, at most kMaxBatch.  Batches shard over
+//                        the service's thread pool.
 //   RELOAD <path>        validate + RCU-swap a new snapshot
 //                          OK generation=2 entries=128 blocks=17 epoch=7
 //                          ERR reload failed: payload checksum mismatch
@@ -23,6 +21,11 @@
 // Anything else answers "ERR ..." and the session continues; blank lines
 // and '#' comments are ignored (so a command file can be annotated).
 // Queries against an empty store answer "ERR no snapshot loaded".
+//
+// `LineService::Execute` is the protocol core: one command line plus its
+// gathered BATCH lines in, the reply appended to a string.  Framing, the
+// skip rule, BATCH collection and the input limits live in `Connection`
+// (connection.h), which drives sockets and, through `Run`, stdin.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
+#include <string_view>
 
 #include "common/parallel.h"
 #include "serve/lookup.h"
@@ -39,18 +42,18 @@
 
 namespace hobbit::serve {
 
-/// Largest accepted BATCH size — bounds per-command allocation.  Shared
-/// with the reactor's connection driver, which must agree on what a
-/// valid BATCH header is before it starts collecting query lines.
+/// Largest accepted BATCH size — bounds per-command allocation.
 inline constexpr std::size_t kMaxBatch = 1u << 20;
 
-/// Splits "CMD arg" on the first space; arg may itself contain spaces
-/// (RELOAD paths), so no further splitting.
-std::pair<std::string, std::string> SplitCommand(const std::string& line);
-
-/// Parses a BATCH argument; *count is valid only for kOk.
+/// Parses a BATCH argument: decimal digits only (no sign, no spaces, no
+/// trailing characters).  *count is valid only for kOk; a well-formed
+/// number above kMaxBatch, however long, is kTooLarge.
 enum class BatchSizeParse { kOk, kBadSyntax, kTooLarge };
-BatchSizeParse ParseBatchSize(const std::string& arg, std::size_t* count);
+BatchSizeParse ParseBatchSize(std::string_view arg, std::size_t* count);
+
+/// The number of query lines that must follow `line` before it can run:
+/// n for a well-formed "BATCH n", 0 for anything else.
+std::size_t BatchLinesAfter(std::string_view line);
 
 class LineService {
  public:
@@ -59,10 +62,18 @@ class LineService {
               common::ThreadPool* pool = nullptr)
       : store_(store), metrics_(metrics), pool_(pool) {}
 
-  /// Serves until EOF or QUIT.  Returns the number of commands handled.
+  /// Runs one command line and appends its reply to *out.  For BATCH,
+  /// `batch_lines` holds the query lines gathered after it, each ending
+  /// in '\n'; fewer than n means the input ended mid-batch.  Records one
+  /// latency sample.  Returns false when the session should end (QUIT).
+  bool Execute(std::string_view line, std::string_view batch_lines,
+               std::string* out);
+
+  /// Serves a stream session as a Connection until EOF, QUIT or a
+  /// protocol violation.  Returns the number of commands handled.
   std::size_t Run(std::istream& in, std::ostream& out);
 
-  /// Handles one command line; BATCH reads its query lines from `in`.
+  /// Executes one command line; BATCH reads its query lines from `in`.
   /// Returns false when the session should end (QUIT).
   bool HandleCommand(const std::string& line, std::istream& in,
                      std::ostream& out);
@@ -74,10 +85,11 @@ class LineService {
   }
 
  private:
-  void CmdLookup(const std::string& arg, std::ostream& out);
-  void CmdBatch(const std::string& arg, std::istream& in, std::ostream& out);
-  void CmdReload(const std::string& arg, std::ostream& out);
-  void CmdStats(std::ostream& out);
+  void CmdLookup(std::string_view arg, std::string* out);
+  void CmdBatch(std::string_view arg, std::string_view lines,
+                std::string* out);
+  void CmdReload(std::string_view arg, std::string* out);
+  void CmdStats(std::string* out);
 
   /// The Eytzinger index for `snapshot`, built lazily and cached per
   /// published snapshot: an RCU swap changes the pointer, which misses

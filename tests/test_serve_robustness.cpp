@@ -8,6 +8,7 @@
 // (see src/serve/connection.h), so none of this needs a socket.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "cluster/blockio.h"
@@ -414,24 +415,74 @@ TEST(ConnectionProtocol, GarbageBeforeAndAfterValidCommands) {
 }
 
 TEST(ConnectionProtocol, EveryChunkingOfASessionGivesTheSameReply) {
+  // Every reply form the protocol has, byte for byte.  The session starts
+  // against an empty store and loads its snapshot with RELOAD: the
+  // reloaded image adds 20.0.5.0/24, a classified /24 outside any block.
+  cluster::AggregateBlock a;
+  a.member_24s = {Pfx("20.0.1.0/24"), Pfx("20.0.9.0/24")};
+  a.last_hops = {Addr("10.0.0.1"), Addr("10.0.0.2")};
+  cluster::AggregateBlock b;
+  b.member_24s = {Pfx("99.1.2.0/24")};
+  b.last_hops = {Addr("10.0.0.9")};
+  const auto same_last_hop =
+      static_cast<std::uint8_t>(core::Classification::kSameLastHop);
+  std::vector<ClassifiedPrefix> classified = {
+      {Pfx("20.0.1.0/24"), same_last_hop}, {Pfx("20.0.5.0/24"), same_last_hop}};
+  const std::string good = ::testing::TempDir() + "chunking_good.snap";
+  const std::string bad = ::testing::TempDir() + "chunking_bad.snap";
+  std::vector<std::byte> image = CompileSnapshotV2(
+      std::vector<cluster::AggregateBlock>{a, b}, classified, 7);
+  ASSERT_TRUE(WriteSnapshotFile(good, image));
+  image[60] ^= std::byte{0xFF};
+  ASSERT_TRUE(WriteSnapshotFile(bad, image));
+
   const std::string session =
       "# leading comment\r\n"
+      "LOOKUP 20.0.1.1\n"
+      "BATCH 2\n"
+      "20.0.1.1\n"
+      "8.8.8.8\n"
+      "RELOAD " + bad + "\r\n"
+      "RELOAD " + good + "\n"
       "BATCH 3\n"
       "20.0.1.1\r\n"
       "8.8.8.8\n"
       "99.1.2.3\n"
       "LOOKUP 20.0.9.4\n"
+      "\n"
+      "LOOKUP 20.0.5.9\n"
+      "LOOKUP 8.8.8.0/24\n"
+      "LOOKUP 20.0.0.0/16\n"
+      "LOOKUP 20.0.1.0/26\n"
+      "BATCH 1048577\n"
+      "BATCH many\n"
+      "RELOAD\n"
+      "FROB x\n"
       "QUIT\n";
   const std::string expected =
+      "ERR no snapshot loaded\n"
+      "ERR no snapshot loaded\n"
+      "ERR reload failed: bad section offset (classes)\n"
+      "OK generation=1 entries=4 blocks=2 epoch=7\n"
       "HIT 20.0.1.0/24 block=0 class=same-last-hop members=2 hops=2\n"
       "MISS 8.8.8.8\n"
       "HIT 99.1.2.0/24 block=1 class=- members=1 hops=1\n"
       "OK 3\n"
       "HIT 20.0.9.0/24 block=0 class=- members=2 hops=2\n"
+      "HIT 20.0.5.0/24 block=- class=same-last-hop members=- hops=-\n"
+      "MISS 8.8.8.0/24\n"
+      "COVER 20.0.0.0/16 entries=3 blocks=1\n"
+      "ERR bad query: 20.0.1.0/26\n"
+      "ERR batch too large: 1048577\n"
+      "ERR bad batch size: many\n"
+      "ERR reload needs a path\n"
+      "ERR unknown command: FROB\n"
       "BYE\n";
-  ProtocolFixture fixture;
   for (std::size_t chunk = 1; chunk <= session.size(); ++chunk) {
-    Connection conn(fixture.service(), ConnectionLimits{});
+    SnapshotStore store;
+    ServeMetrics metrics;
+    LineService service(&store, &metrics);
+    Connection conn(&service, ConnectionLimits{});
     bool more = true;
     for (std::size_t at = 0; at < session.size() && more; at += chunk) {
       more = conn.Ingest(
@@ -441,6 +492,72 @@ TEST(ConnectionProtocol, EveryChunkingOfASessionGivesTheSameReply) {
         << "chunk size " << chunk;
     EXPECT_TRUE(conn.done());
   }
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
+}
+
+// Stdin and sockets share one protocol driver: a session tape served by
+// LineService::Run answers byte for byte what a Connection answers,
+// however the socket bytes are chunked.
+TEST(ConnectionProtocol, StdioAndSocketSessionsAreByteIdentical) {
+  const std::string tape =
+      "# comment\r\n"
+      "\r\n"
+      "LOOKUP 20.0.1.1\r\n"
+      "\n"
+      "BATCH 3\r\n"
+      "20.0.9.1\n"
+      "\n"
+      "99.1.2.3\r\n"
+      "FROB now\r\n"
+      "LOOKUP 8.8.8.8\n"
+      "BATCH 4\n"
+      "20.0.1.1\n"
+      "8.8.8.8\n";  // cut short at EOF
+  const std::string expected =
+      "HIT 20.0.1.0/24 block=0 class=same-last-hop members=2 hops=2\n"
+      "HIT 20.0.9.0/24 block=0 class=- members=2 hops=2\n"
+      "ERR bad query: \n"
+      "HIT 99.1.2.0/24 block=1 class=- members=1 hops=1\n"
+      "OK 3\n"
+      "ERR unknown command: FROB\n"
+      "MISS 8.8.8.8\n"
+      "ERR batch truncated at query 2\n";
+  ProtocolFixture fixture;
+  std::istringstream in(tape);
+  std::ostringstream out;
+  fixture.service()->Run(in, out);
+  EXPECT_EQ(out.str(), expected);
+  for (std::size_t chunk : {tape.size(), std::size_t{1}}) {
+    Connection conn(fixture.service(), ConnectionLimits{});
+    for (std::size_t at = 0; at < tape.size(); at += chunk) {
+      ASSERT_TRUE(conn.Ingest(std::string_view(tape).substr(at, chunk)));
+    }
+    conn.OnEof();
+    EXPECT_EQ(std::string(conn.pending()), expected) << "chunk " << chunk;
+  }
+}
+
+// Hostile stdin ends the session exactly as it ends a socket.
+TEST(ConnectionProtocol, HostileStdinEndsTheSessionLikeASocket) {
+  ProtocolFixture fixture;
+  auto serve_stdin = [&](const std::string& tape) {
+    std::istringstream in(tape);
+    std::ostringstream out;
+    fixture.service()->Run(in, out);
+    return out.str();
+  };
+  const std::string hit =
+      "HIT 20.0.1.0/24 block=0 class=same-last-hop members=2 hops=2\n";
+  const char nul_tape[] = "LOOKUP 20.0.1.1\nLOO\0KUP x\nLOOKUP 20.0.1.1\n";
+  EXPECT_EQ(serve_stdin(std::string(nul_tape, sizeof(nul_tape) - 1)),
+            hit + "ERR protocol: NUL byte in input\n");
+  const std::string too_long(ConnectionLimits{}.max_line_bytes + 1, 'a');
+  EXPECT_EQ(serve_stdin("LOOKUP 20.0.1.1\n" + too_long +
+                        "\nLOOKUP 20.0.1.1\n"),
+            hit + "ERR protocol: line too long\n");
+  // No newline at all: the limit still holds at EOF.
+  EXPECT_EQ(serve_stdin(too_long), "ERR protocol: line too long\n");
 }
 
 TEST(ConnectionProtocol, EofMidBatchReportsTruncation) {

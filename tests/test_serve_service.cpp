@@ -102,6 +102,34 @@ TEST_F(ServiceTest, BatchRejectsBadAndTruncatedInput) {
             "ERR batch truncated at query 1\n");
 }
 
+// The BATCH size is plain decimal: no sign, no trailing characters.  A
+// malformed size is a one-line error and the lines after it are commands.
+TEST_F(ServiceTest, BatchSizeGrammarIsDigitsOnly) {
+  EXPECT_EQ(Session("BATCH 3abc\nLOOKUP 8.8.8.8\n"),
+            "ERR bad batch size: 3abc\nMISS 8.8.8.8\n");
+  EXPECT_EQ(Session("BATCH +3\n"), "ERR bad batch size: +3\n");
+  EXPECT_EQ(Session("BATCH -1\n"), "ERR bad batch size: -1\n");
+  EXPECT_EQ(Session("BATCH 3 \n"), "ERR bad batch size: 3 \n");
+  EXPECT_EQ(Session("BATCH 0\n"), "OK 0\n");
+  // kMaxBatch itself is accepted (and then waits for its query lines).
+  EXPECT_EQ(Session("BATCH 1048576\n"), "ERR batch truncated at query 0\n");
+  EXPECT_EQ(Session("BATCH 1048577\n"), "ERR batch too large: 1048577\n");
+  EXPECT_EQ(Session("BATCH 99999999999999999999999\n"),
+            "ERR batch too large: 99999999999999999999999\n");
+
+  std::size_t count = 7;
+  EXPECT_EQ(ParseBatchSize("", &count), BatchSizeParse::kBadSyntax);
+  EXPECT_EQ(ParseBatchSize("3abc", &count), BatchSizeParse::kBadSyntax);
+  EXPECT_EQ(ParseBatchSize("+3", &count), BatchSizeParse::kBadSyntax);
+  EXPECT_EQ(ParseBatchSize("-1", &count), BatchSizeParse::kBadSyntax);
+  EXPECT_EQ(ParseBatchSize("1048577", &count), BatchSizeParse::kTooLarge);
+  EXPECT_EQ(count, 7u);  // untouched unless kOk
+  ASSERT_EQ(ParseBatchSize("1048576", &count), BatchSizeParse::kOk);
+  EXPECT_EQ(count, kMaxBatch);
+  ASSERT_EQ(ParseBatchSize("0", &count), BatchSizeParse::kOk);
+  EXPECT_EQ(count, 0u);
+}
+
 TEST_F(ServiceTest, ReloadSwapsGenerationsAndSurvivesBadFiles) {
   std::string good = WriteTemp("service_reload.snap",
                                SampleSnapshotBytes(9));
