@@ -2,31 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <vector>
 
 namespace hobbit::serve {
-namespace {
-
-/// In-order fill of the Eytzinger arrays: node k receives the next key
-/// of the ascending sequence after its whole left subtree.  Recursion
-/// depth is the tree height (log2 n), so the stack stays shallow even
-/// at 100M keys.
-template <typename NextKey>
-void FillEytzinger(std::size_t k, std::size_t count, std::size_t* rank,
-                   NextKey&& next_key, std::uint32_t* keys,
-                   std::uint32_t* ranks) {
-  if (k > count) return;
-  FillEytzinger(2 * k, count, rank, next_key, keys, ranks);
-  keys[k] = next_key(*rank);
-  ranks[k] = static_cast<std::uint32_t>(*rank);
-  ++*rank;
-  FillEytzinger(2 * k + 1, count, rank, next_key, keys, ranks);
-}
-
-}  // namespace
 
 template <bool kUpper>
 std::size_t EytzingerIndex::Descend(std::uint32_t key) const {
-  const std::uint32_t* keys = keys_.data();
+  const std::uint32_t* keys = keys_.get();
   const std::size_t count = count_;
   std::size_t k = 1;
   while (k <= count) {
@@ -53,11 +35,10 @@ std::size_t EytzingerIndex::Descend(std::uint32_t key) const {
 template std::size_t EytzingerIndex::Descend<false>(std::uint32_t) const;
 template std::size_t EytzingerIndex::Descend<true>(std::uint32_t) const;
 
-template <bool kUpper>
 void EytzingerIndex::DescendBatch(const std::uint32_t* queries,
                                   std::size_t count,
                                   std::size_t* nodes) const {
-  const std::uint32_t* keys = keys_.data();
+  const std::uint32_t* keys = keys_.get();
   const std::size_t tree = count_;
   std::size_t k[kBatchWidth];
   for (std::size_t i = 0; i < count; ++i) k[i] = 1;
@@ -74,14 +55,8 @@ void EytzingerIndex::DescendBatch(const std::uint32_t* queries,
 #if defined(__GNUC__) || defined(__clang__)
       if ((node << 4) <= tree) __builtin_prefetch(&keys[node << 4]);
 #endif
-      std::size_t next;
-      if constexpr (kUpper) {
-        next = 2 * node + (keys[node] <= queries[i]);
-      } else {
-        next = 2 * node + (keys[node] < queries[i]);
-      }
-      k[i] = next;
-      live |= next <= tree;
+      k[i] = 2 * node + (keys[node] < queries[i]);
+      live |= k[i] <= tree;
     }
   }
   for (std::size_t i = 0; i < count; ++i) {
@@ -90,61 +65,66 @@ void EytzingerIndex::DescendBatch(const std::uint32_t* queries,
   }
 }
 
-template void EytzingerIndex::DescendBatch<false>(const std::uint32_t*,
-                                                  std::size_t,
-                                                  std::size_t*) const;
-template void EytzingerIndex::DescendBatch<true>(const std::uint32_t*,
-                                                 std::size_t,
-                                                 std::size_t*) const;
-
 void EytzingerIndex::LowerBoundRankBatch(const std::uint32_t* queries,
                                          std::size_t count,
                                          std::size_t* ranks) const {
   std::size_t nodes[kBatchWidth];
   for (std::size_t base = 0; base < count; base += kBatchWidth) {
     const std::size_t group = std::min(kBatchWidth, count - base);
-    DescendBatch<false>(queries + base, group, nodes);
+    DescendBatch(queries + base, group, nodes);
     for (std::size_t i = 0; i < group; ++i) {
-      ranks[base + i] = nodes[i] == 0 ? count_ : ranks_[nodes[i]];
+      ranks[base + i] = RankOf(nodes[i]);
     }
   }
 }
 
-EytzingerIndex EytzingerIndex::Build(const Snapshot& snapshot) {
-  const std::size_t count = snapshot.entry_count();
+template <typename KeyAt>
+EytzingerIndex EytzingerIndex::BuildFrom(std::size_t count, KeyAt key_at) {
   EytzingerIndex index;
   index.count_ = count;
-  index.keys_.assign(count + 1, 0);
-  index.ranks_.assign(count + 1, 0);
-  std::size_t rank = 0;
-  FillEytzinger(
-      1, count, &rank,
-      [&](std::size_t i) { return snapshot.EntryKey(i); },
-      index.keys_.data(), index.ranks_.data());
+  index.keys_.reset(new std::uint32_t[count + 1]);
+  if (count == 0) return index;
+  const auto height = static_cast<unsigned>(std::bit_width(count)) - 1;
+  index.height_ = height;
+  index.last_fill_ = count - ((std::size_t{1} << height) - 1);
+  // Level by level, left to right: along depth d the perfect-tree
+  // position r advances by 2^(h−d+1), so the deep levels — most of the
+  // nodes — read the sorted keys in short forward strides.
+  std::uint32_t* keys = index.keys_.get();
+  for (unsigned depth = 0; depth <= height; ++depth) {
+    const std::size_t first = std::size_t{1} << depth;
+    const std::size_t end = std::min(2 * first, count + 1);
+    const std::size_t step = std::size_t{2} << (height - depth);
+    std::size_t r = (std::size_t{1} << (height - depth)) - 1;
+    for (std::size_t k = first; k < end; ++k, r += step) {
+      keys[k] = key_at(index.RankAt(r));
+    }
+  }
   return index;
+}
+
+EytzingerIndex EytzingerIndex::Build(const Snapshot& snapshot) {
+  return BuildFrom(snapshot.entry_count(),
+                   [&](std::size_t i) { return snapshot.EntryKey(i); });
 }
 
 EytzingerIndex EytzingerIndex::Build(
     std::span<const std::uint32_t> sorted_keys) {
-  const std::size_t count = sorted_keys.size();
-  EytzingerIndex index;
-  index.count_ = count;
-  index.keys_.assign(count + 1, 0);
-  index.ranks_.assign(count + 1, 0);
-  std::size_t rank = 0;
-  FillEytzinger(
-      1, count, &rank, [&](std::size_t i) { return sorted_keys[i]; },
-      index.keys_.data(), index.ranks_.data());
-  return index;
+  return BuildFrom(sorted_keys.size(),
+                   [&](std::size_t i) { return sorted_keys[i]; });
 }
 
-std::size_t LookupEngine::LowerBound(std::uint32_t key) const {
-  if (index_ != nullptr) return index_->LowerBoundRank(key);
+template <bool kUpper>
+std::size_t LookupEngine::Bound(std::uint32_t key) const {
+  if (index_ != nullptr) {
+    return kUpper ? index_->UpperBoundRank(key) : index_->LowerBoundRank(key);
+  }
   std::size_t lo = 0;
   std::size_t hi = snapshot_->entry_count();
   while (lo < hi) {
     std::size_t mid = lo + (hi - lo) / 2;
-    if (snapshot_->EntryKey(mid) < key) {
+    const std::uint32_t probe = snapshot_->EntryKey(mid);
+    if (kUpper ? probe <= key : probe < key) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -153,28 +133,16 @@ std::size_t LookupEngine::LowerBound(std::uint32_t key) const {
   return lo;
 }
 
-std::size_t LookupEngine::UpperBound(std::uint32_t key) const {
-  if (index_ != nullptr) return index_->UpperBoundRank(key);
-  std::size_t lo = 0;
-  std::size_t hi = snapshot_->entry_count();
-  while (lo < hi) {
-    std::size_t mid = lo + (hi - lo) / 2;
-    if (snapshot_->EntryKey(mid) <= key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-LookupResult LookupEngine::LookupKey(std::uint32_t key) const {
-  std::size_t pos = LowerBound(key);
+LookupResult LookupEngine::ResultAt(std::size_t pos, std::uint32_t key) const {
   if (pos == snapshot_->entry_count() || snapshot_->EntryKey(pos) != key) {
     return LookupResult{};
   }
   return LookupResult{true, key, snapshot_->EntryBlock(pos),
                       snapshot_->EntryClass(pos)};
+}
+
+LookupResult LookupEngine::LookupKey(std::uint32_t key) const {
+  return ResultAt(Bound<false>(key), key);
 }
 
 EntryRange LookupEngine::Covering(const netsim::Prefix& prefix) const {
@@ -183,8 +151,8 @@ EntryRange LookupEngine::Covering(const netsim::Prefix& prefix) const {
   // range can only catch the covering /24 itself, which is right: a /26
   // "covers" no whole /24 unless you count its parent — it does not.
   if (prefix.length() > 24) return EntryRange{};
-  std::size_t begin = LowerBound(prefix.First().value());
-  std::size_t end = UpperBound(prefix.Last().value());
+  std::size_t begin = Bound<false>(prefix.First().value());
+  std::size_t end = Bound<true>(prefix.Last().value());
   return EntryRange{begin, end};
 }
 
@@ -214,7 +182,6 @@ void LookupEngine::LookupBatch(std::span<const std::uint32_t> keys,
   // identical to the per-key path by differential tests.
   constexpr std::size_t kLookupGrain = 4096;
   if (index_ != nullptr) {
-    const std::size_t entry_count = snapshot_->entry_count();
     common::ForEachChunk(
         pool, keys.size(), kLookupGrain, [&](common::ChunkRange chunk) {
           constexpr std::size_t kWidth = EytzingerIndex::kBatchWidth;
@@ -224,15 +191,7 @@ void LookupEngine::LookupBatch(std::span<const std::uint32_t> keys,
             const std::size_t group = std::min(kWidth, chunk.end - base);
             index_->LowerBoundRankBatch(keys.data() + base, group, ranks);
             for (std::size_t i = 0; i < group; ++i) {
-              const std::uint32_t key = keys[base + i];
-              const std::size_t pos = ranks[i];
-              if (pos == entry_count || snapshot_->EntryKey(pos) != key) {
-                answers[base + i] = LookupResult{};
-              } else {
-                answers[base + i] =
-                    LookupResult{true, key, snapshot_->EntryBlock(pos),
-                                 snapshot_->EntryClass(pos)};
-              }
+              answers[base + i] = ResultAt(ranks[i], keys[base + i]);
             }
           }
         });

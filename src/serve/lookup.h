@@ -20,12 +20,13 @@
 // levels are prefetched ahead of the comparison that needs them.  The
 // index is a pure accelerator — same answers as LowerBound by
 // construction, pinned by differential tests — and is built once per
-// published snapshot (LineService caches it per snapshot pointer).
+// published snapshot, by SnapshotStore at publish time (store.h).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "common/parallel.h"
 #include "serve/snapshot.h"
@@ -36,11 +37,11 @@ namespace hobbit::serve {
 /// node k has children 2k and 2k+1 (1-based), so a search descends by
 /// index arithmetic alone and the top of the tree — the levels every
 /// lookup traverses — occupies a few contiguous cache lines instead of
-/// being scattered across the sorted array.  `ranks` maps each node back
-/// to its sorted position, which is what the engine's range queries need.
+/// being scattered across the sorted array.  The index holds the keys
+/// only: a node's sorted position is a closed form of (node, count)
+/// (RankOf), which is what the engine's range queries need.
 class EytzingerIndex {
  public:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   /// Descents walked in lockstep by the batched entry points.  16
   /// independent descents keep ~16 cache misses in flight per tree
   /// level (memory-level parallelism), where a one-at-a-time descent
@@ -60,21 +61,12 @@ class EytzingerIndex {
   /// Sorted rank of the first key >= `key` (== count when all keys are
   /// smaller) — the LowerBound analogue.
   std::size_t LowerBoundRank(std::uint32_t key) const {
-    const std::size_t k = Descend<false>(key);
-    return k == 0 ? count_ : ranks_[k];
+    return RankOf(Descend<false>(key));
   }
 
   /// Sorted rank of the first key > `key`.
   std::size_t UpperBoundRank(std::uint32_t key) const {
-    const std::size_t k = Descend<true>(key);
-    return k == 0 ? count_ : ranks_[k];
-  }
-
-  /// Sorted rank of `key` exactly, or npos when absent.
-  std::size_t Find(std::uint32_t key) const {
-    const std::size_t k = Descend<false>(key);
-    if (k == 0 || keys_[k] != key) return npos;
-    return ranks_[k];
+    return RankOf(Descend<true>(key));
   }
 
   /// Batched LowerBoundRank: ranks[i] = LowerBoundRank(queries[i]) for
@@ -86,6 +78,28 @@ class EytzingerIndex {
                            std::size_t* ranks) const;
 
  private:
+  /// Sizes the tree for `count` keys; `key_at(i)` yields the i-th
+  /// smallest key.  The one build body behind both Build overloads.
+  template <typename KeyAt>
+  static EytzingerIndex BuildFrom(std::size_t count, KeyAt key_at);
+
+  /// Sorted rank of node k (1-based), or count_ for k == 0.  In a
+  /// perfect tree of height h, node k at depth d and level offset j sits
+  /// at in-order position r = (2j+1)·2^(h−d) − 1; the last level holds
+  /// only its first last_fill_ nodes, and each missing one (in-order
+  /// position 2i, i >= last_fill_) left of r shifts r down by one.
+  std::size_t RankOf(std::size_t k) const {
+    if (k == 0) return count_;
+    const auto depth = static_cast<unsigned>(std::bit_width(k)) - 1;
+    return RankAt(
+        ((2 * (k - (std::size_t{1} << depth)) + 1) << (height_ - depth)) - 1);
+  }
+  /// Sorted rank of the node at perfect-tree in-order position r.
+  std::size_t RankAt(std::size_t r) const {
+    const std::size_t left_slots = (r + 1) / 2;
+    return r - (left_slots > last_fill_ ? left_slots - last_fill_ : 0);
+  }
+
   /// Branchless heap descent.  Returns the 1-based node of the first key
   /// >= `key` (kUpper: > `key`), or 0 when no such key exists.
   template <bool kUpper>
@@ -93,17 +107,18 @@ class EytzingerIndex {
 
   /// Lockstep descent of `count` (<= kBatchWidth) queries: one pass per
   /// tree level issues every live descent's load back to back, so the
-  /// misses overlap instead of chaining.  nodes[i] gets Descend's
+  /// misses overlap instead of chaining.  nodes[i] gets Descend<false>'s
   /// result for queries[i].
-  template <bool kUpper>
   void DescendBatch(const std::uint32_t* queries, std::size_t count,
                     std::size_t* nodes) const;
 
-  /// keys_[1..count_] in BFS order; slot 0 unused.  ranks_[k] is the
-  /// sorted index of keys_[k].
-  std::vector<std::uint32_t> keys_;
-  std::vector<std::uint32_t> ranks_;
+  /// keys_[1..count_] in BFS order; slot 0 unused.
+  std::unique_ptr<std::uint32_t[]> keys_;
   std::size_t count_ = 0;
+  /// Depth of the last tree level (bit_width(count_) − 1), and how many
+  /// nodes that level holds (1 .. 2^height_).
+  unsigned height_ = 0;
+  std::size_t last_fill_ = 0;
 };
 
 /// Answer for one /24 (or address) query.
@@ -162,10 +177,11 @@ class LookupEngine {
 
  private:
   LookupResult LookupKey(std::uint32_t key) const;
-  /// First entry index with key >= `key`.
-  std::size_t LowerBound(std::uint32_t key) const;
-  /// First entry index with key > `key`.
-  std::size_t UpperBound(std::uint32_t key) const;
+  /// The answer for `key` given its lower-bound entry index `pos`.
+  LookupResult ResultAt(std::size_t pos, std::uint32_t key) const;
+  /// First entry index with key >= `key` (kUpper: > `key`).
+  template <bool kUpper>
+  std::size_t Bound(std::uint32_t key) const;
 
   const Snapshot* snapshot_;
   const EytzingerIndex* index_ = nullptr;

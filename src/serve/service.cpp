@@ -73,6 +73,12 @@ void PrintExact(std::string* out, const Snapshot& snapshot,
     return Reply(out, "HIT ", slash24, " block=- class=", class_name,
                  " members=- hops=-");
   }
+  // Verification rules this out; a deferred-verification load has not
+  // run it yet, and the block table must not be read past its end.
+  if (result.block >= snapshot.block_count()) {
+    return Reply(out, "ERR corrupt entry: ", slash24, " block=", result.block,
+                 " blocks=", snapshot.block_count());
+  }
   Reply(out, "HIT ", slash24, " block=", result.block, " class=", class_name,
         " members=", snapshot.BlockMemberCount(result.block),
         " hops=", snapshot.BlockHopCount(result.block));
@@ -130,29 +136,18 @@ bool LineService::Execute(std::string_view line, std::string_view batch_lines,
   return keep_going;
 }
 
-std::shared_ptr<const EytzingerIndex> LineService::IndexFor(
-    const std::shared_ptr<const Snapshot>& snapshot) {
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  if (index_snapshot_ != snapshot) {
-    index_ = std::make_shared<const EytzingerIndex>(
-        EytzingerIndex::Build(*snapshot));
-    index_snapshot_ = snapshot;
-  }
-  return index_;
-}
-
 void LineService::CmdLookup(std::string_view arg, std::string* out) {
-  std::shared_ptr<const Snapshot> snapshot = store_->Current();
-  if (snapshot == nullptr) return Reply(out, "ERR no snapshot loaded");
-  std::shared_ptr<const EytzingerIndex> index = IndexFor(snapshot);
-  LookupEngine engine(*snapshot, index.get());
+  std::shared_ptr<const PublishedSnapshot> published = store_->Published();
+  if (published == nullptr) return Reply(out, "ERR no snapshot loaded");
+  const Snapshot& snapshot = *published->snapshot;
+  LookupEngine engine(snapshot, &published->index);
   std::uint32_t key = 0;
   if (ParseExactQuery(arg, &key)) {
     metrics_->lookups.fetch_add(1, std::memory_order_relaxed);
     LookupResult result = engine.Lookup(netsim::Ipv4Address(key));
     (result.found ? metrics_->hits : metrics_->misses)
         .fetch_add(1, std::memory_order_relaxed);
-    return PrintExact(out, *snapshot, result, arg);
+    return PrintExact(out, snapshot, result, arg);
   }
   if (auto prefix = netsim::Prefix::Parse(arg);
       prefix && prefix->length() < 24) {
@@ -189,10 +184,10 @@ void LineService::CmdBatch(std::string_view arg, std::string_view lines,
     query = lines.substr(0, newline);
     lines.remove_prefix(newline + 1);
   }
-  std::shared_ptr<const Snapshot> snapshot = store_->Current();
-  if (snapshot == nullptr) return Reply(out, "ERR no snapshot loaded");
-  std::shared_ptr<const EytzingerIndex> index = IndexFor(snapshot);
-  LookupEngine engine(*snapshot, index.get());
+  std::shared_ptr<const PublishedSnapshot> published = store_->Published();
+  if (published == nullptr) return Reply(out, "ERR no snapshot loaded");
+  const Snapshot& snapshot = *published->snapshot;
+  LookupEngine engine(snapshot, &published->index);
   // Parse up front; only well-formed queries enter the sharded batch.
   std::vector<std::uint32_t> keys(count, 0);
   std::vector<bool> valid(count, false);
@@ -209,7 +204,7 @@ void LineService::CmdBatch(std::string_view arg, std::string_view lines,
       continue;
     }
     (answers[i].found ? hits : misses) += 1;
-    PrintExact(out, *snapshot, answers[i], queries[i]);
+    PrintExact(out, snapshot, answers[i], queries[i]);
   }
   metrics_->batches.fetch_add(1, std::memory_order_relaxed);
   metrics_->lookups.fetch_add(hits + misses, std::memory_order_relaxed);

@@ -21,6 +21,10 @@
 // Anything else answers "ERR ..." and the session continues; blank lines
 // and '#' comments are ignored (so a command file can be annotated).
 // Queries against an empty store answer "ERR no snapshot loaded".
+// Lookups run on the store's published snapshot and index (store.h), so
+// the service itself holds no per-snapshot state and no lock.  An entry
+// whose block id is past the block table — possible only in a snapshot
+// loaded with deferred verification — answers "ERR corrupt entry: ...".
 //
 // `LineService::Execute` is the protocol core: one command line plus its
 // gathered BATCH lines in, the reply appended to a string.  Framing, the
@@ -30,13 +34,10 @@
 
 #include <cstddef>
 #include <iosfwd>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 
 #include "common/parallel.h"
-#include "serve/lookup.h"
 #include "serve/metrics.h"
 #include "serve/store.h"
 
@@ -91,21 +92,10 @@ class LineService {
   void CmdReload(std::string_view arg, std::string* out);
   void CmdStats(std::string* out);
 
-  /// The Eytzinger index for `snapshot`, built lazily and cached per
-  /// published snapshot: an RCU swap changes the pointer, which misses
-  /// the one-entry cache and rebuilds.  Thread-safe (reactor tests drive
-  /// one service from several simulated connections).
-  std::shared_ptr<const EytzingerIndex> IndexFor(
-      const std::shared_ptr<const Snapshot>& snapshot);
-
   SnapshotStore* store_;
   ServeMetrics* metrics_;
   common::ThreadPool* pool_;
   SnapshotLoadOptions reload_options_;
-
-  std::mutex index_mutex_;
-  std::shared_ptr<const Snapshot> index_snapshot_;
-  std::shared_ptr<const EytzingerIndex> index_;
 };
 
 }  // namespace hobbit::serve

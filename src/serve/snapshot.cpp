@@ -301,10 +301,6 @@ MmapSource::~MmapSource() {
 // ---------------------------------------------------------------------------
 // Snapshot
 
-std::uint32_t Snapshot::LoadU32(std::size_t offset) const {
-  return ReadU32(base_ + offset);
-}
-
 void Snapshot::Rebase() {
   if (map_ != nullptr) {
     std::span<const std::byte> bytes = map_->bytes();

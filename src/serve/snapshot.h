@@ -68,6 +68,7 @@
 #include "hobbit/resultio.h"
 #include "hobbit/types.h"
 #include "netsim/ipv4.h"
+#include "serve/wire.h"
 
 namespace hobbit::serve {
 
@@ -286,7 +287,9 @@ class Snapshot {
   }
 
  private:
-  std::uint32_t LoadU32(std::size_t offset) const;
+  std::uint32_t LoadU32(std::size_t offset) const {
+    return wire::ReadU32(base_ + offset);
+  }
   void Rebase();
   /// Shared loader: validates the already-adopted storage.
   bool Validate(const SnapshotLoadOptions& options, std::string* error);

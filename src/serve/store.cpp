@@ -14,6 +14,30 @@ const char* ToString(PublishKind kind) {
   return "?";
 }
 
+std::uint64_t SnapshotStore::SwapWithKind(
+    std::shared_ptr<const Snapshot> snapshot, PublishKind kind,
+    std::uint64_t delta_entries) {
+  // The index is built before the lock is taken, and the old pair's
+  // release (possibly the last reference) runs after it is dropped.
+  std::shared_ptr<const PublishedSnapshot> published;
+  if (snapshot != nullptr) {
+    EytzingerIndex index = EytzingerIndex::Build(*snapshot);
+    published = std::make_shared<const PublishedSnapshot>(
+        PublishedSnapshot{std::move(snapshot), std::move(index)});
+  }
+  std::shared_ptr<const PublishedSnapshot> retired;
+  std::uint64_t generation;
+  {
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    retired = std::move(current_);
+    current_ = std::move(published);
+    generation = generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    last_kind_.store(kind, std::memory_order_release);
+    last_delta_entries_.store(delta_entries, std::memory_order_release);
+  }
+  return generation;
+}
+
 bool SnapshotStore::ReloadFromFile(const std::string& path, std::string* error,
                                    const SnapshotLoadOptions& options) {
   std::optional<Snapshot> loaded = Snapshot::FromFile(path, error, options);

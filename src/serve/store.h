@@ -2,14 +2,15 @@
 //
 // The serving loop must keep answering while an epoch rolls over.  The
 // read-copy-update shape: a reader grabs one refcounted handle to the
-// current immutable Snapshot and then works on it for as long as it
+// current immutable PublishedSnapshot — the Snapshot together with the
+// EytzingerIndex built over it — and then works on it for as long as it
 // likes; a reloader validates the *entire* new file off to the side
-// (Snapshot::FromFile re-checks magic, version, checksum, sortedness)
-// and only then publishes it.  A reader that grabbed the old snapshot
-// just before a swap finishes its queries on the old data, and the old
-// buffer is freed by shared_ptr refcounting when the last such reader
-// drops it — no quiescence tracking needed, no reader ever waits on a
-// reload.
+// (Snapshot::FromFile re-checks magic, version, checksum, sortedness),
+// builds its index, and only then publishes the pair.  A reader that
+// grabbed the old pair just before a swap finishes its queries on the
+// old data, and the old buffer and index are freed by shared_ptr
+// refcounting when the last such reader drops them — no quiescence
+// tracking needed, no reader ever waits on a reload or an index build.
 //
 // Implementation note: the publish point is a shared_ptr guarded by a
 // std::shared_mutex rather than std::atomic<std::shared_ptr>.  The
@@ -18,7 +19,8 @@
 // pointer has no happens-before edge to the next store's write of it —
 // ThreadSanitizer reports that (correctly, by the letter of the memory
 // model) as a data race.  The shared lock is held only for the pointer
-// copy (two uncontended atomic RMWs); all query work happens outside it.
+// copy (two uncontended atomic RMWs); all query work, and every index
+// build, happens outside it.
 //
 // Failed reloads leave the current snapshot untouched (and are counted),
 // so a corrupt or half-written file can never take the service down.
@@ -32,6 +34,7 @@
 #include <span>
 #include <string>
 
+#include "serve/lookup.h"
 #include "serve/snapshot.h"
 
 namespace hobbit::serve {
@@ -45,6 +48,13 @@ enum class PublishKind : std::uint8_t {
 
 const char* ToString(PublishKind kind);
 
+/// One published state: a snapshot and the index built over its keys,
+/// immutable once published.
+struct PublishedSnapshot {
+  std::shared_ptr<const Snapshot> snapshot;
+  EytzingerIndex index;
+};
+
 class SnapshotStore {
  public:
   SnapshotStore() = default;
@@ -52,16 +62,23 @@ class SnapshotStore {
   SnapshotStore(const SnapshotStore&) = delete;
   SnapshotStore& operator=(const SnapshotStore&) = delete;
 
-  /// The currently served snapshot; null until the first Swap/Reload.
-  /// Readers only ever contend on the refcount and (briefly) a reloading
-  /// writer — never on each other's queries.
-  std::shared_ptr<const Snapshot> Current() const {
+  /// The currently served snapshot and its index; null until the first
+  /// Swap/Reload.  Readers only ever contend on the refcount and
+  /// (briefly) a reloading writer — never on each other's queries.
+  std::shared_ptr<const PublishedSnapshot> Published() const {
     std::shared_lock<std::shared_mutex> lock(mutex_);
     return current_;
   }
 
-  /// Publishes `snapshot` (may be null to take the store offline) and
-  /// returns the new generation number.  Generation 0 == never loaded.
+  /// The currently served snapshot; null until the first Swap/Reload.
+  std::shared_ptr<const Snapshot> Current() const {
+    std::shared_ptr<const PublishedSnapshot> published = Published();
+    return published == nullptr ? nullptr : published->snapshot;
+  }
+
+  /// Publishes `snapshot` (may be null to take the store offline) with
+  /// its index and returns the new generation number.  Generation 0 ==
+  /// never loaded.
   std::uint64_t Swap(std::shared_ptr<const Snapshot> snapshot) {
     const PublishKind kind =
         snapshot == nullptr ? PublishKind::kNone : PublishKind::kFull;
@@ -106,25 +123,13 @@ class SnapshotStore {
   }
 
  private:
+  /// Builds `snapshot`'s index and publishes the pair; every publish
+  /// path ends here.
   std::uint64_t SwapWithKind(std::shared_ptr<const Snapshot> snapshot,
-                             PublishKind kind, std::uint64_t delta_entries) {
-    // The old snapshot's release (possibly the last reference) runs
-    // outside the lock, after the swap is visible.
-    std::shared_ptr<const Snapshot> retired;
-    std::uint64_t generation;
-    {
-      std::unique_lock<std::shared_mutex> lock(mutex_);
-      retired = std::move(current_);
-      current_ = std::move(snapshot);
-      generation = generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-      last_kind_.store(kind, std::memory_order_release);
-      last_delta_entries_.store(delta_entries, std::memory_order_release);
-    }
-    return generation;
-  }
+                             PublishKind kind, std::uint64_t delta_entries);
 
   mutable std::shared_mutex mutex_;
-  std::shared_ptr<const Snapshot> current_;
+  std::shared_ptr<const PublishedSnapshot> current_;
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<std::uint64_t> failed_reloads_{0};
   std::atomic<PublishKind> last_kind_{PublishKind::kNone};

@@ -35,12 +35,13 @@ inline void StoreU64(std::byte* p, std::uint64_t value) {
   }
 }
 
+// Written out rather than looped so that compilers merge the four byte
+// loads into one plain load on little-endian hosts.
 inline std::uint32_t ReadU32(const std::byte* p) {
-  std::uint32_t value = 0;
-  for (int i = 3; i >= 0; --i) {
-    value = (value << 8) | std::to_integer<std::uint32_t>(p[i]);
-  }
-  return value;
+  return std::to_integer<std::uint32_t>(p[0]) |
+         std::to_integer<std::uint32_t>(p[1]) << 8 |
+         std::to_integer<std::uint32_t>(p[2]) << 16 |
+         std::to_integer<std::uint32_t>(p[3]) << 24;
 }
 
 inline std::uint64_t ReadU64(const std::byte* p) {

@@ -8,6 +8,7 @@
 // (see src/serve/connection.h), so none of this needs a socket.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -278,7 +279,8 @@ TEST_P(SnapshotV2Fuzz, MutatedValidSnapshotsNeverCrash) {
 TEST_P(SnapshotV2Fuzz, DeferredLoadsOfMutationsNeverCrash) {
   // Deferred verification skips the O(payload) checks at load; a later
   // VerifyPayload must still catch (or pass) without faulting, and any
-  // load that sneaks through must answer queries safely.
+  // load that sneaks through must answer queries safely — both through
+  // the protocol before verification and through the engine after.
   netsim::Rng rng(GetParam() + 900);
   const auto valid = ValidBuffer();
   SnapshotLoadOptions defer;
@@ -296,6 +298,18 @@ TEST_P(SnapshotV2Fuzz, DeferredLoadsOfMutationsNeverCrash) {
       EXPECT_FALSE(error.empty());
       continue;
     }
+    SnapshotStore store;
+    ServeMetrics metrics;
+    store.Swap(std::make_shared<const Snapshot>(*snapshot));
+    LineService service(&store, &metrics);
+    std::string out;
+    for (const char* line : {"LOOKUP 20.0.1.1", "LOOKUP 20.0.9.0/24",
+                             "LOOKUP 99.1.2.3", "LOOKUP 20.0.0.0/8"}) {
+      EXPECT_TRUE(service.Execute(line, {}, &out));
+    }
+    EXPECT_TRUE(service.Execute(
+        "BATCH 3", "20.0.1.0/24\n99.1.2.0/24\n20.0.9.9\n", &out));
+    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 8) << out;
     std::string verify_error;
     if (snapshot->VerifyPayload(&verify_error)) {
       LookupEngine engine(*snapshot);
@@ -307,6 +321,41 @@ TEST_P(SnapshotV2Fuzz, DeferredLoadsOfMutationsNeverCrash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotV2Fuzz, ::testing::Values(1, 2, 3));
+
+TEST(SnapshotV2Robustness, DeferredMmapLoadAnswersABadBlockIdWithErr) {
+  // hobbit_serve --mmap defers the checksums, so an entry's block id is
+  // unchecked when it is served: the reply must not read the block table
+  // at that id.  99.1.2.0/24 is entry 2; its id becomes 0x7FFFFFF0.
+  auto buffer = ValidBuffer();
+  const std::uint64_t blocks = ReadHeaderU64(buffer, 48);
+  for (int b = 0; b < 4; ++b) {
+    buffer[blocks + 2 * 4 + b] =
+        static_cast<std::byte>((0x7FFFFFF0u >> (8 * b)) & 0xFF);
+  }
+  const std::string path = ::testing::TempDir() + "bad_block_id.snap";
+  std::string error;
+  ASSERT_TRUE(WriteSnapshotFile(path, buffer, &error)) << error;
+  SnapshotLoadOptions options;
+  options.use_mmap = true;
+  options.defer_verification = true;
+  SnapshotStore store;
+  ASSERT_TRUE(store.ReloadFromFile(path, &error, options)) << error;
+  ServeMetrics metrics;
+  LineService service(&store, &metrics);
+  std::string out;
+  EXPECT_TRUE(service.Execute("LOOKUP 99.1.2.3", {}, &out));
+  EXPECT_TRUE(service.Execute("BATCH 2", "99.1.2.0/24\n20.0.1.0/24\n", &out));
+  EXPECT_TRUE(service.Execute("LOOKUP 20.0.9.1", {}, &out));
+  EXPECT_EQ(out,
+            "ERR corrupt entry: 99.1.2.0/24 block=2147483632 blocks=2\n"
+            "ERR corrupt entry: 99.1.2.0/24 block=2147483632 blocks=2\n"
+            "HIT 20.0.1.0/24 block=0 class=same-last-hop members=2 hops=2\n"
+            "OK 2\n"
+            "HIT 20.0.9.0/24 block=0 class=- members=2 hops=2\n");
+  EXPECT_FALSE(store.Current()->VerifyPayload(&error));
+  EXPECT_EQ(error, "section checksum mismatch (blocks)");
+  std::remove(path.c_str());
+}
 
 // ---------------------------------------------------------------------
 // Wire-protocol framing: LineFramer and Connection against hostile and

