@@ -9,6 +9,7 @@
 // Whole-/24 outages are caught either way; partial outages — one customer
 // sub-block of a split /24 failing — are invisible at /24 granularity.
 
+#include <algorithm>
 #include <iostream>
 
 #include "analysis/outage_detection.h"
@@ -30,6 +31,9 @@ int main() {
   struct SplitCase {
     netsim::Prefix slash24;
     std::vector<core::AddressGroup> groups;
+    /// Each group's members, sorted: the addresses whose last-hop set
+    /// holds the group's router.
+    std::vector<std::vector<netsim::Ipv4Address>> members;
     std::vector<netsim::Ipv4Address> all_actives;
   };
   std::vector<SplitCase> cases;
@@ -47,6 +51,18 @@ int main() {
     if (!core::IsAlignedDisjoint(groups)) continue;
     SplitCase c;
     c.slash24 = r.prefix;
+    for (const core::AddressGroup& group : groups) {
+      std::vector<netsim::Ipv4Address>& members = c.members.emplace_back();
+      for (const auto& obs : full.observations) {
+        if (std::find(obs.last_hops.begin(), obs.last_hops.end(),
+                      group.router) != obs.last_hops.end()) {
+          members.push_back(obs.address);
+        }
+      }
+      std::sort(members.begin(), members.end());
+      members.erase(std::unique(members.begin(), members.end()),
+                    members.end());
+    }
     c.groups = std::move(groups);
     for (const auto& obs : full.observations) {
       c.all_actives.push_back(obs.address);
@@ -67,9 +83,8 @@ int main() {
     analysis::WatchedBlock watch_24 =
         analysis::MakeWatchedBlock(simulator, c.all_actives);
     std::vector<analysis::WatchedBlock> watch_subs;
-    for (const auto& group : c.groups) {
-      watch_subs.push_back(
-          analysis::MakeWatchedBlock(simulator, group.members));
+    for (const auto& members : c.members) {
+      watch_subs.push_back(analysis::MakeWatchedBlock(simulator, members));
     }
 
     // Sanity: with no outage, neither unit should raise an alarm.

@@ -1,7 +1,6 @@
 #include "hobbit/confidence.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "hobbit/hierarchy.h"
 
@@ -65,15 +64,8 @@ ConfidenceTable ConfidenceTable::Build(
       }
       grouping.Clear();
       bool passed = false;
-      LastHopSet common;
       for (std::uint32_t k = 0; k < walk_limit; ++k) {
-        const AddressObservation& obs = block.observations[indices[k]];
-        if (k == 0) {
-          common = obs.last_hops;
-        } else if (!common.empty()) {
-          IntersectSortedInPlace(common, obs.last_hops);
-        }
-        grouping.Add(obs);
+        grouping.Add(block.observations[indices[k]]);
         if (!passed && grouping.group_count() >= 2) {
           passed = !grouping.Hierarchical();
         }
@@ -81,7 +73,7 @@ ConfidenceTable ConfidenceTable::Build(
         // Record only the states in which the prober actually consults
         // the table: no common last hop across the addresses so far (a
         // shared interface triggers the six-destination rule instead).
-        if (probed >= 4 && common.empty()) {
+        if (probed >= 4 && !grouping.HasCommonLastHop()) {
           table.Record(static_cast<int>(grouping.group_count()), probed,
                        passed);
         }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <iterator>
 
 #include "hobbit/hierarchy.h"
 #include "probing/last_hop.h"
@@ -102,16 +101,13 @@ BlockResult BlockProber::ProbeBlockImpl(const probing::ZmapBlock& block,
   DestinationSchedule schedule(block, rng.Fork(0x5C4EDULL));
 
   // Grouping state: each observation folds into per-last-hop [min, max]
-  // ranges as it arrives (O(log g)), with the same verdicts as a batch
-  // GroupByLastHop regroup; see BasicIncrementalGrouping.
+  // ranges and the running common last-hop set as it arrives (O(log g));
+  // see IncrementalGrouping.
   IncrementalGrouping grouping;
 
   int usable = 0;                 // destinations with an identified last hop
   int consecutive_no_new = 0;     // reprobe strategy counter
   bool stopped_by_rule = false;
-  // Running intersection of per-address last-hop sets: non-empty means
-  // every probed address shares a common last-hop router.
-  LastHopSet common;
 
   while (auto destination = schedule.Next()) {
     probing::LastHopResult lh = prober.Probe(*destination);
@@ -127,11 +123,6 @@ BlockResult BlockProber::ProbeBlockImpl(const probing::ZmapBlock& block,
     }
     const std::size_t before = result.last_hop_set.size();
     MergeLastHops(result.last_hop_set, lh.last_hops);
-    if (usable == 0) {
-      common = lh.last_hops;
-    } else if (!common.empty()) {
-      IntersectSortedInPlace(common, lh.last_hops);
-    }
     result.observations.push_back({*destination, std::move(lh.last_hops)});
     ++usable;
     consecutive_no_new =
@@ -152,11 +143,12 @@ BlockResult BlockProber::ProbeBlockImpl(const probing::ZmapBlock& block,
     }
 
     // Standard strategy terminations.
-    if (common.empty() && cardinality >= 2 && !grouping.Hierarchical()) {
+    const bool common = grouping.HasCommonLastHop();
+    if (!common && cardinality >= 2 && !grouping.Hierarchical()) {
       result.classification = Classification::kNonHierarchical;
       return result;
     }
-    if (!common.empty() && usable >= options_.same_last_hop_stop) {
+    if (common && usable >= options_.same_last_hop_stop) {
       // Every destination shares a last-hop router (§3.5's six-probe
       // rule; "common" rather than "only", since per-flow balancing at
       // the final hop gives addresses several last-hop interfaces).
@@ -166,7 +158,7 @@ BlockResult BlockProber::ProbeBlockImpl(const probing::ZmapBlock& block,
     // The confidence rule only concerns blocks with no common last hop: a
     // shared interface is handled by the six-destination rule above, and
     // its confidence cell would be trivially 1.0.
-    if (table_ != nullptr && common.empty() && cardinality >= 2 &&
+    if (table_ != nullptr && !common && cardinality >= 2 &&
         usable >= options_.min_active) {
       auto confidence = table_->Confidence(cardinality, usable,
                                            options_.min_cell_trials);
@@ -185,7 +177,7 @@ BlockResult BlockProber::ProbeBlockImpl(const probing::ZmapBlock& block,
     return result;
   }
   const int cardinality = static_cast<int>(grouping.group_count());
-  if (!common.empty()) {
+  if (grouping.HasCommonLastHop()) {
     // A shared last hop throughout, but we never reached the
     // six-destination rule: the block had too few usable addresses to
     // trust the verdict.

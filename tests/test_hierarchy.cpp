@@ -34,8 +34,8 @@ TEST(GroupByLastHop, MultiLastHopAddressJoinsBothGroups) {
       Obs("20.0.0.2", "10.0.0.1")};
   auto groups = GroupByLastHop(observations);
   ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0].members.size(), 2u);
-  EXPECT_EQ(groups[1].members.size(), 1u);
+  EXPECT_EQ(groups[0].member_count, 2u);
+  EXPECT_EQ(groups[1].member_count, 1u);
 }
 
 TEST(GroupByLastHop, SkipsEmptyObservations) {
@@ -47,49 +47,43 @@ TEST(GroupByLastHop, SkipsEmptyObservations) {
 // Figure 2's three cases.
 TEST(Hierarchy, DisjointIsHierarchical) {
   std::vector<AddressGroup> groups(2);
-  groups[0] = {Addr("10.0.0.1"),
-               {Addr("20.0.0.2"), Addr("20.0.0.126")},
-               Addr("20.0.0.2"),
-               Addr("20.0.0.126")};
-  groups[1] = {Addr("10.0.0.2"),
-               {Addr("20.0.0.130"), Addr("20.0.0.237")},
-               Addr("20.0.0.130"),
-               Addr("20.0.0.237")};
+  groups[0] = {Addr("10.0.0.1"), Addr("20.0.0.2"), Addr("20.0.0.126"), 2};
+  groups[1] = {Addr("10.0.0.2"), Addr("20.0.0.130"), Addr("20.0.0.237"), 2};
   EXPECT_TRUE(GroupsAreHierarchical(groups));
 }
 
 TEST(Hierarchy, InclusiveIsHierarchical) {
   std::vector<AddressGroup> groups(2);
-  groups[0] = {Addr("10.0.0.1"), {}, Addr("20.0.0.2"), Addr("20.0.0.237")};
-  groups[1] = {Addr("10.0.0.2"), {}, Addr("20.0.0.126"), Addr("20.0.0.130")};
+  groups[0] = {Addr("10.0.0.1"), Addr("20.0.0.2"), Addr("20.0.0.237"), 0};
+  groups[1] = {Addr("10.0.0.2"), Addr("20.0.0.126"), Addr("20.0.0.130"), 0};
   EXPECT_TRUE(GroupsAreHierarchical(groups));
 }
 
 TEST(Hierarchy, InterleavedIsNonHierarchical) {
   std::vector<AddressGroup> groups(3);
-  groups[0] = {Addr("10.0.0.1"), {}, Addr("20.0.0.2"), Addr("20.0.0.130")};
-  groups[1] = {Addr("10.0.0.2"), {}, Addr("20.0.0.126"), Addr("20.0.0.237")};
-  groups[2] = {Addr("10.0.0.3"), {}, Addr("20.0.0.50"), Addr("20.0.0.60")};
+  groups[0] = {Addr("10.0.0.1"), Addr("20.0.0.2"), Addr("20.0.0.130"), 0};
+  groups[1] = {Addr("10.0.0.2"), Addr("20.0.0.126"), Addr("20.0.0.237"), 0};
+  groups[2] = {Addr("10.0.0.3"), Addr("20.0.0.50"), Addr("20.0.0.60"), 0};
   EXPECT_FALSE(GroupsAreHierarchical(groups));
 }
 
 TEST(Hierarchy, SharedEndpointIsPartialOverlap) {
   std::vector<AddressGroup> groups(2);
-  groups[0] = {Addr("10.0.0.1"), {}, Addr("20.0.0.1"), Addr("20.0.0.5")};
-  groups[1] = {Addr("10.0.0.2"), {}, Addr("20.0.0.5"), Addr("20.0.0.9")};
+  groups[0] = {Addr("10.0.0.1"), Addr("20.0.0.1"), Addr("20.0.0.5"), 0};
+  groups[1] = {Addr("10.0.0.2"), Addr("20.0.0.5"), Addr("20.0.0.9"), 0};
   EXPECT_FALSE(GroupsAreHierarchical(groups));
 }
 
 TEST(Hierarchy, SingleGroupVacuouslyHierarchical) {
   std::vector<AddressGroup> groups(1);
-  groups[0] = {Addr("10.0.0.1"), {}, Addr("20.0.0.1"), Addr("20.0.0.5")};
+  groups[0] = {Addr("10.0.0.1"), Addr("20.0.0.1"), Addr("20.0.0.5"), 0};
   EXPECT_TRUE(GroupsAreHierarchical(groups));
 }
 
 TEST(Hierarchy, IdenticalRangesCountAsNested) {
   std::vector<AddressGroup> groups(2);
-  groups[0] = {Addr("10.0.0.1"), {}, Addr("20.0.0.1"), Addr("20.0.0.9")};
-  groups[1] = {Addr("10.0.0.2"), {}, Addr("20.0.0.1"), Addr("20.0.0.9")};
+  groups[0] = {Addr("10.0.0.1"), Addr("20.0.0.1"), Addr("20.0.0.9"), 0};
+  groups[1] = {Addr("10.0.0.2"), Addr("20.0.0.1"), Addr("20.0.0.9"), 0};
   EXPECT_TRUE(GroupsAreHierarchical(groups));
 }
 
@@ -142,8 +136,8 @@ TEST(AlignedDisjoint, PaperExampleNegative) {
 
 TEST(AlignedDisjoint, InclusiveGroupsAreNot) {
   std::vector<AddressGroup> groups(2);
-  groups[0] = {Addr("10.0.0.1"), {}, Addr("20.0.0.2"), Addr("20.0.0.237")};
-  groups[1] = {Addr("10.0.0.2"), {}, Addr("20.0.0.126"), Addr("20.0.0.130")};
+  groups[0] = {Addr("10.0.0.1"), Addr("20.0.0.2"), Addr("20.0.0.237"), 0};
+  groups[1] = {Addr("10.0.0.2"), Addr("20.0.0.126"), Addr("20.0.0.130"), 0};
   EXPECT_FALSE(IsAlignedDisjoint(groups));
 }
 
@@ -159,7 +153,7 @@ TEST(AlignedDisjoint, SingletonGroupsAreNot) {
 
 TEST(AlignedDisjoint, SingleGroupIsNot) {
   std::vector<AddressGroup> groups(1);
-  groups[0] = {Addr("10.0.0.1"), {}, Addr("20.0.0.1"), Addr("20.0.0.250")};
+  groups[0] = {Addr("10.0.0.1"), Addr("20.0.0.1"), Addr("20.0.0.250"), 0};
   EXPECT_FALSE(IsAlignedDisjoint(groups));
 }
 

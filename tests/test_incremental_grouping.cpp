@@ -1,12 +1,14 @@
 // test_incremental_grouping.cpp — differential tests of the measurement
 // fast path.  The incremental grouping state must agree with the batch
-// reference (full regroup after every observation) on randomized
-// sequences and on every prefix of a campaign's real observation
-// sequences, and a last-hop prober must return identical results with
-// and without a route memo.
+// oracle (tests/grouping_oracle.h: a full regroup after every
+// observation) on randomized sequences and on every prefix of a
+// campaign's real observation sequences, and a last-hop prober must
+// return identical results with and without a route memo.
 #include <algorithm>
 #include <gtest/gtest.h>
+#include <string>
 
+#include "grouping_oracle.h"
 #include "hobbit/hierarchy.h"
 #include "hobbit/pipeline.h"
 #include "netsim/internet.h"
@@ -53,6 +55,71 @@ AddressObservation RandomObservation(netsim::Rng& rng, int router_pool,
   return obs;
 }
 
+/// The oracle's groups as AddressGroups, member_count = distinct members.
+std::vector<AddressGroup> OracleAddressGroups(
+    std::span<const AddressObservation> observations) {
+  std::vector<AddressGroup> groups;
+  for (const auto& [router, members] : test::OracleGroups(observations)) {
+    groups.push_back({router, members.front(), members.back(),
+                      members.size()});
+  }
+  return groups;
+}
+
+/// Some router in every observation's last-hop set, straight from the
+/// definition.
+bool OracleCommonLastHop(std::span<const AddressObservation> observations) {
+  for (const auto& [router, members] : test::OracleGroups(observations)) {
+    if (std::all_of(observations.begin(), observations.end(),
+                    [&](const AddressObservation& obs) {
+                      return std::binary_search(obs.last_hops.begin(),
+                                                obs.last_hops.end(), router);
+                    })) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Checks every verdict of `incremental`, which has folded exactly
+/// `observations`, and of the folding free functions against the oracle.
+/// `distinct` says every address appears once, so member counts are
+/// comparable.  Returns the oracle's aligned-disjoint verdict.
+bool ExpectMatchesOracle(const IncrementalGrouping& incremental,
+                         std::span<const AddressObservation> observations,
+                         bool distinct, const std::string& where) {
+  SCOPED_TRACE(where);
+  const auto oracle = test::OracleGroups(observations);
+  const std::vector<AddressGroup> want = OracleAddressGroups(observations);
+  for (const std::vector<AddressGroup>& got :
+       {incremental.Groups(), GroupByLastHop(observations)}) {
+    EXPECT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_EQ(got[i].router, want[i].router);
+      EXPECT_EQ(got[i].min, want[i].min);
+      EXPECT_EQ(got[i].max, want[i].max);
+      if (distinct) {
+        EXPECT_EQ(got[i].member_count, want[i].member_count);
+      }
+    }
+  }
+  const bool common = OracleCommonLastHop(observations);
+  EXPECT_EQ(incremental.HasCommonLastHop(), common);
+  EXPECT_EQ(HaveCommonLastHop(observations), common);
+  const bool homogeneous =
+      !want.empty() &&
+      (want.size() == 1 || common || !GroupsAreHierarchical(want));
+  EXPECT_EQ(HobbitSaysHomogeneous(observations), homogeneous);
+  // §4.2's "at least two members" rule, on the oracle's distinct members,
+  // against the fold's min < max.
+  const bool aligned =
+      std::all_of(oracle.begin(), oracle.end(),
+                  [](const auto& group) { return group.second.size() >= 2; })
+      && IsAlignedDisjoint(want);
+  EXPECT_EQ(IsAlignedDisjoint(incremental.Groups()), aligned);
+  return aligned;
+}
+
 TEST(IncrementalGrouping, MatchesBatchGroupingOnRandomSequences) {
   netsim::Rng rng(20260806);
   int non_hierarchical_seen = 0;
@@ -75,13 +142,16 @@ TEST(IncrementalGrouping, MatchesBatchGroupingOnRandomSequences) {
       }
       incremental.Add(observations.back());
 
-      auto groups = GroupByLastHop(observations);
+      auto groups = OracleAddressGroups(observations);
       ASSERT_EQ(incremental.group_count(), groups.size())
           << "trial " << trial << " step " << s;
       const bool batch_hierarchical = GroupsAreHierarchical(groups);
       ASSERT_EQ(incremental.Hierarchical(), batch_hierarchical)
           << "trial " << trial << " step " << s;
       (batch_hierarchical ? hierarchical_seen : non_hierarchical_seen)++;
+      ExpectMatchesOracle(incremental, observations, /*distinct=*/false,
+                          "trial " + std::to_string(trial) + " step " +
+                              std::to_string(s));
     }
   }
   // The generator must actually exercise both verdicts.
@@ -131,11 +201,71 @@ TEST(IncrementalGrouping, NonLaminarityIsNotLatched) {
   EXPECT_TRUE(grouping.Hierarchical());
 }
 
+TEST(IncrementalGrouping, MatchesOracleWithDuplicatesAndEmptyLastHops) {
+  // Re-observed addresses (under the same or another last hop) and
+  // observations with no identified last hop.  Member counts then stop
+  // being distinct-member counts; every verdict must still match the
+  // oracle, the aligned-disjoint one included.
+  netsim::Rng rng(20261018);
+  int aligned_seen = 0;
+  int common_seen = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const int router_pool = 1 + static_cast<int>(rng.NextBelow(4));
+    const int steps = 1 + static_cast<int>(rng.NextBelow(24));
+    std::vector<AddressObservation> observations;
+    IncrementalGrouping incremental;
+    for (int s = 0; s < steps; ++s) {
+      AddressObservation obs =
+          RandomObservation(rng, router_pool, /*structured=*/true);
+      if (rng.NextBool(0.1)) {
+        obs.last_hops.clear();
+      } else if (!observations.empty() && rng.NextBool(0.3)) {
+        obs.address = observations[rng.NextBelow(observations.size())].address;
+      }
+      observations.push_back(obs);
+      incremental.Add(obs);
+      ASSERT_EQ(incremental.group_count(),
+                OracleAddressGroups(observations).size());
+      aligned_seen += ExpectMatchesOracle(
+          incremental, observations, /*distinct=*/false,
+          "trial " + std::to_string(trial) + " step " + std::to_string(s));
+      common_seen += incremental.HasCommonLastHop();
+    }
+  }
+  EXPECT_GT(aligned_seen, 20);
+  EXPECT_GT(common_seen, 20);
+}
+
+TEST(IncrementalGrouping, ReobservedAddressIsNotASecondMember) {
+  // r1 sees 20.0.1.2 twice: two observations, one distinct member, a /32
+  // span with no route-entry evidence — so no aligned-disjoint verdict.
+  const netsim::Ipv4Address r1(0x0A000001u);
+  const netsim::Ipv4Address r2(0x0A000002u);
+  std::vector<AddressObservation> observations = {
+      {netsim::Ipv4Address(0x14000102u), {r1}},
+      {netsim::Ipv4Address(0x14000102u), {r1}},
+      {netsim::Ipv4Address(0x14000181u), {r2}},
+      {netsim::Ipv4Address(0x140001FEu), {r2}}};
+  IncrementalGrouping grouping;
+  for (const AddressObservation& obs : observations) grouping.Add(obs);
+  const std::vector<AddressGroup> groups = grouping.Groups();
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_EQ(groups[0].member_count, 2u);
+  EXPECT_FALSE(IsAlignedDisjoint(groups));
+  EXPECT_FALSE(
+      ExpectMatchesOracle(grouping, observations, /*distinct=*/false, ""));
+  // Clear forgets the common last hop with the ranges.
+  EXPECT_FALSE(grouping.HasCommonLastHop());
+  grouping.Clear();
+  grouping.Add(observations[2]);
+  EXPECT_TRUE(grouping.HasCommonLastHop());
+}
+
 TEST(FastPathEquivalence, GroupingMatchesBatchOnEveryObservationPrefix) {
   // ProbeBlock decides after every observation from IncrementalGrouping.
   // On real observation sequences — a campaign's, every block, every
-  // prefix of its sequence — that state must give the batch verdict of
-  // GroupByLastHop over the same prefix.
+  // prefix of its sequence — that state must give the verdicts of the
+  // batch oracle over the same prefix.
   netsim::Internet internet = netsim::BuildInternet(netsim::TinyConfig(37));
   PipelineConfig config;
   config.seed = 37;
@@ -144,24 +274,30 @@ TEST(FastPathEquivalence, GroupingMatchesBatchOnEveryObservationPrefix) {
   const PipelineResult campaign = RunPipeline(internet, config);
   ASSERT_FALSE(campaign.results.empty());
   int non_hierarchical_seen = 0;
+  int aligned_seen = 0;
   for (const BlockResult& block : campaign.results) {
     IncrementalGrouping incremental;
     std::vector<AddressObservation> prefix;
     for (const AddressObservation& observation : block.observations) {
       prefix.push_back(observation);
       incremental.Add(observation);
-      const auto groups = GroupByLastHop(prefix);
+      const auto groups = OracleAddressGroups(prefix);
       ASSERT_EQ(incremental.group_count(), groups.size())
           << block.prefix.ToString() << " after " << prefix.size();
       const bool hierarchical = GroupsAreHierarchical(groups);
       ASSERT_EQ(incremental.Hierarchical(), hierarchical)
           << block.prefix.ToString() << " after " << prefix.size();
       if (!hierarchical) ++non_hierarchical_seen;
+      // A probed block observes each address once.
+      aligned_seen += ExpectMatchesOracle(
+          incremental, prefix, /*distinct=*/true,
+          block.prefix.ToString() + " after " + std::to_string(prefix.size()));
     }
   }
   // The campaign must reach the non-hierarchical verdict, not only the
-  // vacuous one.
+  // vacuous one, and the aligned-disjoint one.
   EXPECT_GT(non_hierarchical_seen, 0);
+  EXPECT_GT(aligned_seen, 0);
 }
 
 TEST(FastPathEquivalence, LastHopProberIdenticalWithAndWithoutMemo) {

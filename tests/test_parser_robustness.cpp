@@ -8,7 +8,6 @@
 #include "cluster/blockio.h"
 #include "hobbit/resultio.h"
 #include "netsim/ipv4.h"
-#include "netsim/ipv6.h"
 #include "netsim/rng.h"
 
 namespace hobbit {
@@ -45,35 +44,6 @@ TEST_P(ParserFuzz, Ipv4NeverCrashesAndRoundTrips) {
       ASSERT_TRUE(again.has_value()) << text;
       EXPECT_EQ(*again, *prefix) << text;
     }
-  }
-}
-
-TEST_P(ParserFuzz, Ipv6NeverCrashesAndRoundTrips) {
-  netsim::Rng rng(GetParam() + 1000);
-  for (int i = 0; i < 3000; ++i) {
-    std::string text = RandomText(rng, 48);
-    auto address = netsim::Ipv6Address::Parse(text);
-    if (address) {
-      auto again = netsim::Ipv6Address::Parse(address->ToString());
-      ASSERT_TRUE(again.has_value()) << text;
-      EXPECT_EQ(*again, *address) << text;
-    }
-    auto prefix = netsim::Ipv6Prefix::Parse(text);
-    if (prefix) {
-      auto again = netsim::Ipv6Prefix::Parse(prefix->ToString());
-      ASSERT_TRUE(again.has_value()) << text;
-      EXPECT_EQ(*again, *prefix) << text;
-    }
-  }
-}
-
-TEST_P(ParserFuzz, RandomIpv6AddressesAlwaysRoundTrip) {
-  netsim::Rng rng(GetParam() + 2000);
-  for (int i = 0; i < 2000; ++i) {
-    netsim::Ipv6Address address(rng.Next(), rng.Next());
-    auto again = netsim::Ipv6Address::Parse(address.ToString());
-    ASSERT_TRUE(again.has_value()) << address.ToString();
-    EXPECT_EQ(*again, address);
   }
 }
 

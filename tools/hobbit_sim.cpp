@@ -225,7 +225,7 @@ int CmdClassify(const Args& args) {
   auto groups = core::GroupByLastHop(result.observations);
   for (const auto& group : groups) {
     std::cout << "  last hop " << group.router.ToString() << ": "
-              << group.members.size() << " addrs, range ["
+              << group.member_count << " addrs, range ["
               << group.min.ToString() << ", " << group.max.ToString()
               << "], span "
               << netsim::SpanningPrefix(group.min, group.max).ToString()
