@@ -10,7 +10,8 @@
 // tier actually selected (`simd_tier` — HOBBIT_SIMD-clamped) and the
 // host's capability string (`cpu_features`), so checked-in numbers are
 // attributable to the kernel tier that produced them, plus the warm-memo
-// MDA-shaped probe cost (`mda_probe_ns`, ns per simulated probe).
+// MDA-shaped probe cost (`mda_probe_ns`, ns per simulated probe) and the
+// full snapshot verification cost (`snapshot_verify_ns_per_byte`).
 
 #include <benchmark/benchmark.h>
 
@@ -29,6 +30,7 @@
 #include "netsim/route_memo.h"
 #include "netsim/simulator.h"
 #include "probing/zmap.h"
+#include "serve/snapshot.h"
 
 namespace {
 
@@ -241,20 +243,66 @@ BENCHMARK(BM_SimdColumnSweep)
     ->Arg(static_cast<int>(common::simd::Tier::kSse2))
     ->Arg(static_cast<int>(common::simd::Tier::kAvx2));
 
+// Full payload verification (padding, the five section checksums, the
+// invariant scan) of a synthetic snapshot with the census's section
+// proportions: 2 M entries, a block per ~4.75 entries and ~1.6 last hops
+// per block, 27 MB in all, far past any cache.  This is the work a
+// RELOAD does beyond reading the file.
+const serve::Snapshot& SharedLargeSnapshot() {
+  static const serve::Snapshot snapshot = [] {
+    constexpr std::uint32_t kEntries = 1u << 21;
+    constexpr std::uint32_t kBlocks = kEntries * 4 / 19;
+    std::vector<serve::SnapshotEntry> entries(kEntries);
+    netsim::Rng rng(5);
+    for (std::uint32_t i = 0; i < kEntries; ++i) {
+      entries[i] = {(i + 1) << 8,
+                    rng.NextBelow(8) == 0 ? serve::kNoBlock
+                                          : i % kBlocks,
+                    static_cast<std::uint8_t>(rng.NextBelow(5))};
+    }
+    std::vector<std::byte> blocktab;
+    std::vector<std::byte> hops;
+    std::vector<cluster::AggregateBlock> blocks(kBlocks);
+    for (std::uint32_t b = 0; b < kBlocks; ++b) {
+      blocks[b].member_24s.resize(1 + rng.NextBelow(8));
+      blocks[b].last_hops.resize(rng.NextBelow(5) < 2 ? 1 : 2);
+    }
+    serve::AppendBlockTable(blocks, &blocktab, &hops);
+    return *serve::Snapshot::FromBuffer(
+        serve::AssembleSnapshotV2(entries, blocktab, hops, 1));
+  }();
+  return snapshot;
+}
+
+void BM_SnapshotVerify(benchmark::State& state) {
+  const serve::Snapshot& snapshot = SharedLargeSnapshot();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(snapshot.VerifyPayload());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(snapshot.buffer_bytes()));
+}
+BENCHMARK(BM_SnapshotVerify)->Unit(benchmark::kMillisecond);
+
 /// The console reporter, also keeping the per-iteration wall time of the
 /// benchmarks whose numbers go into BENCH_microperf.json.
 class RecordingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.run_type == Run::RT_Iteration && !run.error_occurred &&
-          run.benchmark_name() == "BM_SimulatorMdaProbe") {
+      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      if (run.benchmark_name() == "BM_SimulatorMdaProbe") {
         mda_probe_ns = run.GetAdjustedRealTime();
+      } else if (run.benchmark_name() == "BM_SnapshotVerify") {
+        snapshot_verify_ns_per_byte =
+            run.GetAdjustedRealTime() * 1e6 /
+            static_cast<double>(SharedLargeSnapshot().buffer_bytes());
       }
     }
     ConsoleReporter::ReportRuns(runs);
   }
   double mda_probe_ns = 0.0;
+  double snapshot_verify_ns_per_byte = 0.0;
 };
 
 }  // namespace
@@ -276,6 +324,10 @@ int main(int argc, char** argv) {
   report.Metric("cpu_features", hobbit::common::simd::CpuFeatureString());
   if (console.mda_probe_ns > 0.0) {
     report.Metric("mda_probe_ns", console.mda_probe_ns);
+  }
+  if (console.snapshot_verify_ns_per_byte > 0.0) {
+    report.Metric("snapshot_verify_ns_per_byte",
+                  console.snapshot_verify_ns_per_byte);
   }
   report.Write();
   return 0;

@@ -5,15 +5,14 @@
 #include <string>
 #include <vector>
 
-#include "common/small_vector.h"
 #include "netsim/ipv4.h"
+#include "probing/last_hop.h"
 
 namespace hobbit::core {
 
-/// Per-destination last-hop interface set.  Nearly always a single
-/// interface (a handful under per-flow diversity), so storage is inline
-/// and the measurement hot loop performs no per-observation allocation.
-using LastHopSet = common::SmallVector<netsim::Ipv4Address, 4>;
+/// Per-destination last-hop interface set: the prober's own type, so a
+/// reply's set folds into a grouping without conversion.
+using LastHopSet = probing::LastHopSet;
 
 /// The five-way outcome of measuring one /24 (paper Table 1).
 enum class Classification : std::uint8_t {

@@ -1,12 +1,12 @@
 #include "serve/snapshot.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <utility>
 
@@ -15,7 +15,6 @@
 #if defined(__unix__) || defined(__APPLE__)
 #define HOBBIT_HAS_MMAP 1
 #include <sys/mman.h>
-#include <sys/stat.h>
 #endif
 
 namespace hobbit::serve {
@@ -31,9 +30,19 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 /// The five section offsets (keys, blocks, classes, blocktab, hops) —
 /// a pure function of the counts, each AlignUp(previous end, 64).
 struct SectionLayout {
-  std::uint64_t offsets[5];
-  std::uint64_t sizes[5];
+  std::uint64_t offsets[kSnapshotSections];
+  std::uint64_t sizes[kSnapshotSections];
   std::uint64_t file_bytes;
+
+  /// The sections of a buffer laid out like this, in header order.
+  std::array<std::span<const std::byte>, kSnapshotSections> Sections(
+      const std::byte* base) const {
+    std::array<std::span<const std::byte>, kSnapshotSections> sections;
+    for (std::size_t i = 0; i < kSnapshotSections; ++i) {
+      sections[i] = {base + offsets[i], static_cast<std::size_t>(sizes[i])};
+    }
+    return sections;
+  }
 };
 
 SectionLayout LayoutFor(std::uint64_t n, std::uint64_t m, std::uint64_t h) {
@@ -61,17 +70,60 @@ bool LoadFail(std::string* error, const std::string& message) {
   return false;
 }
 
-/// Appends the whole file at `path` to *out, 64 KiB at a time.  False
-/// when the file cannot be opened.
-bool ReadWholeFile(const std::string& path, std::vector<std::byte>* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char chunk[64 * 1024];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    const std::byte* begin = reinterpret_cast<const std::byte*>(chunk);
-    out->insert(out->end(), begin, begin + in.gcount());
+/// Reads up to `size` bytes from `fd` into `data`; returns how many it
+/// got before end of file or a read error.
+std::size_t ReadUpTo(int fd, std::byte* data, std::size_t size) {
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t r = ::read(fd, data + got, size - got);
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) break;
+    got += static_cast<std::size_t>(r);
   }
+  return got;
+}
+
+/// Replaces *out with the whole file at `path`.  The buffer is sized once
+/// from fstat, so the file is copied once and never held twice; bytes
+/// past the stat'ed size (a file still growing) are appended after.  A
+/// read error ends the file early, which the loader then rejects as
+/// truncated.  False when the file cannot be opened.
+bool ReadWholeFile(const std::string& path, std::vector<std::byte>* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return false;
+  struct stat st;
+  const std::size_t size =
+      ::fstat(fd, &st) == 0 ? static_cast<std::size_t>(st.st_size) : 0;
+  out->resize(size);
+  out->resize(ReadUpTo(fd, out->data(), size));
+  if (out->size() == size) {
+    std::byte chunk[64 * 1024];
+    while (const std::size_t got = ReadUpTo(fd, chunk, sizeof(chunk))) {
+      out->insert(out->end(), chunk, chunk + got);
+    }
+  }
+  ::close(fd);
   return true;
+}
+
+template <std::size_t N>
+using Lanes = std::make_index_sequence<N>;
+
+/// Advances one FNV-1a chain per lane L by `count` bytes each, one byte
+/// per chain per step.  The chains are independent, so each step issues
+/// one multiply per lane that overlap rather than one the next byte
+/// waits on.  The fold expression spells every lane out, so the chains
+/// live in registers at any optimization level.
+template <std::size_t... L>
+void FoldLockstep(std::index_sequence<L...>, const std::byte** cursors,
+                  std::uint64_t* hashes, std::size_t count) {
+  const std::byte* const p[] = {cursors[L]...};
+  std::uint64_t h[] = {hashes[L]...};
+  for (std::size_t i = 0; i < count; ++i) {
+    ((h[L] = (h[L] ^ std::to_integer<std::uint64_t>(p[L][i])) * kFnvPrime),
+     ...);
+  }
+  ((cursors[L] = p[L] + count, hashes[L] = h[L]), ...);
 }
 
 }  // namespace
@@ -83,6 +135,43 @@ std::uint64_t Fnv1a64(std::span<const std::byte> bytes) {
     hash *= kFnvPrime;
   }
   return hash;
+}
+
+std::array<std::uint64_t, kSnapshotSections> SectionChecksums(
+    const std::array<std::span<const std::byte>, kSnapshotSections>&
+        sections) {
+  // Lanes longest first, so the shortest live lane is always the last:
+  // each phase runs the live lanes up to its end, then drops it.
+  std::array<std::size_t, kSnapshotSections> order;
+  for (std::size_t i = 0; i < kSnapshotSections; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&sections](std::size_t a, std::size_t b) {
+                     return sections[a].size() > sections[b].size();
+                   });
+  const std::byte* cursors[kSnapshotSections];
+  std::uint64_t hashes[kSnapshotSections];
+  for (std::size_t l = 0; l < kSnapshotSections; ++l) {
+    cursors[l] = sections[order[l]].data();
+    hashes[l] = kFnvOffset;
+  }
+  std::size_t done = 0;
+  for (std::size_t live = kSnapshotSections; live > 0; --live) {
+    const std::size_t end = sections[order[live - 1]].size();
+    const std::size_t count = end - done;
+    switch (live) {
+      case 5: FoldLockstep(Lanes<5>(), cursors, hashes, count); break;
+      case 4: FoldLockstep(Lanes<4>(), cursors, hashes, count); break;
+      case 3: FoldLockstep(Lanes<3>(), cursors, hashes, count); break;
+      case 2: FoldLockstep(Lanes<2>(), cursors, hashes, count); break;
+      default: FoldLockstep(Lanes<1>(), cursors, hashes, count); break;
+    }
+    done = end;
+  }
+  std::array<std::uint64_t, kSnapshotSections> checksums;
+  for (std::size_t l = 0; l < kSnapshotSections; ++l) {
+    checksums[order[l]] = hashes[l];
+  }
+  return checksums;
 }
 
 std::vector<ClassifiedPrefix> ClassifiedFrom(
@@ -184,11 +273,11 @@ std::vector<std::byte> AssembleSnapshotV2(std::span<const SnapshotEntry> entries
   wire::StoreU32(header + 20, static_cast<std::uint32_t>(h));
   wire::StoreU64(header + 24, epoch);
   wire::StoreU64(header + 32, layout.file_bytes);
-  for (int i = 0; i < 5; ++i) {
+  const std::array<std::uint64_t, kSnapshotSections> checksums =
+      SectionChecksums(layout.Sections(out.data()));
+  for (std::size_t i = 0; i < kSnapshotSections; ++i) {
     wire::StoreU64(header + 40 + i * 8, layout.offsets[i]);
-    wire::StoreU64(header + 80 + i * 8,
-                   Fnv1a64({out.data() + layout.offsets[i],
-                            static_cast<std::size_t>(layout.sizes[i])}));
+    wire::StoreU64(header + 80 + i * 8, checksums[i]);
   }
   wire::StoreU64(header + 120, 0);  // reserved
   return out;
@@ -392,6 +481,33 @@ std::vector<netsim::Ipv4Address> Snapshot::BlockLastHops(
 
 bool Snapshot::ValidateEntries(std::string* error) const {
   const std::size_t n = entry_count_;
+  // One fused pass ORs every failure into `bad`.  Only a failing buffer
+  // pays for the rescan below, which checks one property at a time and
+  // so names the same first violation, in the same words, as always.
+  const std::byte* keys = base_ + keys_offset_;
+  const std::byte* blocks = base_ + entry_blocks_offset_;
+  const std::byte* classes = base_ + classes_offset_;
+  const std::byte* blocktab = base_ + blocktab_offset_;
+  const std::uint32_t m = static_cast<std::uint32_t>(block_count_);
+  bool bad = false;
+  std::int64_t previous = -1;  // below every key, so entry 0 passes
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t key = ReadU32(keys + i * 4);
+    const std::uint32_t block = ReadU32(blocks + i * 4);
+    const std::uint8_t token = std::to_integer<std::uint8_t>(classes[i]);
+    bad |= static_cast<std::int64_t>(key) <= previous;
+    bad |= (key & 0xFF) != 0;
+    bad |= (block >= m) & (block != kNoBlock);
+    bad |= (token > 4) & (token != kNoClass);
+    previous = key;
+  }
+  for (std::size_t b = 0; b < block_count_; ++b) {
+    const std::uint64_t offset = ReadU32(blocktab + b * 12 + 4);
+    const std::uint64_t count = ReadU32(blocktab + b * 12 + 8);
+    bad |= offset + count > hop_count_;
+  }
+  if (!bad) return true;
+
   for (std::size_t i = 0; i + 1 < n; ++i) {
     if (EntryKey(i) >= EntryKey(i + 1)) {
       return LoadFail(error, "entry keys not strictly ascending at index " +
@@ -444,10 +560,10 @@ bool Snapshot::VerifyPayload(std::string* error) const {
       }
     }
   }
-  for (int i = 0; i < 5; ++i) {
-    std::span<const std::byte> section(
-        base_ + layout.offsets[i], static_cast<std::size_t>(layout.sizes[i]));
-    if (Fnv1a64(section) != ReadU64(base_ + 80 + i * 8)) {
+  const std::array<std::uint64_t, kSnapshotSections> checksums =
+      SectionChecksums(layout.Sections(base_));
+  for (std::size_t i = 0; i < kSnapshotSections; ++i) {
+    if (checksums[i] != ReadU64(base_ + 80 + i * 8)) {
       return LoadFail(error, std::string("section checksum mismatch (") +
                                  kSectionNames[i] + ")");
     }

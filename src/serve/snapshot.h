@@ -56,6 +56,7 @@
 // offsets) until VerifyPayload is called.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -85,6 +86,19 @@ inline constexpr std::uint8_t kNoClass = 0xFF;
 
 /// FNV-1a 64 over a byte range — the section checksum.
 std::uint64_t Fnv1a64(std::span<const std::byte> bytes);
+
+/// Sections per snapshot: keys, blocks, classes, blocktab, hops.
+inline constexpr std::size_t kSnapshotSections = 5;
+
+/// All five section checksums in one pass: result[i] == Fnv1a64(
+/// sections[i]) for every i.  Each chain is still the sequential byte
+/// fold; the chains advance in lockstep, so their multiplies overlap
+/// instead of each byte waiting on the previous one's multiply.  When the
+/// shortest live section ends it drops out and the rest carry on.  The
+/// snapshot writer and the loader both checksum through here.
+std::array<std::uint64_t, kSnapshotSections> SectionChecksums(
+    const std::array<std::span<const std::byte>, kSnapshotSections>&
+        sections);
 
 /// A /24 destined for the snapshot: key plus optional classification.
 /// (Adapters below build these from the archival record types.)

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <functional>
 #include <sstream>
 
 #include "cluster/blockio.h"
@@ -250,6 +252,191 @@ TEST(SnapshotV2Robustness, ForgedSectionChecksumStillFailsStructuralChecks) {
   std::string error;
   EXPECT_FALSE(Snapshot::FromBuffer(std::move(buffer), &error).has_value());
   EXPECT_NE(error.find("ascending"), std::string::npos) << error;
+}
+
+// ---------------------------------------------------------------------
+// The lockstep checksum pass and the fused invariant scan must agree
+// with the plain definitions byte for byte and message for message.
+
+std::vector<std::byte> RandomBytes(netsim::Rng& rng, std::size_t size) {
+  std::vector<std::byte> bytes(size);
+  for (std::byte& b : bytes) b = static_cast<std::byte>(rng.NextBelow(256));
+  return bytes;
+}
+
+void ExpectLockstepMatchesSequential(
+    netsim::Rng& rng, const std::array<std::size_t, kSnapshotSections>& sizes) {
+  std::array<std::vector<std::byte>, kSnapshotSections> storage;
+  std::array<std::span<const std::byte>, kSnapshotSections> sections;
+  for (std::size_t i = 0; i < kSnapshotSections; ++i) {
+    storage[i] = RandomBytes(rng, sizes[i]);
+    sections[i] = storage[i];
+  }
+  const std::array<std::uint64_t, kSnapshotSections> lockstep =
+      SectionChecksums(sections);
+  for (std::size_t i = 0; i < kSnapshotSections; ++i) {
+    EXPECT_EQ(lockstep[i], Fnv1a64(sections[i]))
+        << "section " << i << " of sizes " << sizes[0] << "," << sizes[1]
+        << "," << sizes[2] << "," << sizes[3] << "," << sizes[4];
+  }
+}
+
+TEST(SectionChecksums, MatchSequentialFnvOnEdgeSizes) {
+  netsim::Rng rng(41);
+  const std::vector<std::array<std::size_t, kSnapshotSections>> cases = {
+      {0, 0, 0, 0, 0},         // empty snapshot
+      {12, 12, 3, 0, 0},       // no blocks (m = 0, h = 0)
+      {0, 0, 0, 24, 8},        // no entries
+      {9, 9, 9, 9, 9},         // all equal
+      {10, 9, 10, 9, 10},      // neighbours differ by one
+      {1, 2, 3, 4, 5},         // strictly ascending
+      {5, 4, 3, 2, 1},         // strictly descending
+      {0, 1, 0, 1, 0},         // empty beside one byte
+      {4096, 4095, 4097, 1, 4096},
+  };
+  for (const auto& sizes : cases) ExpectLockstepMatchesSequential(rng, sizes);
+}
+
+TEST(SectionChecksums, MatchSequentialFnvOnRandomSizes) {
+  netsim::Rng rng(42);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::array<std::size_t, kSnapshotSections> sizes;
+    for (std::size_t& size : sizes) {
+      // A quarter of the sections empty, the rest up to 3000 bytes.
+      size = rng.NextBelow(4) == 0 ? 0 : rng.NextBelow(3000);
+    }
+    ExpectLockstepMatchesSequential(rng, sizes);
+  }
+}
+
+/// Buffers whose five sections all differ in length (and one where three
+/// are equal), so every lockstep phase boundary falls somewhere new.
+std::vector<std::vector<std::byte>> VariedBuffers() {
+  std::vector<std::vector<std::byte>> buffers = {ValidBuffer()};
+  netsim::Rng rng(7);
+  for (int blocks : {1, 5, 13}) {
+    std::vector<cluster::AggregateBlock> aggregate(blocks);
+    std::vector<ClassifiedPrefix> classified;
+    std::uint32_t next = 0x14000000;  // 20.0.0.0
+    for (cluster::AggregateBlock& block : aggregate) {
+      const int members = 1 + static_cast<int>(rng.NextBelow(6));
+      for (int k = 0; k < members; ++k, next += 0x100) {
+        block.member_24s.push_back(
+            netsim::Prefix::Of(netsim::Ipv4Address(next), 24));
+      }
+      const int hops = 1 + static_cast<int>(rng.NextBelow(4));
+      for (int k = 0; k < hops; ++k) {
+        block.last_hops.emplace_back(0x0A000000u + next + k);
+      }
+      classified.push_back(
+          {netsim::Prefix::Of(netsim::Ipv4Address(next), 24),
+           static_cast<std::uint8_t>(rng.NextBelow(5))});
+      next += 0x100;
+    }
+    buffers.push_back(CompileSnapshotV2(aggregate, classified, 9));
+  }
+  return buffers;
+}
+
+std::string LoadError(std::vector<std::byte> buffer) {
+  std::string error;
+  EXPECT_FALSE(Snapshot::FromBuffer(std::move(buffer), &error).has_value());
+  return error;
+}
+
+TEST(SnapshotV2Robustness, LastByteOfEverySectionIsChecksummed) {
+  const char* const names[kSnapshotSections] = {"keys", "blocks", "classes",
+                                                "blocktab", "hops"};
+  for (const std::vector<std::byte>& valid : VariedBuffers()) {
+    const std::uint64_t n = ReadHeaderU32(valid, 12);
+    const std::uint64_t m = ReadHeaderU32(valid, 16);
+    const std::uint64_t h = ReadHeaderU32(valid, 20);
+    const std::uint64_t sizes[kSnapshotSections] = {n * 4, n * 4, n, m * 12,
+                                                    h * 4};
+    for (std::size_t i = 0; i < kSnapshotSections; ++i) {
+      ASSERT_GT(sizes[i], 0u);
+      auto buffer = valid;
+      buffer[ReadHeaderU64(valid, 40 + i * 8) + sizes[i] - 1] ^= std::byte{1};
+      EXPECT_EQ(LoadError(std::move(buffer)),
+                std::string("section checksum mismatch (") + names[i] + ")");
+    }
+  }
+}
+
+/// Rewrites the five header checksums to match the (tampered) sections,
+/// so a load gets past them to the invariant scan.
+void ForgeChecksums(std::vector<std::byte>& buffer) {
+  const std::uint64_t n = ReadHeaderU32(buffer, 12);
+  const std::uint64_t m = ReadHeaderU32(buffer, 16);
+  const std::uint64_t h = ReadHeaderU32(buffer, 20);
+  const std::uint64_t sizes[kSnapshotSections] = {n * 4, n * 4, n, m * 12,
+                                                  h * 4};
+  for (std::size_t i = 0; i < kSnapshotSections; ++i) {
+    const std::uint64_t checksum = Fnv1a64(
+        {buffer.data() + ReadHeaderU64(buffer, 40 + i * 8), sizes[i]});
+    for (int b = 0; b < 8; ++b) {
+      buffer[80 + i * 8 + b] =
+          static_cast<std::byte>((checksum >> (8 * b)) & 0xFF);
+    }
+  }
+}
+
+TEST(SnapshotV2Robustness, InvariantScanNamesTheFirstFailure) {
+  // 13 blocks, well over a dozen entries.  Faults go in at three places:
+  // an unsorted pair ending at entry 4, a non-/24 key at entry 7 and an
+  // out-of-range class at entry 10.  Each property is reported before
+  // the next, and within one property the lowest index wins.
+  const std::vector<std::byte> valid = VariedBuffers().back();
+  const std::uint64_t n = ReadHeaderU32(valid, 12);
+  ASSERT_GT(n, 10u);
+  const std::uint64_t keys = ReadHeaderU64(valid, 40);
+  const std::uint64_t blocks = ReadHeaderU64(valid, 48);
+  const std::uint64_t classes = ReadHeaderU64(valid, 56);
+  const std::uint64_t blocktab = ReadHeaderU64(valid, 64);
+  auto unsort = [&](std::vector<std::byte>& b) {
+    for (int k = 0; k < 4; ++k) std::swap(b[keys + 12 + k], b[keys + 16 + k]);
+  };
+  auto off_24 = [&](std::vector<std::byte>& b) {
+    b[keys + 7 * 4] |= std::byte{1};
+  };
+  auto bad_class = [&](std::vector<std::byte>& b) {
+    b[classes + 10] = std::byte{5};
+  };
+  auto bad_block = [&](std::vector<std::byte>& b) {
+    b[blocks + 9 * 4] = std::byte{0xF0};  // id 240 of 13 blocks
+  };
+  auto bad_hop_run = [&](std::vector<std::byte>& b) {
+    b[blocktab + 2 * 12 + 8] = std::byte{0xFF};  // block 2's hop count
+  };
+  auto error_after = [&](std::initializer_list<
+                         std::function<void(std::vector<std::byte>&)>>
+                             faults) {
+    auto buffer = valid;
+    for (const auto& fault : faults) fault(buffer);
+    ForgeChecksums(buffer);
+    return LoadError(std::move(buffer));
+  };
+  EXPECT_EQ(error_after({unsort, off_24, bad_class, bad_block, bad_hop_run}),
+            "entry keys not strictly ascending at index 4");
+  EXPECT_EQ(error_after({bad_hop_run, bad_class, off_24, unsort}),
+            "entry keys not strictly ascending at index 4");
+  EXPECT_EQ(error_after({off_24, bad_class, bad_block, bad_hop_run}),
+            "entry key is not a /24 base at index 7");
+  EXPECT_EQ(error_after({bad_class, bad_block, bad_hop_run}),
+            "entry block id out of range at index 9");
+  EXPECT_EQ(error_after({bad_class, bad_hop_run}),
+            "entry classification out of range at index 10");
+  // Each fault alone: the fused pass must flag every property by itself.
+  EXPECT_EQ(error_after({unsort}),
+            "entry keys not strictly ascending at index 4");
+  EXPECT_EQ(error_after({off_24}), "entry key is not a /24 base at index 7");
+  EXPECT_EQ(error_after({bad_block}), "entry block id out of range at index 9");
+  EXPECT_EQ(error_after({bad_class}),
+            "entry classification out of range at index 10");
+  EXPECT_EQ(error_after({bad_hop_run}), "block 2 hop run exceeds the hop pool");
+  auto clean = valid;
+  ForgeChecksums(clean);
+  EXPECT_EQ(clean, valid);
 }
 
 class SnapshotV2Fuzz : public ::testing::TestWithParam<std::uint64_t> {};
