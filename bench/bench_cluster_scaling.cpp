@@ -122,6 +122,7 @@ int main(int argc, char** argv) {
   report.Config("scale", world.scale);
   report.Config("seed", static_cast<double>(world.seed));
   report.Config("mode", quick ? "quick" : "full");
+  if (quick) report.MarkPartial("--quick");
   report.Config("aggregates", static_cast<double>(world.aggregates.size()));
 
   cluster::MclAggregationResult baseline;

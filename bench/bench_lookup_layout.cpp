@@ -156,6 +156,7 @@ int main(int argc, char** argv) {
                      "serving layer: Eytzinger index + mmap zero-copy");
   bench::JsonReporter report("lookup_layout");
   report.Config("mode", quick ? "quick" : "full");
+  if (quick) report.MarkPartial("--quick");
 
   // ---- Part 1: Eytzinger vs sorted-array binary search -----------------
   const std::vector<std::size_t> sizes =

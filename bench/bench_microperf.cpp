@@ -11,12 +11,22 @@
 // host's capability string (`cpu_features`), so checked-in numbers are
 // attributable to the kernel tier that produced them, plus the warm-memo
 // MDA-shaped probe cost (`mda_probe_ns`, ns per simulated probe) and the
-// full snapshot verification cost (`snapshot_verify_ns_per_byte`).
+// full snapshot verification cost (`snapshot_verify_ns_per_byte`) and the
+// cost of a default RELOAD at the store (`store_reload_ms`).  A run with
+// --benchmark_filter is partial: its report goes beside the binary, not
+// over the checked-in one.
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,6 +41,7 @@
 #include "netsim/simulator.h"
 #include "probing/zmap.h"
 #include "serve/snapshot.h"
+#include "serve/store.h"
 
 namespace {
 
@@ -243,34 +254,37 @@ BENCHMARK(BM_SimdColumnSweep)
     ->Arg(static_cast<int>(common::simd::Tier::kSse2))
     ->Arg(static_cast<int>(common::simd::Tier::kAvx2));
 
+// A synthetic snapshot of `entries` /24s with the census's section
+// proportions: a block per ~4.75 entries and ~1.6 last hops per block,
+// 12.9 bytes per entry in all.
+std::vector<std::byte> CensusShapedBytes(std::uint32_t entry_count,
+                                         std::uint64_t seed) {
+  const std::uint32_t kBlocks = entry_count * 4 / 19;
+  std::vector<serve::SnapshotEntry> entries(entry_count);
+  netsim::Rng rng(seed);
+  for (std::uint32_t i = 0; i < entry_count; ++i) {
+    entries[i] = {(i + 1) << 8,
+                  rng.NextBelow(8) == 0 ? serve::kNoBlock : i % kBlocks,
+                  static_cast<std::uint8_t>(rng.NextBelow(5))};
+  }
+  std::vector<std::byte> blocktab;
+  std::vector<std::byte> hops;
+  std::vector<cluster::AggregateBlock> blocks(kBlocks);
+  for (std::uint32_t b = 0; b < kBlocks; ++b) {
+    blocks[b].member_24s.resize(1 + rng.NextBelow(8));
+    blocks[b].last_hops.resize(rng.NextBelow(5) < 2 ? 1 : 2);
+  }
+  serve::AppendBlockTable(blocks, &blocktab, &hops);
+  return serve::AssembleSnapshotV2(entries, blocktab, hops, seed);
+}
+
 // Full payload verification (padding, the five section checksums, the
-// invariant scan) of a synthetic snapshot with the census's section
-// proportions: 2 M entries, a block per ~4.75 entries and ~1.6 last hops
-// per block, 27 MB in all, far past any cache.  This is the work a
-// RELOAD does beyond reading the file.
+// invariant scan) of a 2 M-entry census-shaped snapshot, 27 MB, far past
+// any cache: the work a RELOAD does beyond reading the file and indexing
+// the keys.
 const serve::Snapshot& SharedLargeSnapshot() {
-  static const serve::Snapshot snapshot = [] {
-    constexpr std::uint32_t kEntries = 1u << 21;
-    constexpr std::uint32_t kBlocks = kEntries * 4 / 19;
-    std::vector<serve::SnapshotEntry> entries(kEntries);
-    netsim::Rng rng(5);
-    for (std::uint32_t i = 0; i < kEntries; ++i) {
-      entries[i] = {(i + 1) << 8,
-                    rng.NextBelow(8) == 0 ? serve::kNoBlock
-                                          : i % kBlocks,
-                    static_cast<std::uint8_t>(rng.NextBelow(5))};
-    }
-    std::vector<std::byte> blocktab;
-    std::vector<std::byte> hops;
-    std::vector<cluster::AggregateBlock> blocks(kBlocks);
-    for (std::uint32_t b = 0; b < kBlocks; ++b) {
-      blocks[b].member_24s.resize(1 + rng.NextBelow(8));
-      blocks[b].last_hops.resize(rng.NextBelow(5) < 2 ? 1 : 2);
-    }
-    serve::AppendBlockTable(blocks, &blocktab, &hops);
-    return *serve::Snapshot::FromBuffer(
-        serve::AssembleSnapshotV2(entries, blocktab, hops, 1));
-  }();
+  static const serve::Snapshot snapshot =
+      *serve::Snapshot::FromBuffer(CensusShapedBytes(1u << 21, 5));
   return snapshot;
 }
 
@@ -283,6 +297,46 @@ void BM_SnapshotVerify(benchmark::State& state) {
                           static_cast<std::int64_t>(snapshot.buffer_bytes()));
 }
 BENCHMARK(BM_SnapshotVerify)->Unit(benchmark::kMillisecond);
+
+/// Two census-sized snapshot files (3.37 M entries, 43 MB, like
+/// e2ebench's census) in the temp directory, removed at exit.
+struct ReloadFiles {
+  ReloadFiles() {
+    const std::string stem = (std::filesystem::temp_directory_path() /
+                              ("hobbit_bench_reload_" +
+                               std::to_string(::getpid())))
+                                 .string();
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      paths[i] = stem + "_" + std::to_string(i) + ".snap";
+      if (!serve::WriteSnapshotFile(paths[i],
+                                    CensusShapedBytes(3'370'000, 5 + i))) {
+        paths[i].clear();
+      }
+    }
+  }
+  ~ReloadFiles() {
+    for (const std::string& path : paths) std::remove(path.c_str());
+  }
+  std::array<std::string, 2> paths;
+};
+
+// A default RELOAD at the layer: the store reads, verifies and indexes
+// each file and retires the previous pair, alternating between the two
+// files as e2ebench's reload windows do.  After the first two reloads
+// every one runs on recycled memory.
+void BM_StoreReload(benchmark::State& state) {
+  static const ReloadFiles files;
+  serve::SnapshotStore store;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (!store.ReloadFromFile(files.paths[next])) {
+      state.SkipWithError("reload failed");
+      break;
+    }
+    next ^= 1;
+  }
+}
+BENCHMARK(BM_StoreReload)->Unit(benchmark::kMillisecond);
 
 /// The console reporter, also keeping the per-iteration wall time of the
 /// benchmarks whose numbers go into BENCH_microperf.json.
@@ -297,17 +351,24 @@ class RecordingReporter : public benchmark::ConsoleReporter {
         snapshot_verify_ns_per_byte =
             run.GetAdjustedRealTime() * 1e6 /
             static_cast<double>(SharedLargeSnapshot().buffer_bytes());
+      } else if (run.benchmark_name() == "BM_StoreReload") {
+        store_reload_ms = run.GetAdjustedRealTime();
       }
     }
     ConsoleReporter::ReportRuns(runs);
   }
   double mda_probe_ns = 0.0;
   double snapshot_verify_ns_per_byte = 0.0;
+  double store_reload_ms = 0.0;
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  // A filter drops benchmarks, and with them metrics of the report.
+  const bool filtered = std::any_of(argv + 1, argv + argc, [](const char* arg) {
+    return std::strncmp(arg, "--benchmark_filter", 18) == 0;
+  });
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   RecordingReporter console;
@@ -318,6 +379,7 @@ int main(int argc, char** argv) {
   // (the HOBBIT_SIMD override, clamped to the hardware) and what the
   // hardware could support.
   hobbit::bench::JsonReporter report("microperf");
+  if (filtered) report.MarkPartial("--benchmark_filter");
   report.Metric("simd_tier",
                 std::string(hobbit::common::simd::TierName(
                     hobbit::common::simd::ActiveTier())));
@@ -328,6 +390,9 @@ int main(int argc, char** argv) {
   if (console.snapshot_verify_ns_per_byte > 0.0) {
     report.Metric("snapshot_verify_ns_per_byte",
                   console.snapshot_verify_ns_per_byte);
+  }
+  if (console.store_reload_ms > 0.0) {
+    report.Metric("store_reload_ms", console.store_reload_ms);
   }
   report.Write();
   return 0;

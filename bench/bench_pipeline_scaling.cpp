@@ -130,6 +130,7 @@ int main(int argc, char** argv) {
   bench::JsonReporter report("pipeline");
   report.Config("seed", static_cast<double>(seed));
   report.Config("mode", quick ? "quick" : "full");
+  if (quick) report.MarkPartial("--quick");
   report.Config("require_thread_scaling", require_thread_scaling);
   report.Config("timed_passes", static_cast<double>(kTimedPasses));
 

@@ -93,6 +93,7 @@ int main(int argc, char** argv) {
   report.Config("seed", static_cast<double>(seed));
   report.Config("scale", scale);
   report.Config("mode", quick ? "quick" : "full");
+  if (quick) report.MarkPartial("--quick");
   report.Config("threads", threads);
   report.Config("segment", static_cast<double>(segment));
 

@@ -92,6 +92,7 @@ int main(int argc, char** argv) {
   report.Config("scale", world.scale);
   report.Config("seed", static_cast<double>(world.seed));
   report.Config("mode", quick ? "quick" : "full");
+  if (quick) report.MarkPartial("--quick");
 
   auto buffer = serve::CompileSnapshotV2(
       world.final_blocks,

@@ -294,6 +294,7 @@ int main(int argc, char** argv) {
   report.Config("scale", world.scale);
   report.Config("seed", static_cast<double>(world.seed));
   report.Config("mode", quick ? "quick" : "full");
+  if (quick) report.MarkPartial("--quick");
   report.Config("clients", clients);
   report.Config("requests_per_client", requests);
   report.Config("batch", batch);

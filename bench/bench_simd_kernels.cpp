@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
                      "dispatch-tier speedup gate for the MCL column sweep");
   bench::JsonReporter report("simd_kernels");
   report.Config("mode", quick ? "quick" : "full");
+  if (quick) report.MarkPartial("--quick");
   report.Config("cpu_features", common::simd::CpuFeatureString());
   report.Config("max_tier", TierName(common::simd::MaxSupportedTier()));
 

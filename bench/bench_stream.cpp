@@ -65,6 +65,7 @@ int main(int argc, char** argv) {
   report.Config("seed", static_cast<double>(seed));
   report.Config("scale", scale);
   report.Config("mode", quick ? "quick" : "full");
+  if (quick) report.MarkPartial("--quick");
   report.Config("threads", threads);
   report.Config("window", static_cast<double>(window));
   report.Config("publish_every", static_cast<double>(publish_every));

@@ -193,9 +193,17 @@ std::string JsonReporter::ToJson() const {
   return os.str();
 }
 
+void JsonReporter::MarkPartial(std::string reason) {
+  partial_reason_ = std::move(reason);
+}
+
 std::string JsonReporter::Write() const {
   const char* dir = std::getenv("HOBBIT_BENCH_DIR");
-  std::string path = (dir != nullptr && *dir != '\0') ? dir : HOBBIT_REPO_ROOT;
+  const bool chosen = dir != nullptr && *dir != '\0';
+  const bool beside_binary = !chosen && !partial_reason_.empty();
+  std::string path = chosen          ? dir
+                     : beside_binary ? HOBBIT_BENCH_BINARY_DIR
+                                     : HOBBIT_REPO_ROOT;
   if (!path.empty() && path.back() != '/') path += '/';
   path += "BENCH_" + bench_name_ + ".json";
   std::ofstream out(path);
@@ -205,6 +213,13 @@ std::string JsonReporter::Write() const {
   }
   out << ToJson();
   std::cerr << "[bench] wrote " << path << "\n";
+  if (beside_binary) {
+    std::cerr << "[bench] partial run (" << partial_reason_
+              << "): the checked-in " << HOBBIT_REPO_ROOT << "/BENCH_"
+              << bench_name_
+              << ".json is left as is; set HOBBIT_BENCH_DIR to choose where "
+                 "the report goes\n";
+  }
   return path;
 }
 

@@ -52,8 +52,10 @@ void PrintHeader(const std::string& experiment,
 ///   {"bench": <name>, "config": {...}, "metrics": {...}, "commit": <sha>}
 /// to `BENCH_<name>.json` at the repo root (overridable with the
 /// HOBBIT_BENCH_DIR environment variable), so CI and EXPERIMENTS.md
-/// tooling can diff runs without scraping stdout.  The commit comes from
-/// HOBBIT_COMMIT when set, else `git rev-parse --short HEAD`.
+/// tooling can diff runs without scraping stdout.  A partial run (see
+/// MarkPartial) never overwrites the checked-in repo-root file: without
+/// HOBBIT_BENCH_DIR it is written beside the bench binaries.  The commit
+/// comes from HOBBIT_COMMIT when set, else `git rev-parse --short HEAD`.
 class JsonReporter {
  public:
   /// Every report starts with a `threads_hw` config entry (the machine's
@@ -68,6 +70,10 @@ class JsonReporter {
   /// single-core machine cannot exercise multi-thread speedup gates).
   void Metric(const std::string& key, const std::string& value);
 
+  /// Marks the report as partial — a `--quick` run, or a benchmark
+  /// filter that drops metrics — with `reason` naming why.
+  void MarkPartial(std::string reason);
+
   /// Serializes the report.  Keys keep insertion order.
   std::string ToJson() const;
 
@@ -78,6 +84,7 @@ class JsonReporter {
 
  private:
   std::string bench_name_;
+  std::string partial_reason_;  ///< empty for a full run
   /// Values are pre-rendered JSON tokens (quoted strings or numbers).
   std::vector<std::pair<std::string, std::string>> config_;
   std::vector<std::pair<std::string, std::string>> metrics_;

@@ -1,7 +1,7 @@
 // route_corpus.h — shared between bench_metric_choice and bench_fig3:
 // a corpus of MDA route *sets* toward every active address of a sample of
-// ground-truth-homogeneous /24s (the paper's §3.1 dataset), plus the
-// grouping/hierarchy machinery for route-level metrics.
+// ground-truth-homogeneous /24s (the paper's §3.1 dataset), plus Hobbit's
+// procedure over route-level keys, folded through core::IncrementalGrouping.
 //
 // Every address carries a set of routes (per-flow diversity), hence a set
 // of keys under each metric; Hobbit's verdict on a metric is: one group,
@@ -9,8 +9,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -152,53 +152,36 @@ std::pair<int, bool> HobbitOnMetric(const BlockRouteSet& block,
     std::swap(order[i], order[i + rng.NextBelow(order.size() - i)]);
   }
 
-  std::map<std::string,
-           std::pair<netsim::Ipv4Address, netsim::Ipv4Address>>
-      ranges;  // key -> (min addr, max addr)
-  std::set<std::string> common;
-  bool first = true;
+  // Each distinct key of the block gets a 32-bit id that stands in for a
+  // last-hop router, so the block folds through the prober's grouping.
+  std::map<std::string, std::uint32_t> ids;
+  core::IncrementalGrouping grouping;
   bool passed = false;
   for (std::uint32_t index : order) {
     const RouteObservation& obs = block.observations[index];
     std::vector<std::string> keys = keys_of(obs);
     if (keys.empty()) continue;
-    std::set<std::string> key_set(keys.begin(), keys.end());
-    for (const std::string& key : key_set) {
-      auto [pos, inserted] =
-          ranges.try_emplace(key, obs.address, obs.address);
-      if (!inserted) {
-        if (obs.address < pos->second.first) pos->second.first = obs.address;
-        if (pos->second.second < obs.address) {
-          pos->second.second = obs.address;
-        }
-      }
+    core::AddressObservation interned;
+    interned.address = obs.address;
+    for (const std::string& key : keys) {
+      const auto id = static_cast<std::uint32_t>(ids.size());
+      interned.last_hops.push_back(
+          netsim::Ipv4Address(ids.try_emplace(key, id).first->second));
     }
-    if (first) {
-      common = key_set;
-      first = false;
-    } else if (!common.empty()) {
-      std::set<std::string> next;
-      std::set_intersection(common.begin(), common.end(), key_set.begin(),
-                            key_set.end(),
-                            std::inserter(next, next.begin()));
-      common = std::move(next);
-    }
-    if (!passed && common.empty() && ranges.size() >= 2) {
-      std::vector<core::AddressGroup> groups;
-      groups.reserve(ranges.size());
-      for (const auto& [key, range] : ranges) {
-        core::AddressGroup group;
-        group.min = range.first;
-        group.max = range.second;
-        groups.push_back(std::move(group));
-      }
-      passed = !core::GroupsAreHierarchical(groups);
+    std::sort(interned.last_hops.begin(), interned.last_hops.end());
+    interned.last_hops.erase(
+        std::unique(interned.last_hops.begin(), interned.last_hops.end()),
+        interned.last_hops.end());
+    grouping.Add(interned);
+    if (!passed && !grouping.HasCommonLastHop() &&
+        grouping.group_count() >= 2) {
+      passed = !grouping.Hierarchical();
     }
   }
-  const int cardinality = static_cast<int>(ranges.size());
-  if (ranges.empty()) return {0, false};
-  return {cardinality,
-          passed || ranges.size() == 1 || !common.empty()};
+  const std::size_t cardinality = grouping.group_count();
+  if (cardinality == 0) return {0, false};
+  return {static_cast<int>(cardinality),
+          passed || cardinality == 1 || grouping.HasCommonLastHop()};
 }
 
 }  // namespace hobbit::bench

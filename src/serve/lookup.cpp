@@ -9,7 +9,7 @@ namespace hobbit::serve {
 template <bool kUpper>
 std::size_t EytzingerIndex::Descend(std::uint32_t key) const {
   const std::uint32_t* keys = keys_.get();
-  const std::size_t count = count_;
+  const std::size_t count = shape_.count;
   std::size_t k = 1;
   while (k <= count) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -39,7 +39,7 @@ void EytzingerIndex::DescendBatch(const std::uint32_t* queries,
                                   std::size_t count,
                                   std::size_t* nodes) const {
   const std::uint32_t* keys = keys_.get();
-  const std::size_t tree = count_;
+  const std::size_t tree = shape_.count;
   std::size_t k[kBatchWidth];
   for (std::size_t i = 0; i < count; ++i) k[i] = 1;
   // One pass per tree level: every live descent issues its level-load
@@ -73,33 +73,36 @@ void EytzingerIndex::LowerBoundRankBatch(const std::uint32_t* queries,
     const std::size_t group = std::min(kBatchWidth, count - base);
     DescendBatch(queries + base, group, nodes);
     for (std::size_t i = 0; i < group; ++i) {
-      ranks[base + i] = RankOf(nodes[i]);
+      ranks[base + i] = shape_.RankOf(nodes[i]);
     }
   }
 }
 
+std::uint32_t* EytzingerIndex::Reshape(std::size_t count) {
+  if (keys_ == nullptr || capacity_ < count + 1) {
+    keys_.reset();  // free the old array before taking the new one
+    keys_.reset(new std::uint32_t[count + 1]);
+    capacity_ = count + 1;
+  }
+  shape_ = EytzingerShape(count);
+  return keys_.get();
+}
+
+bool EytzingerIndex::operator==(const EytzingerIndex& other) const {
+  const std::size_t n = size();
+  return n == other.size() &&
+         (n == 0 || std::equal(keys_.get() + 1, keys_.get() + 1 + n,
+                               other.keys_.get() + 1));
+}
+
 template <typename KeyAt>
 EytzingerIndex EytzingerIndex::BuildFrom(std::size_t count, KeyAt key_at) {
+  // Rank order: the sorted keys are read once, front to back, and each
+  // tree level is written as its own forward stream.
   EytzingerIndex index;
-  index.count_ = count;
-  index.keys_.reset(new std::uint32_t[count + 1]);
-  if (count == 0) return index;
-  const auto height = static_cast<unsigned>(std::bit_width(count)) - 1;
-  index.height_ = height;
-  index.last_fill_ = count - ((std::size_t{1} << height) - 1);
-  // Level by level, left to right: along depth d the perfect-tree
-  // position r advances by 2^(h−d+1), so the deep levels — most of the
-  // nodes — read the sorted keys in short forward strides.
-  std::uint32_t* keys = index.keys_.get();
-  for (unsigned depth = 0; depth <= height; ++depth) {
-    const std::size_t first = std::size_t{1} << depth;
-    const std::size_t end = std::min(2 * first, count + 1);
-    const std::size_t step = std::size_t{2} << (height - depth);
-    std::size_t r = (std::size_t{1} << (height - depth)) - 1;
-    for (std::size_t k = first; k < end; ++k, r += step) {
-      keys[k] = key_at(index.RankAt(r));
-    }
-  }
+  std::uint32_t* slots = index.Reshape(count);
+  const EytzingerShape shape = index.shape_;
+  for (std::size_t i = 0; i < count; ++i) slots[shape.SlotOf(i)] = key_at(i);
   return index;
 }
 

@@ -20,26 +20,76 @@
 // levels are prefetched ahead of the comparison that needs them.  The
 // index is a pure accelerator — same answers as LowerBound by
 // construction, pinned by differential tests — and is built once per
-// published snapshot, by SnapshotStore at publish time (store.h).
+// published snapshot: by the verifying pass of the store's own loads
+// (Snapshot::FromFile with an index), or by Build for a snapshot handed
+// to SnapshotStore::Swap (store.h).
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 
 #include "common/parallel.h"
 #include "serve/snapshot.h"
 
 namespace hobbit::serve {
 
-/// The snapshot key array re-laid-out in Eytzinger (BFS heap) order:
-/// node k has children 2k and 2k+1 (1-based), so a search descends by
-/// index arithmetic alone and the top of the tree — the levels every
-/// lookup traverses — occupies a few contiguous cache lines instead of
-/// being scattered across the sorted array.  The index holds the keys
-/// only: a node's sorted position is a closed form of (node, count)
-/// (RankOf), which is what the engine's range queries need.
+/// The shape of an Eytzinger (BFS heap) tree over `count` sorted keys:
+/// node k (1-based) has children 2k and 2k+1, every level is full but
+/// the last, and the last holds only its first `last_fill` nodes.  Maps a
+/// node to the sorted rank of its key and back, both in closed form.
+struct EytzingerShape {
+  EytzingerShape() = default;
+  explicit EytzingerShape(std::size_t keys) : count(keys) {
+    if (keys == 0) return;
+    height = static_cast<unsigned>(std::bit_width(keys)) - 1;
+    last_fill = keys - ((std::size_t{1} << height) - 1);
+  }
+
+  std::size_t count = 0;
+  /// Depth of the last tree level (bit_width(count) − 1), and how many
+  /// nodes that level holds (1 .. 2^height).
+  unsigned height = 0;
+  std::size_t last_fill = 0;
+
+  /// Sorted rank of node k (1-based), or count for k == 0.  In a perfect
+  /// tree of height h, node k at depth d and level offset j sits at
+  /// in-order position r = (2j+1)·2^(h−d) − 1; the last level holds only
+  /// its first last_fill nodes, and each missing one (in-order position
+  /// 2i, i >= last_fill) left of r shifts r down by one.
+  std::size_t RankOf(std::size_t k) const {
+    if (k == 0) return count;
+    const auto depth = static_cast<unsigned>(std::bit_width(k)) - 1;
+    return RankAt(
+        ((2 * (k - (std::size_t{1} << depth)) + 1) << (height - depth)) - 1);
+  }
+  /// Sorted rank of the node at perfect-tree in-order position r.
+  std::size_t RankAt(std::size_t r) const {
+    const std::size_t left_slots = (r + 1) / 2;
+    return r - (left_slots > last_fill ? left_slots - last_fill : 0);
+  }
+  /// The node holding the key of sorted rank `rank` (< count): the
+  /// inverse of RankOf.  The first 2·last_fill ranks sit at their own
+  /// in-order positions r; past them every last-level position is
+  /// missing, so rank i sits at r = 2(i − last_fill) + 1.  With t = r + 1
+  /// = (2j+1)·2^z, the node is at depth h − z and level offset j, i.e.
+  /// node 2^(h−z) + j = ((t >> 1) | 2^h) >> z.
+  std::size_t SlotOf(std::size_t rank) const {
+    const std::size_t t =
+        rank < 2 * last_fill ? rank + 1 : 2 * (rank - last_fill + 1);
+    return ((t >> 1) | (std::size_t{1} << height)) >> std::countr_zero(t);
+  }
+};
+
+/// The snapshot key array re-laid-out in Eytzinger (BFS heap) order, so
+/// a search descends by index arithmetic alone and the top of the tree —
+/// the levels every lookup traverses — occupies a few contiguous cache
+/// lines instead of being scattered across the sorted array.  The index
+/// holds the keys only: a node's sorted position is a closed form of
+/// (node, count) (EytzingerShape::RankOf), which is what the engine's
+/// range queries need.
 class EytzingerIndex {
  public:
   /// Descents walked in lockstep by the batched entry points.  16
@@ -49,24 +99,48 @@ class EytzingerIndex {
   static constexpr std::size_t kBatchWidth = 16;
 
   EytzingerIndex() = default;
+  /// A moved-from index is empty and holds no key array.
+  EytzingerIndex(EytzingerIndex&& other) noexcept
+      : keys_(std::move(other.keys_)),
+        capacity_(std::exchange(other.capacity_, 0)),
+        shape_(std::exchange(other.shape_, {})) {}
+  EytzingerIndex& operator=(EytzingerIndex&& other) noexcept {
+    keys_ = std::move(other.keys_);
+    capacity_ = std::exchange(other.capacity_, 0);
+    shape_ = std::exchange(other.shape_, {});
+    return *this;
+  }
 
   /// Builds the index over `snapshot`'s key section.
   static EytzingerIndex Build(const Snapshot& snapshot);
   /// Builds over an already-sorted, duplicate-free key array.
   static EytzingerIndex Build(std::span<const std::uint32_t> sorted_keys);
 
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
+  /// Sizes the index for `count` keys and returns its slot array: the
+  /// key of sorted rank i goes to slots[EytzingerShape(count).SlotOf(i)],
+  /// and the index is valid once all `count` are written.  Every build
+  /// writes through here in rank order (Build, and the verifying pass of
+  /// a snapshot load).  The key array is kept when it already has room,
+  /// which is how a reload recycles a retired index.
+  std::uint32_t* Reshape(std::size_t count);
+  /// Slots the key array holds (0 when it holds none).
+  std::size_t capacity() const { return capacity_; }
+
+  std::size_t size() const { return shape_.count; }
+  bool empty() const { return shape_.count == 0; }
+
+  /// Same keys in the same layout.
+  bool operator==(const EytzingerIndex& other) const;
 
   /// Sorted rank of the first key >= `key` (== count when all keys are
   /// smaller) — the LowerBound analogue.
   std::size_t LowerBoundRank(std::uint32_t key) const {
-    return RankOf(Descend<false>(key));
+    return shape_.RankOf(Descend<false>(key));
   }
 
   /// Sorted rank of the first key > `key`.
   std::size_t UpperBoundRank(std::uint32_t key) const {
-    return RankOf(Descend<true>(key));
+    return shape_.RankOf(Descend<true>(key));
   }
 
   /// Batched LowerBoundRank: ranks[i] = LowerBoundRank(queries[i]) for
@@ -78,27 +152,10 @@ class EytzingerIndex {
                            std::size_t* ranks) const;
 
  private:
-  /// Sizes the tree for `count` keys; `key_at(i)` yields the i-th
-  /// smallest key.  The one build body behind both Build overloads.
+  /// Builds over `count` keys in rank order; `key_at(i)` yields the i-th
+  /// smallest.  The one build body behind both Build overloads.
   template <typename KeyAt>
   static EytzingerIndex BuildFrom(std::size_t count, KeyAt key_at);
-
-  /// Sorted rank of node k (1-based), or count_ for k == 0.  In a
-  /// perfect tree of height h, node k at depth d and level offset j sits
-  /// at in-order position r = (2j+1)·2^(h−d) − 1; the last level holds
-  /// only its first last_fill_ nodes, and each missing one (in-order
-  /// position 2i, i >= last_fill_) left of r shifts r down by one.
-  std::size_t RankOf(std::size_t k) const {
-    if (k == 0) return count_;
-    const auto depth = static_cast<unsigned>(std::bit_width(k)) - 1;
-    return RankAt(
-        ((2 * (k - (std::size_t{1} << depth)) + 1) << (height_ - depth)) - 1);
-  }
-  /// Sorted rank of the node at perfect-tree in-order position r.
-  std::size_t RankAt(std::size_t r) const {
-    const std::size_t left_slots = (r + 1) / 2;
-    return r - (left_slots > last_fill_ ? left_slots - last_fill_ : 0);
-  }
 
   /// Branchless heap descent.  Returns the 1-based node of the first key
   /// >= `key` (kUpper: > `key`), or 0 when no such key exists.
@@ -112,13 +169,11 @@ class EytzingerIndex {
   void DescendBatch(const std::uint32_t* queries, std::size_t count,
                     std::size_t* nodes) const;
 
-  /// keys_[1..count_] in BFS order; slot 0 unused.
+  /// keys_[1..size()] in BFS order; slot 0 unused.
   std::unique_ptr<std::uint32_t[]> keys_;
-  std::size_t count_ = 0;
-  /// Depth of the last tree level (bit_width(count_) − 1), and how many
-  /// nodes that level holds (1 .. 2^height_).
-  unsigned height_ = 0;
-  std::size_t last_fill_ = 0;
+  /// Slots keys_ holds; a tree of n keys needs n + 1.
+  std::size_t capacity_ = 0;
+  EytzingerShape shape_;
 };
 
 /// Answer for one /24 (or address) query.

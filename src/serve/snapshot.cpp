@@ -10,6 +10,7 @@
 #include <map>
 #include <utility>
 
+#include "serve/lookup.h"
 #include "serve/wire.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -86,14 +87,17 @@ std::size_t ReadUpTo(int fd, std::byte* data, std::size_t size) {
 /// Replaces *out with the whole file at `path`.  The buffer is sized once
 /// from fstat, so the file is copied once and never held twice; bytes
 /// past the stat'ed size (a file still growing) are appended after.  A
-/// read error ends the file early, which the loader then rejects as
-/// truncated.  False when the file cannot be opened.
+/// buffer with the capacity is overwritten in place (a recycled one is
+/// already faulted in); one too small is freed first, so growing it
+/// copies nothing.  A read error ends the file early, which the loader
+/// then rejects as truncated.  False when the file cannot be opened.
 bool ReadWholeFile(const std::string& path, std::vector<std::byte>* out) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return false;
   struct stat st;
   const std::size_t size =
       ::fstat(fd, &st) == 0 ? static_cast<std::size_t>(st.st_size) : 0;
+  if (size > out->capacity()) *out = std::vector<std::byte>();
   out->resize(size);
   out->resize(ReadUpTo(fd, out->data(), size));
   if (out->size() == size) {
@@ -104,6 +108,19 @@ bool ReadWholeFile(const std::string& path, std::vector<std::byte>* out) {
   }
   ::close(fd);
   return true;
+}
+
+/// One FNV-1a 64 step: every checksum of the format is a chain of these.
+inline std::uint64_t FnvStep(std::uint64_t hash, std::byte byte) {
+  return (hash ^ std::to_integer<std::uint64_t>(byte)) * kFnvPrime;
+}
+
+/// Four steps, over p[0..3].
+inline std::uint64_t FnvStep4(std::uint64_t hash, const std::byte* p) {
+  hash = FnvStep(hash, p[0]);
+  hash = FnvStep(hash, p[1]);
+  hash = FnvStep(hash, p[2]);
+  return FnvStep(hash, p[3]);
 }
 
 template <std::size_t N>
@@ -120,57 +137,193 @@ void FoldLockstep(std::index_sequence<L...>, const std::byte** cursors,
   const std::byte* const p[] = {cursors[L]...};
   std::uint64_t h[] = {hashes[L]...};
   for (std::size_t i = 0; i < count; ++i) {
-    ((h[L] = (h[L] ^ std::to_integer<std::uint64_t>(p[L][i])) * kFnvPrime),
-     ...);
+    ((h[L] = FnvStep(h[L], p[L][i])), ...);
   }
   ((cursors[L] = p[L] + count, hashes[L] = h[L]), ...);
+}
+
+/// FoldLockstep over the first `live` (1..N) lanes.
+template <std::size_t N>
+void FoldLive(std::size_t live, const std::byte** cursors,
+              std::uint64_t* hashes, std::size_t count) {
+  if constexpr (N > 1) {
+    if (live < N) return FoldLive<N - 1>(live, cursors, hashes, count);
+  }
+  FoldLockstep(Lanes<N>(), cursors, hashes, count);
+}
+
+/// Continues chain i from hashes[i] over spans[i], for every i, in
+/// lockstep.  Lanes go longest first, so the shortest live lane is
+/// always the last: each phase runs the live lanes up to its end, then
+/// drops it.
+template <std::size_t N>
+void FoldSpans(const std::array<std::span<const std::byte>, N>& spans,
+               std::array<std::uint64_t, N>& hashes) {
+  std::array<std::size_t, N> order;
+  for (std::size_t i = 0; i < N; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&spans](std::size_t a, std::size_t b) {
+                     return spans[a].size() > spans[b].size();
+                   });
+  const std::byte* cursors[N];
+  std::uint64_t lanes[N];
+  for (std::size_t l = 0; l < N; ++l) {
+    cursors[l] = spans[order[l]].data();
+    lanes[l] = hashes[order[l]];
+  }
+  std::size_t done = 0;
+  for (std::size_t live = N; live > 0; --live) {
+    const std::size_t end = spans[order[live - 1]].size();
+    FoldLive<N>(live, cursors, lanes, end - done);
+    done = end;
+  }
+  for (std::size_t l = 0; l < N; ++l) hashes[order[l]] = lanes[l];
+}
+
+/// The running state of the verifying pass over the entries.  Every
+/// entry check is folded into the sign of `negative`, so a passing entry
+/// costs a few ORs:
+///  * key order: key − floor, with floor = previous key + 1 (0 before
+///    the first);
+///  * /24 base: −(key & 0xFF);
+///  * block range: m − (u32)(block + 1), where kNoBlock wraps to 0;
+///  * class range: 5 − (u8)(token + 1), where kNoClass wraps to 0.
+struct EntryScan {
+  std::uint64_t keys = kFnvOffset;
+  std::uint64_t blocks = kFnvOffset;
+  std::uint64_t classes = kFnvOffset;
+  std::uint64_t blocktab = kFnvOffset;
+  std::uint64_t hops = kFnvOffset;
+  std::int64_t negative = 0;
+  std::int64_t floor = 0;
+};
+
+/// What the verifying pass reads and writes: the payload sections, the
+/// block count the entries are checked against, and the tree slots.
+struct PayloadView {
+  const std::byte* keys;
+  const std::byte* blocks;
+  const std::byte* classes;
+  const std::byte* blocktab;
+  const std::byte* hops;
+  std::int64_t block_count;
+  std::uint32_t* slots;  ///< tree slots to fill, or null
+  EytzingerShape shape;
+};
+
+/// Entries [begin, end) of the verifying pass, with the blocktab and
+/// hops chains riding along when kBlocktab / kHops.
+template <bool kBlocktab, bool kHops, bool kIndex>
+void ScanEntries(const PayloadView& view, std::size_t begin, std::size_t end,
+                 EntryScan& scan) {
+  EntryScan s = scan;  // locals, so the chains stay in registers
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::byte* key_bytes = view.keys + i * 4;
+    const std::byte* block_bytes = view.blocks + i * 4;
+    const std::byte token = view.classes[i];
+    s.keys = FnvStep4(s.keys, key_bytes);
+    s.blocks = FnvStep4(s.blocks, block_bytes);
+    s.classes = FnvStep(s.classes, token);
+    if constexpr (kBlocktab) {
+      s.blocktab = FnvStep4(s.blocktab, view.blocktab + i * 4);
+    }
+    if constexpr (kHops) s.hops = FnvStep4(s.hops, view.hops + i * 4);
+    const std::uint32_t key = ReadU32(key_bytes);
+    const std::uint32_t block = ReadU32(block_bytes);
+    s.negative |= (static_cast<std::int64_t>(key) - s.floor) |
+                  -static_cast<std::int64_t>(key & 0xFF) |
+                  (view.block_count - static_cast<std::uint32_t>(block + 1)) |
+                  (5 - static_cast<std::uint8_t>(
+                           std::to_integer<std::uint8_t>(token) + 1));
+    s.floor = static_cast<std::int64_t>(key) + 1;
+    if constexpr (kIndex) view.slots[view.shape.SlotOf(i)] = key;
+  }
+  scan = s;
+}
+
+/// ScanEntries over [0, n) in up to three phases: both tails riding,
+/// the longer one riding, none.
+template <bool kIndex>
+void ScanAllEntries(const PayloadView& view, std::size_t n,
+                    std::size_t blocktab_words, std::size_t hop_words,
+                    EntryScan& scan) {
+  const std::size_t both = std::min(blocktab_words, hop_words);
+  const std::size_t one = std::max(blocktab_words, hop_words);
+  ScanEntries<true, true, kIndex>(view, 0, both, scan);
+  if (blocktab_words > hop_words) {
+    ScanEntries<true, false, kIndex>(view, both, one, scan);
+  } else {
+    ScanEntries<false, true, kIndex>(view, both, one, scan);
+  }
+  ScanEntries<false, false, kIndex>(view, one, n, scan);
+}
+
+/// What the verifying pass over a payload found.
+struct PayloadScan {
+  std::array<std::uint64_t, kSnapshotSections> checksums;
+  bool bad;  ///< some entry or hop-run invariant fails
+};
+
+/// The verifying pass of a load: the five section checksums and, in the
+/// same step per entry, the entry invariants (key order, /24 base, block
+/// range, class range) and, when `index` is non-null, the key written to
+/// its tree slot.  Each entry folds its 4 key bytes, 4 block bytes and 1
+/// class byte into their own chains; the blocktab and hops chains ride
+/// along a word per entry while they last, and what is left of them runs
+/// through the byte lockstep after the last entry.  The chains bound the
+/// pass, so the checks and the tree writes run in their shadow.  The hop
+/// runs are checked last.
+PayloadScan ScanPayload(const std::byte* base, const SectionLayout& layout,
+                        std::uint32_t block_count, std::uint64_t hop_count,
+                        EytzingerIndex* index) {
+  const std::size_t n = static_cast<std::size_t>(layout.sizes[2]);
+  const std::size_t blocktab_bytes = static_cast<std::size_t>(layout.sizes[3]);
+  const std::size_t hop_bytes = static_cast<std::size_t>(layout.sizes[4]);
+  const std::size_t blocktab_words = std::min(n, blocktab_bytes / 4);
+  const std::size_t hop_words = std::min(n, hop_bytes / 4);
+  PayloadView view{base + layout.offsets[0],
+                   base + layout.offsets[1],
+                   base + layout.offsets[2],
+                   base + layout.offsets[3],
+                   base + layout.offsets[4],
+                   block_count,
+                   index != nullptr ? index->Reshape(n) : nullptr,
+                   EytzingerShape(n)};
+  EntryScan scan;
+  if (index != nullptr) {
+    ScanAllEntries<true>(view, n, blocktab_words, hop_words, scan);
+  } else {
+    ScanAllEntries<false>(view, n, blocktab_words, hop_words, scan);
+  }
+  std::array<std::uint64_t, 2> tails = {scan.blocktab, scan.hops};
+  FoldSpans<2>({std::span<const std::byte>(view.blocktab + blocktab_words * 4,
+                                           blocktab_bytes - blocktab_words * 4),
+                std::span<const std::byte>(view.hops + hop_words * 4,
+                                           hop_bytes - hop_words * 4)},
+               tails);
+  bool bad = scan.negative < 0;
+  for (std::size_t b = 0; b < block_count; ++b) {
+    const std::uint64_t offset = ReadU32(view.blocktab + b * 12 + 4);
+    const std::uint64_t count = ReadU32(view.blocktab + b * 12 + 8);
+    bad |= offset + count > hop_count;
+  }
+  return {{scan.keys, scan.blocks, scan.classes, tails[0], tails[1]}, bad};
 }
 
 }  // namespace
 
 std::uint64_t Fnv1a64(std::span<const std::byte> bytes) {
   std::uint64_t hash = kFnvOffset;
-  for (std::byte b : bytes) {
-    hash ^= std::to_integer<std::uint64_t>(b);
-    hash *= kFnvPrime;
-  }
+  for (std::byte b : bytes) hash = FnvStep(hash, b);
   return hash;
 }
 
 std::array<std::uint64_t, kSnapshotSections> SectionChecksums(
     const std::array<std::span<const std::byte>, kSnapshotSections>&
         sections) {
-  // Lanes longest first, so the shortest live lane is always the last:
-  // each phase runs the live lanes up to its end, then drops it.
-  std::array<std::size_t, kSnapshotSections> order;
-  for (std::size_t i = 0; i < kSnapshotSections; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&sections](std::size_t a, std::size_t b) {
-                     return sections[a].size() > sections[b].size();
-                   });
-  const std::byte* cursors[kSnapshotSections];
-  std::uint64_t hashes[kSnapshotSections];
-  for (std::size_t l = 0; l < kSnapshotSections; ++l) {
-    cursors[l] = sections[order[l]].data();
-    hashes[l] = kFnvOffset;
-  }
-  std::size_t done = 0;
-  for (std::size_t live = kSnapshotSections; live > 0; --live) {
-    const std::size_t end = sections[order[live - 1]].size();
-    const std::size_t count = end - done;
-    switch (live) {
-      case 5: FoldLockstep(Lanes<5>(), cursors, hashes, count); break;
-      case 4: FoldLockstep(Lanes<4>(), cursors, hashes, count); break;
-      case 3: FoldLockstep(Lanes<3>(), cursors, hashes, count); break;
-      case 2: FoldLockstep(Lanes<2>(), cursors, hashes, count); break;
-      default: FoldLockstep(Lanes<1>(), cursors, hashes, count); break;
-    }
-    done = end;
-  }
   std::array<std::uint64_t, kSnapshotSections> checksums;
-  for (std::size_t l = 0; l < kSnapshotSections; ++l) {
-    checksums[order[l]] = hashes[l];
-  }
+  checksums.fill(kFnvOffset);
+  FoldSpans(sections, checksums);
   return checksums;
 }
 
@@ -479,35 +632,8 @@ std::vector<netsim::Ipv4Address> Snapshot::BlockLastHops(
   return hops;
 }
 
-bool Snapshot::ValidateEntries(std::string* error) const {
+bool Snapshot::ReportEntryFailure(std::string* error) const {
   const std::size_t n = entry_count_;
-  // One fused pass ORs every failure into `bad`.  Only a failing buffer
-  // pays for the rescan below, which checks one property at a time and
-  // so names the same first violation, in the same words, as always.
-  const std::byte* keys = base_ + keys_offset_;
-  const std::byte* blocks = base_ + entry_blocks_offset_;
-  const std::byte* classes = base_ + classes_offset_;
-  const std::byte* blocktab = base_ + blocktab_offset_;
-  const std::uint32_t m = static_cast<std::uint32_t>(block_count_);
-  bool bad = false;
-  std::int64_t previous = -1;  // below every key, so entry 0 passes
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t key = ReadU32(keys + i * 4);
-    const std::uint32_t block = ReadU32(blocks + i * 4);
-    const std::uint8_t token = std::to_integer<std::uint8_t>(classes[i]);
-    bad |= static_cast<std::int64_t>(key) <= previous;
-    bad |= (key & 0xFF) != 0;
-    bad |= (block >= m) & (block != kNoBlock);
-    bad |= (token > 4) & (token != kNoClass);
-    previous = key;
-  }
-  for (std::size_t b = 0; b < block_count_; ++b) {
-    const std::uint64_t offset = ReadU32(blocktab + b * 12 + 4);
-    const std::uint64_t count = ReadU32(blocktab + b * 12 + 8);
-    bad |= offset + count > hop_count_;
-  }
-  if (!bad) return true;
-
   for (std::size_t i = 0; i + 1 < n; ++i) {
     if (EntryKey(i) >= EntryKey(i + 1)) {
       return LoadFail(error, "entry keys not strictly ascending at index " +
@@ -543,7 +669,7 @@ bool Snapshot::ValidateEntries(std::string* error) const {
   return true;
 }
 
-bool Snapshot::VerifyPayload(std::string* error) const {
+bool Snapshot::Verify(std::string* error, EytzingerIndex* index) const {
   const SectionLayout layout = LayoutFor(entry_count_, block_count_, hop_count_);
   // Padding between sections must be zero: the layout is canonical, so
   // two compiles of the same state are byte-identical files.
@@ -560,19 +686,22 @@ bool Snapshot::VerifyPayload(std::string* error) const {
       }
     }
   }
-  const std::array<std::uint64_t, kSnapshotSections> checksums =
-      SectionChecksums(layout.Sections(base_));
+  // Only a failing buffer pays for the rescan that names its first
+  // violation, one property at a time, in the same words as always.
+  const PayloadScan scan =
+      ScanPayload(base_, layout, static_cast<std::uint32_t>(block_count_),
+                  hop_count_, index);
   for (std::size_t i = 0; i < kSnapshotSections; ++i) {
-    if (checksums[i] != ReadU64(base_ + 80 + i * 8)) {
+    if (scan.checksums[i] != ReadU64(base_ + 80 + i * 8)) {
       return LoadFail(error, std::string("section checksum mismatch (") +
                                  kSectionNames[i] + ")");
     }
   }
-  return ValidateEntries(error);
+  return !scan.bad || ReportEntryFailure(error);
 }
 
 bool Snapshot::Validate(const SnapshotLoadOptions& options,
-                        std::string* error) {
+                        std::string* error, EytzingerIndex* index) {
   if (size_ < kSnapshotHeaderBytes) {
     return LoadFail(error, "truncated header: " + std::to_string(size_) +
                                " bytes");
@@ -626,25 +755,44 @@ bool Snapshot::Validate(const SnapshotLoadOptions& options,
   checksum_ = Fnv1a64({base_ + 80, 40});
 
   if (!options.defer_verification) {
-    if (!VerifyPayload(error)) return false;
+    if (!Verify(error, index)) return false;
     fully_verified_ = true;
+  } else if (index != nullptr) {
+    *index = EytzingerIndex::Build(*this);
   }
   return true;
 }
 
+std::vector<std::byte> Snapshot::TakeBuffer() && {
+  std::vector<std::byte> buffer = std::move(buffer_);
+  *this = Snapshot();
+  return buffer;
+}
+
+std::optional<Snapshot> Snapshot::Adopt(std::vector<std::byte>* buffer,
+                                        std::string* error,
+                                        const SnapshotLoadOptions& options,
+                                        EytzingerIndex* index) {
+  Snapshot snapshot;
+  snapshot.buffer_ = std::move(*buffer);
+  snapshot.Rebase();
+  if (snapshot.Validate(options, error, index)) return snapshot;
+  *buffer = std::move(snapshot).TakeBuffer();
+  return std::nullopt;
+}
+
 std::optional<Snapshot> Snapshot::FromBuffer(std::vector<std::byte> buffer,
                                              std::string* error,
-                                             const SnapshotLoadOptions& options) {
-  Snapshot snapshot;
-  snapshot.buffer_ = std::move(buffer);
-  snapshot.Rebase();
-  if (!snapshot.Validate(options, error)) return std::nullopt;
-  return snapshot;
+                                             const SnapshotLoadOptions& options,
+                                             EytzingerIndex* index) {
+  return Adopt(&buffer, error, options, index);
 }
 
 std::optional<Snapshot> Snapshot::FromFile(const std::string& path,
                                            std::string* error,
-                                           const SnapshotLoadOptions& options) {
+                                           const SnapshotLoadOptions& options,
+                                           std::vector<std::byte>* storage,
+                                           EytzingerIndex* index) {
   if (options.use_mmap) {
     std::shared_ptr<const MmapSource> source =
         MmapSource::Map(path, error, options.prefault);
@@ -652,15 +800,16 @@ std::optional<Snapshot> Snapshot::FromFile(const std::string& path,
     Snapshot snapshot;
     snapshot.map_ = std::move(source);
     snapshot.Rebase();
-    if (!snapshot.Validate(options, error)) return std::nullopt;
+    if (!snapshot.Validate(options, error, index)) return std::nullopt;
     return snapshot;
   }
-  std::vector<std::byte> buffer;
-  if (!ReadWholeFile(path, &buffer)) {
+  std::vector<std::byte> fresh;
+  std::vector<std::byte>* buffer = storage != nullptr ? storage : &fresh;
+  if (!ReadWholeFile(path, buffer)) {
     LoadFail(error, "cannot open " + path);
     return std::nullopt;
   }
-  return FromBuffer(std::move(buffer), error, options);
+  return Adopt(buffer, error, options, index);
 }
 
 }  // namespace hobbit::serve

@@ -73,6 +73,8 @@
 
 namespace hobbit::serve {
 
+class EytzingerIndex;  // serve/lookup.h
+
 inline constexpr char kSnapshotMagic[4] = {'H', 'S', 'N', 'P'};
 inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr std::uint32_t kSnapshotHeaderBytes = 128;
@@ -95,7 +97,9 @@ inline constexpr std::size_t kSnapshotSections = 5;
 /// fold; the chains advance in lockstep, so their multiplies overlap
 /// instead of each byte waiting on the previous one's multiply.  When the
 /// shortest live section ends it drops out and the rest carry on.  The
-/// snapshot writer and the loader both checksum through here.
+/// snapshot writer checksums through here; a verifying load folds the
+/// same chains with the same step inside its one pass over the payload,
+/// which also checks the entries and fills the lookup index.
 std::array<std::uint64_t, kSnapshotSections> SectionChecksums(
     const std::array<std::span<const std::byte>, kSnapshotSections>&
         sections);
@@ -237,15 +241,27 @@ class Snapshot {
 
   /// Validates and adopts `buffer`.  On any violation of the format
   /// contract returns nullopt and, when `error` is non-null, a message
-  /// naming the first violated property.
+  /// naming the first violated property.  When `index` is non-null, a
+  /// returned snapshot comes with *index built over its keys (as by
+  /// EytzingerIndex::Build): a verifying load writes the tree in the
+  /// same pass that checks the entries, and the index's key array is
+  /// reused when it has room.
   static std::optional<Snapshot> FromBuffer(
       std::vector<std::byte> buffer, std::string* error = nullptr,
-      const SnapshotLoadOptions& options = {});
+      const SnapshotLoadOptions& options = {},
+      EytzingerIndex* index = nullptr);
 
-  /// Reads (or, per `options`, maps) a file and validates it.
+  /// Reads (or, per `options`, maps) a file and validates it; `index` as
+  /// for FromBuffer.  A non-null `storage` lends the memory for an owned
+  /// read: the file is read into *storage's capacity (a buffer that is
+  /// overwritten in place when the file fits, so a recycled one takes no
+  /// page faults), the returned snapshot owns it, and a failed load hands
+  /// it back in *storage.  Mapped loads leave *storage alone.
   static std::optional<Snapshot> FromFile(
       const std::string& path, std::string* error = nullptr,
-      const SnapshotLoadOptions& options = {});
+      const SnapshotLoadOptions& options = {},
+      std::vector<std::byte>* storage = nullptr,
+      EytzingerIndex* index = nullptr);
 
   Snapshot(const Snapshot& other);
   Snapshot& operator=(const Snapshot& other);
@@ -272,7 +288,14 @@ class Snapshot {
   /// and hop-run invariants, inter-section padding).  Returns false
   /// with a message in *error on the first violated property.  Pure:
   /// safe to call from any thread on a shared const snapshot.
-  bool VerifyPayload(std::string* error = nullptr) const;
+  bool VerifyPayload(std::string* error = nullptr) const {
+    return Verify(error, nullptr);
+  }
+
+  /// Gives up the owned buffer (empty for a mapped snapshot) and leaves
+  /// this snapshot empty: how a reloader recycles the memory of a
+  /// snapshot it is about to drop.
+  std::vector<std::byte> TakeBuffer() &&;
 
   /// The i-th /24 base address (host order).  Strictly ascending in i.
   std::uint32_t EntryKey(std::size_t i) const {
@@ -305,9 +328,19 @@ class Snapshot {
     return wire::ReadU32(base_ + offset);
   }
   void Rebase();
+  /// Adopts *buffer and validates it; a failure hands the memory back.
+  static std::optional<Snapshot> Adopt(std::vector<std::byte>* buffer,
+                                       std::string* error,
+                                       const SnapshotLoadOptions& options,
+                                       EytzingerIndex* index);
   /// Shared loader: validates the already-adopted storage.
-  bool Validate(const SnapshotLoadOptions& options, std::string* error);
-  bool ValidateEntries(std::string* error) const;
+  bool Validate(const SnapshotLoadOptions& options, std::string* error,
+                EytzingerIndex* index);
+  /// The payload checks in one pass, filling *index when non-null.
+  bool Verify(std::string* error, EytzingerIndex* index) const;
+  /// Names the first failing entry or hop-run invariant, one property
+  /// at a time; run only once the fused pass has found one.
+  bool ReportEntryFailure(std::string* error) const;
 
   /// Exactly one of these backs the snapshot.
   std::vector<std::byte> buffer_;

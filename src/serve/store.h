@@ -5,12 +5,25 @@
 // current immutable PublishedSnapshot — the Snapshot together with the
 // EytzingerIndex built over it — and then works on it for as long as it
 // likes; a reloader validates the *entire* new file off to the side
-// (Snapshot::FromFile re-checks magic, version, checksum, sortedness),
-// builds its index, and only then publishes the pair.  A reader that
-// grabbed the old pair just before a swap finishes its queries on the
-// old data, and the old buffer and index are freed by shared_ptr
-// refcounting when the last such reader drops them — no quiescence
-// tracking needed, no reader ever waits on a reload or an index build.
+// (Snapshot::FromFile re-checks magic, version, checksum, sortedness,
+// and fills the index in the same pass), and only then publishes the
+// pair.  A reader that grabbed the old pair just before a swap finishes
+// its queries on the old data, and the old buffer and index are released
+// by shared_ptr refcounting when the last such reader drops them — no
+// quiescence tracking needed, no reader ever waits on a reload or an
+// index build.
+//
+// Released, not freed: a pair the store loaded itself (ReloadFromFile,
+// PublishPatch) has deleters that hand its owned file buffer and its
+// index key array to a one-slot spare, on whichever thread drops the last
+// reference, and the next load reads the file into that buffer and
+// writes its index into that array.  A steady-state RELOAD therefore
+// allocates nothing and takes no page faults.  Between reloads the spare
+// holds one buffer and one index: the memory a reload holds at its peak
+// anyway.  A pair still pinned by a reader is never recycled, because
+// nothing is handed over before its last reference drops.  Mapped loads
+// leave the spare buffer alone, and snapshots passed to Swap are freed
+// as before.
 //
 // Implementation note: the publish point is a shared_ptr guarded by a
 // std::shared_mutex rather than std::atomic<std::shared_ptr>.  The
@@ -57,7 +70,7 @@ struct PublishedSnapshot {
 
 class SnapshotStore {
  public:
-  SnapshotStore() = default;
+  SnapshotStore();
 
   SnapshotStore(const SnapshotStore&) = delete;
   SnapshotStore& operator=(const SnapshotStore&) = delete;
@@ -79,11 +92,7 @@ class SnapshotStore {
   /// Publishes `snapshot` (may be null to take the store offline) with
   /// its index and returns the new generation number.  Generation 0 ==
   /// never loaded.
-  std::uint64_t Swap(std::shared_ptr<const Snapshot> snapshot) {
-    const PublishKind kind =
-        snapshot == nullptr ? PublishKind::kNone : PublishKind::kFull;
-    return SwapWithKind(std::move(snapshot), kind, 0);
-  }
+  std::uint64_t Swap(std::shared_ptr<const Snapshot> snapshot);
 
   /// Validates `path` as a snapshot and swaps it in on success.
   /// `options` selects mmap zero-copy and/or deferred payload
@@ -123,11 +132,19 @@ class SnapshotStore {
   }
 
  private:
-  /// Builds `snapshot`'s index and publishes the pair; every publish
-  /// path ends here.
-  std::uint64_t SwapWithKind(std::shared_ptr<const Snapshot> snapshot,
-                             PublishKind kind, std::uint64_t delta_entries);
+  struct Spare;
 
+  /// Publishes a pair this store loaded, whose memory goes to the spare
+  /// when the last reference to it drops.
+  std::uint64_t PublishBuilt(Snapshot snapshot, EytzingerIndex index,
+                             PublishKind kind, std::uint64_t delta_entries);
+  /// Makes `published` current; every publish path ends here.
+  std::uint64_t Publish(std::shared_ptr<const PublishedSnapshot> published,
+                        PublishKind kind, std::uint64_t delta_entries);
+
+  /// Shared with the deleters of the pairs this store built, which may
+  /// run on any thread and after the store is gone.
+  std::shared_ptr<Spare> spare_;
   mutable std::shared_mutex mutex_;
   std::shared_ptr<const PublishedSnapshot> current_;
   std::atomic<std::uint64_t> generation_{0};

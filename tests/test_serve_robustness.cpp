@@ -439,6 +439,105 @@ TEST(SnapshotV2Robustness, InvariantScanNamesTheFirstFailure) {
   EXPECT_EQ(clean, valid);
 }
 
+/// 40 entries over 8 blocks holding 12 last hops: the blocktab (24
+/// words) and hops (12 words) chains end before the entries do, so the
+/// verifying pass runs all three of its phases (both riding along, one,
+/// none).
+std::vector<std::byte> ThreePhaseBuffer() {
+  std::vector<SnapshotEntry> entries(40);
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    entries[i] = {0x14000000u + (i << 8), i % 9 == 4 ? kNoBlock : i % 8,
+                  static_cast<std::uint8_t>(i % 7 == 6 ? kNoClass : i % 5)};
+  }
+  std::vector<cluster::AggregateBlock> blocks(8);
+  for (std::uint32_t b = 0; b < 8; ++b) {
+    blocks[b].member_24s.resize(5);
+    blocks[b].last_hops.emplace_back(0x0A000000u + b);
+    if (b % 2 == 0) blocks[b].last_hops.emplace_back(0x0A000100u + b);
+  }
+  std::vector<std::byte> blocktab;
+  std::vector<std::byte> hops;
+  AppendBlockTable(blocks, &blocktab, &hops);
+  return AssembleSnapshotV2(entries, blocktab, hops, 6);
+}
+
+TEST(SnapshotV2Robustness, EveryEntryCheckFiresAtEveryIndex) {
+  const std::vector<std::byte> valid = ThreePhaseBuffer();
+  ASSERT_EQ(ReadHeaderU32(valid, 12), 40u);
+  ASSERT_EQ(ReadHeaderU32(valid, 16), 8u);
+  ASSERT_EQ(ReadHeaderU32(valid, 20), 12u);
+  ASSERT_TRUE(Snapshot::FromBuffer(valid).has_value());
+  const std::uint64_t keys = ReadHeaderU64(valid, 40);
+  const std::uint64_t blocks = ReadHeaderU64(valid, 48);
+  const std::uint64_t classes = ReadHeaderU64(valid, 56);
+  auto error_after = [&](const std::function<void(std::vector<std::byte>&)>&
+                             fault) {
+    auto buffer = valid;
+    fault(buffer);
+    ForgeChecksums(buffer);
+    return LoadError(std::move(buffer));
+  };
+  for (std::size_t i = 0; i < 40; ++i) {
+    const std::string at = " at index " + std::to_string(i);
+    if (i > 0) {
+      // A duplicate of the previous key.
+      EXPECT_EQ(error_after([&](std::vector<std::byte>& b) {
+                  for (int k = 0; k < 4; ++k) {
+                    b[keys + i * 4 + k] = b[keys + (i - 1) * 4 + k];
+                  }
+                }),
+                "entry keys not strictly ascending" + at);
+    }
+    EXPECT_EQ(error_after([&](std::vector<std::byte>& b) {
+                b[keys + i * 4] = std::byte{0x80};
+              }),
+              "entry key is not a /24 base" + at);
+    // Block id 8 is the first out of range; kNoBlock and 7 pass.
+    EXPECT_EQ(error_after([&](std::vector<std::byte>& b) {
+                b[blocks + i * 4] = std::byte{8};
+                for (int k = 1; k < 4; ++k) {
+                  b[blocks + i * 4 + k] = std::byte{0};
+                }
+              }),
+              "entry block id out of range" + at);
+    for (std::uint8_t token : {5, 0x80, 0xFE}) {
+      EXPECT_EQ(error_after([&](std::vector<std::byte>& b) {
+                  b[classes + i] = std::byte{token};
+                }),
+                "entry classification out of range" + at);
+    }
+  }
+  // The largest valid block id and class token pass.
+  auto edge = valid;
+  edge[blocks + 39 * 4] = std::byte{7};
+  for (int k = 1; k < 4; ++k) edge[blocks + 39 * 4 + k] = std::byte{0};
+  edge[classes + 39] = std::byte{4};
+  ForgeChecksums(edge);
+  EXPECT_TRUE(Snapshot::FromBuffer(edge).has_value());
+}
+
+TEST(SnapshotV2Robustness, EverySectionByteIsChecksummedInEveryPhase) {
+  const char* const names[kSnapshotSections] = {"keys", "blocks", "classes",
+                                                "blocktab", "hops"};
+  const std::vector<std::byte> valid = ThreePhaseBuffer();
+  for (std::size_t s = 0; s < kSnapshotSections; ++s) {
+    const std::uint64_t begin = ReadHeaderU64(valid, 40 + s * 8);
+    const std::uint64_t end = s + 1 < kSnapshotSections
+                                  ? ReadHeaderU64(valid, 48 + s * 8)
+                                  : valid.size();
+    for (std::uint64_t offset = begin; offset < end; ++offset) {
+      auto buffer = valid;
+      buffer[offset] ^= std::byte{0x10};
+      const std::string error = LoadError(std::move(buffer));
+      // Past a section's end lies zero padding, checked before the sums.
+      if (error.rfind("nonzero inter-section padding", 0) == 0) continue;
+      EXPECT_EQ(error,
+                std::string("section checksum mismatch (") + names[s] + ")")
+          << offset;
+    }
+  }
+}
+
 class SnapshotV2Fuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SnapshotV2Fuzz, MutatedValidSnapshotsNeverCrash) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <optional>
 
 #include "cluster/blockio.h"
 #include "hobbit/pipeline.h"
@@ -436,6 +437,107 @@ TEST(EytzingerIndex, MatchesStdLowerAndUpperBound) {
       check(static_cast<std::uint32_t>(rng.Next()));
     }
   }
+}
+
+TEST(EytzingerShape, SlotOfInvertsRankOfForEveryCount) {
+  // Every count up to 2100 covers every fill of the ragged last level
+  // for trees of height 0..11.
+  for (std::size_t count = 0; count <= 2100; ++count) {
+    const EytzingerShape shape(count);
+    std::vector<bool> taken(count + 1, false);
+    for (std::size_t rank = 0; rank < count; ++rank) {
+      const std::size_t slot = shape.SlotOf(rank);
+      ASSERT_GE(slot, 1u) << count << " " << rank;
+      ASSERT_LE(slot, count) << count << " " << rank;
+      ASSERT_FALSE(taken[slot]) << count << " " << rank;
+      taken[slot] = true;
+      ASSERT_EQ(shape.RankOf(slot), rank) << count;
+    }
+  }
+}
+
+/// `n` entries over `m` blocks holding `h` last hops in all (h >= m >
+/// 0), so the blocktab (3m words) and hop (h words) sections can be made
+/// shorter or longer than the entry sections.
+std::vector<std::byte> ShapedSnapshot(std::uint32_t n, std::uint32_t m,
+                                      std::uint32_t h) {
+  std::vector<SnapshotEntry> entries(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    entries[i] = {(i + 1) << 8, i % 7 == 3 ? kNoBlock : i % m,
+                  static_cast<std::uint8_t>(i % 6 == 5 ? kNoClass : i % 5)};
+  }
+  std::vector<cluster::AggregateBlock> blocks(m);
+  for (std::uint32_t b = 0; b < m; ++b) {
+    blocks[b].member_24s.resize(1 + b % 3);
+    for (std::uint32_t k = 0; k < h / m + (b < h % m ? 1 : 0); ++k) {
+      blocks[b].last_hops.emplace_back(0x0A000000u + b * 64 + k);
+    }
+  }
+  std::vector<std::byte> blocktab;
+  std::vector<std::byte> hops;
+  AppendBlockTable(blocks, &blocktab, &hops);
+  return AssembleSnapshotV2(entries, blocktab, hops, 4);
+}
+
+TEST(EytzingerIndex, VerifyingLoadBuildsTheSameIndexAsBuild) {
+  // One index recycled through loads that grow and shrink it, with the
+  // blocktab and hop chains outlasting the entries or ending first.
+  EytzingerIndex recycled;
+  SnapshotLoadOptions deferred;
+  deferred.defer_verification = true;
+  const std::uint32_t shapes[][3] = {{0, 1, 1},     {1, 1, 1},
+                                     {2, 1, 3},     {3, 2, 2},
+                                     {64, 5, 9},    {100, 80, 400},
+                                     {1000, 10, 2000}, {4097, 1000, 1500},
+                                     {50, 40, 60},  {777, 3, 3}};
+  for (const auto& shape : shapes) {
+    const std::vector<std::byte> bytes =
+        ShapedSnapshot(shape[0], shape[1], shape[2]);
+    std::string error;
+    std::optional<Snapshot> loaded =
+        Snapshot::FromBuffer(bytes, &error, {}, &recycled);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    EXPECT_TRUE(loaded->fully_verified());
+    EXPECT_TRUE(recycled == EytzingerIndex::Build(*loaded)) << shape[0];
+    EytzingerIndex from_deferred;
+    ASSERT_TRUE(
+        Snapshot::FromBuffer(bytes, &error, deferred, &from_deferred))
+        << error;
+    EXPECT_TRUE(from_deferred == recycled) << shape[0];
+  }
+}
+
+TEST(SnapshotFile, RecycledStorageLoadsLikeAFreshRead) {
+  const std::string large = ::testing::TempDir() + "recycle_large.snap";
+  const std::string small = ::testing::TempDir() + "recycle_small.snap";
+  ASSERT_TRUE(WriteSnapshotFile(large, ShapedSnapshot(3000, 200, 500)));
+  ASSERT_TRUE(WriteSnapshotFile(small, ShapedSnapshot(40, 4, 9)));
+  std::vector<std::byte> storage;
+  EytzingerIndex index;
+  for (const std::string& path : {small, large, small, large, large}) {
+    std::string error;
+    std::optional<Snapshot> fresh = Snapshot::FromFile(path, &error);
+    ASSERT_TRUE(fresh.has_value()) << error;
+    std::optional<Snapshot> recycled =
+        Snapshot::FromFile(path, &error, {}, &storage, &index);
+    ASSERT_TRUE(recycled.has_value()) << error;
+    EXPECT_TRUE(std::equal(recycled->bytes().begin(), recycled->bytes().end(),
+                           fresh->bytes().begin(), fresh->bytes().end()));
+    EXPECT_TRUE(index == EytzingerIndex::Build(*fresh));
+    storage = std::move(*recycled).TakeBuffer();
+    EXPECT_EQ(storage.size(), fresh->buffer_bytes());
+  }
+  // A failed load hands the storage back.
+  const std::size_t capacity = storage.capacity();
+  std::string error;
+  std::vector<std::byte> truncated = ShapedSnapshot(3000, 200, 500);
+  truncated.resize(truncated.size() - 8);
+  ASSERT_TRUE(WriteSnapshotFile(small, truncated));
+  EXPECT_FALSE(Snapshot::FromFile(small, &error, {}, &storage, &index));
+  EXPECT_EQ(error, "truncated payload");
+  EXPECT_EQ(storage.capacity(), capacity);
+  std::remove(large.c_str());
+  std::remove(small.c_str());
 }
 
 TEST(EytzingerIndex, EngineWithIndexMatchesEngineWithout) {

@@ -6,11 +6,15 @@
 // snapshot leaked once the readers drain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -510,6 +514,172 @@ TEST(SnapshotStore, QueriesAfterReloadAnswerFromTheNewSnapshot) {
             "OK 3\n");
   EXPECT_EQ(run("LOOKUP 20.0.0.0/16"), "COVER 20.0.0.0/16 entries=20 blocks=1\n");
   for (const std::string& path : {small_path, large_path, merged_path}) {
+    std::remove(path.c_str());
+  }
+}
+
+/// Every /24 of `n` consecutive slots from 20.0.0.0, answered through
+/// the pair's index.
+std::vector<LookupResult> AnswersOf(const PublishedSnapshot& pair, int n) {
+  LookupEngine engine(*pair.snapshot, &pair.index);
+  std::vector<LookupResult> answers;
+  for (int i = 0; i < n; ++i) {
+    answers.push_back(engine.Lookup(netsim::Prefix::Of(
+        netsim::Ipv4Address(0x14000000u + 256u * static_cast<unsigned>(i)),
+        24)));
+  }
+  return answers;
+}
+
+bool SameAnswers(const std::vector<LookupResult>& a,
+                 const std::vector<LookupResult>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const LookupResult& x, const LookupResult& y) {
+                      return x.found == y.found && x.key == y.key &&
+                             x.block == y.block &&
+                             x.class_token == y.class_token;
+                    });
+}
+
+// A reload recycles the memory of the pair it retires.  A pair a reader
+// still holds is not retired: across reloads that recycle every other
+// pair's memory, its bytes, checksum and answers stay as they were, read
+// from another thread the whole time.  The reloads cycle through two
+// files other than the pinned one, so memory recycled too early would
+// be overwritten with different bytes.
+TEST(SnapshotStore, PinnedPairSurvivesReloadsThatRecycleMemory) {
+  const std::string a_path = ::testing::TempDir() + "pin_epoch1.snap";
+  const std::string b_path = ::testing::TempDir() + "pin_epoch2.snap";
+  const std::string c_path = ::testing::TempDir() + "pin_epoch3.snap";
+  ASSERT_TRUE(WriteSnapshotFile(a_path, EpochOne(300)));
+  ASSERT_TRUE(WriteSnapshotFile(b_path, EpochTwo(300)));
+  ASSERT_TRUE(
+      WriteSnapshotFile(c_path, CompileSnapshotV2(BlocksOne(299), {}, 3)));
+  SnapshotStore store;
+  ASSERT_TRUE(store.ReloadFromFile(a_path));
+  std::shared_ptr<const PublishedSnapshot> pinned = store.Published();
+  const std::vector<std::byte> bytes(pinned->snapshot->bytes().begin(),
+                                     pinned->snapshot->bytes().end());
+  const std::uint64_t checksum = pinned->snapshot->checksum();
+  const std::vector<LookupResult> answers = AnswersOf(*pinned, 300);
+
+  std::atomic<bool> stop{false};
+  StartGate gate(1);
+  std::thread reader([&] {
+    gate.Arrive();
+    do {
+      const std::span<const std::byte> now = pinned->snapshot->bytes();
+      ASSERT_TRUE(std::equal(now.begin(), now.end(), bytes.begin(),
+                             bytes.end()));
+      ASSERT_TRUE(SameAnswers(AnswersOf(*pinned, 300), answers));
+    } while (!stop.load(std::memory_order_acquire));
+  });
+  gate.AwaitAll();
+  for (int s = 0; s < 8; ++s) {
+    ASSERT_TRUE(store.ReloadFromFile(s % 2 == 0 ? b_path : c_path));
+    ASSERT_EQ(store.Current()->epoch(), s % 2 == 0 ? 2u : 3u);
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  const std::span<const std::byte> now = pinned->snapshot->bytes();
+  EXPECT_TRUE(std::equal(now.begin(), now.end(), bytes.begin(), bytes.end()));
+  EXPECT_EQ(pinned->snapshot->checksum(), checksum);
+  EXPECT_TRUE(SameAnswers(AnswersOf(*pinned, 300), answers));
+  // Released, the pinned pair's memory serves the next reloads.
+  pinned.reset();
+  for (int s = 0; s < 3; ++s) {
+    ASSERT_TRUE(store.ReloadFromFile(s % 2 == 0 ? b_path : a_path));
+  }
+  std::shared_ptr<const Snapshot> fresh = Load(EpochTwo(300));
+  const PublishedSnapshot reference{fresh, EytzingerIndex::Build(*fresh)};
+  EXPECT_TRUE(SameAnswers(AnswersOf(*store.Published(), 300),
+                          AnswersOf(reference, 300)));
+  for (const std::string& path : {a_path, b_path, c_path}) {
+    std::remove(path.c_str());
+  }
+}
+
+// Reloads through recycled memory answer exactly like a fresh load of
+// each file: a large file, a smaller one, a truncated one and one with a
+// corrupt checksum, in an order that reuses every buffer size.  A failed
+// reload gives the fresh load's error and leaves the served pair as it
+// was.
+TEST(SnapshotStore, RecycledReloadsMatchFreshLoads) {
+  const std::string large = ::testing::TempDir() + "mix_large.snap";
+  const std::string small = ::testing::TempDir() + "mix_small.snap";
+  const std::string truncated = ::testing::TempDir() + "mix_truncated.snap";
+  const std::string corrupt = ::testing::TempDir() + "mix_corrupt.snap";
+  const std::vector<std::byte> large_bytes = EpochOne(400);
+  ASSERT_TRUE(WriteSnapshotFile(large, large_bytes));
+  ASSERT_TRUE(WriteSnapshotFile(small, EpochTwo(40)));
+  ASSERT_TRUE(WriteSnapshotFile(
+      truncated, std::span<const std::byte>(large_bytes.data(),
+                                            large_bytes.size() - 100)));
+  std::vector<std::byte> corrupt_bytes = large_bytes;
+  corrupt_bytes[corrupt_bytes.size() - 1] ^= std::byte{0x01};
+  ASSERT_TRUE(WriteSnapshotFile(corrupt, corrupt_bytes));
+
+  SnapshotStore store;
+  ServeMetrics metrics;
+  LineService service(&store, &metrics);
+  const std::vector<std::string> commands = {
+      "LOOKUP 20.0.0.1",   "LOOKUP 20.0.1.0/24", "LOOKUP 20.0.38.7",
+      "LOOKUP 20.1.143.1", "LOOKUP 20.0.0.0/16", "LOOKUP 20.0.0.0/8",
+      "LOOKUP 9.9.9.9"};
+  auto replies = [&commands](LineService& on) {
+    std::string out;
+    for (const std::string& command : commands) {
+      EXPECT_TRUE(on.Execute(command, {}, &out));
+    }
+    EXPECT_TRUE(on.Execute("BATCH 3", "20.0.2.9\n20.1.0.0/24\n20.0.77.1\n",
+                           &out));
+    return out;
+  };
+  std::vector<std::byte> served;
+  SnapshotLoadOptions mapped;
+  mapped.use_mmap = true;
+  int successes = 0;
+  const std::pair<std::string, bool> sequence[] = {
+      {large, false},     {small, false}, {truncated, false},
+      {corrupt, false},   {large, false}, {truncated, false},
+      {small, true},      {corrupt, false}, {large, false},
+      {small, false},     {large, false}, {small, false}};
+  for (const auto& [path, use_mmap] : sequence) {
+    std::string fresh_error;
+    std::optional<Snapshot> fresh = Snapshot::FromFile(path, &fresh_error);
+    std::shared_ptr<const PublishedSnapshot> before = store.Published();
+    const std::uint64_t generation = store.generation();
+    std::string error;
+    const bool ok = store.ReloadFromFile(
+        path, &error, use_mmap ? mapped : SnapshotLoadOptions{});
+    ASSERT_EQ(ok, fresh.has_value()) << path;
+    if (!ok) {
+      EXPECT_EQ(error, fresh_error) << path;
+      EXPECT_EQ(store.Published(), before);
+      EXPECT_EQ(store.generation(), generation);
+      const std::span<const std::byte> now = store.Current()->bytes();
+      EXPECT_TRUE(
+          std::equal(now.begin(), now.end(), served.begin(), served.end()));
+      continue;
+    }
+    ++successes;
+    std::shared_ptr<const PublishedSnapshot> published = store.Published();
+    EXPECT_EQ(published->snapshot->is_mapped(), use_mmap);
+    const std::span<const std::byte> now = published->snapshot->bytes();
+    ASSERT_TRUE(std::equal(now.begin(), now.end(), fresh->bytes().begin(),
+                           fresh->bytes().end()))
+        << path;
+    EXPECT_TRUE(published->index == EytzingerIndex::Build(*fresh)) << path;
+    served.assign(now.begin(), now.end());
+    SnapshotStore reference;
+    ServeMetrics reference_metrics;
+    reference.Swap(std::make_shared<const Snapshot>(*std::move(fresh)));
+    LineService reference_service(&reference, &reference_metrics);
+    EXPECT_EQ(replies(service), replies(reference_service)) << path;
+  }
+  EXPECT_EQ(successes, 8);
+  EXPECT_EQ(store.failed_reloads(), 4u);
+  for (const std::string& path : {large, small, truncated, corrupt}) {
     std::remove(path.c_str());
   }
 }
