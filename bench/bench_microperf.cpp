@@ -339,9 +339,13 @@ void BM_StoreReload(benchmark::State& state) {
 BENCHMARK(BM_StoreReload)->Unit(benchmark::kMillisecond);
 
 /// The console reporter, also keeping the per-iteration wall time of the
-/// benchmarks whose numbers go into BENCH_microperf.json.
+/// benchmarks whose numbers go into BENCH_microperf.json.  Colour codes
+/// only on a terminal: piped or redirected output stays plain text.
 class RecordingReporter : public benchmark::ConsoleReporter {
  public:
+  RecordingReporter()
+      : ConsoleReporter(::isatty(STDOUT_FILENO) ? OO_Defaults : OO_Tabular) {}
+
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;

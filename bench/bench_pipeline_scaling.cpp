@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common.h"
+#include "common/parallel.h"
 #include "hobbit/pipeline.h"
 #include "hobbit/resultio.h"
 #include "netsim/internet.h"
@@ -47,10 +48,10 @@ struct CampaignRun {
 };
 
 CampaignRun RunCampaign(const netsim::Internet& internet, std::uint64_t seed,
-                        double scale, int threads) {
+                        double scale, common::ThreadPool* pool) {
   core::PipelineConfig config;
   config.seed = seed;
-  config.threads = threads;
+  config.pool = pool;
   config.calibration_blocks = std::max(20, static_cast<int>(1200 * scale));
   config.samples_per_block = 16;
 
@@ -80,9 +81,12 @@ constexpr int kTimedPasses = 5;
 CampaignRun MedianRun(const netsim::Internet& internet, std::uint64_t seed,
                       double scale, int threads,
                       std::optional<std::string>* reference, bool* identical) {
+  // One pool for every pass at this thread count, built before the
+  // first timer starts.
+  common::ThreadPool pool(threads);
   std::vector<CampaignRun> timed;
   for (int pass = 0; pass <= kTimedPasses; ++pass) {
-    CampaignRun run = RunCampaign(internet, seed, scale, threads);
+    CampaignRun run = RunCampaign(internet, seed, scale, &pool);
     if (!reference->has_value()) *reference = run.serialized;
     *identical = *identical && run.serialized == **reference;
     if (pass > 0) timed.push_back(std::move(run));

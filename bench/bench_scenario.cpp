@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common.h"
+#include "common/parallel.h"
 #include "hobbit/pipeline.h"
 #include "hobbit/resultio.h"
 #include "netsim/internet.h"
@@ -101,9 +102,11 @@ int main(int argc, char** argv) {
   world_config.seed = seed;
   world_config.scale = scale;
 
+  // One pool for every run, built outside the campaigns.
+  common::ThreadPool pool(threads);
   core::PipelineConfig config;
   config.seed = seed;
-  config.threads = threads;
+  config.pool = &pool;
   if (quick) {
     config.calibration_blocks = 60;
     config.samples_per_block = 32;

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common.h"
+#include "common/parallel.h"
 #include "hobbit/pipeline.h"
 #include "netsim/internet.h"
 #include "serve/snapshot.h"
@@ -79,13 +80,18 @@ int main(int argc, char** argv) {
       std::max(20, static_cast<int>(1200 * scale));
   const int samples_per_block = 16;
 
+  // One campaign for both runs, on one pool built outside both timers.
+  common::ThreadPool pool(threads);
+  core::PipelineConfig batch_config;
+  batch_config.seed = seed;
+  batch_config.pool = &pool;
+  batch_config.calibration_blocks = calibration_blocks;
+  batch_config.samples_per_block = samples_per_block;
+
   // --- streaming run (first, so ru_maxrss is its own high-water mark).
   serve::SnapshotStore store;
   stream::StreamConfig stream_config;
-  stream_config.seed = seed;
-  stream_config.threads = threads;
-  stream_config.calibration_blocks = calibration_blocks;
-  stream_config.samples_per_block = samples_per_block;
+  stream_config.campaign = batch_config;
   stream_config.window = window;
   stream_config.publish_every = publish_every;
   stream_config.store = &store;
@@ -113,11 +119,6 @@ int main(int argc, char** argv) {
               stats.publish_failures, stats.reference_mismatches);
 
   // --- batch reference: same stages, O(world) residency.
-  core::PipelineConfig batch_config;
-  batch_config.seed = seed;
-  batch_config.threads = threads;
-  batch_config.calibration_blocks = calibration_blocks;
-  batch_config.samples_per_block = samples_per_block;
   auto t2 = std::chrono::steady_clock::now();
   core::PipelineResult batch = core::RunPipeline(internet, batch_config);
   auto t3 = std::chrono::steady_clock::now();

@@ -46,18 +46,24 @@ std::vector<AggregateBlock> AggregateIdentical(
   for (auto& [set, members] : groups) {
     AggregateBlock aggregate;
     aggregate.last_hops = set;
-    std::sort(members.begin(), members.end());
     aggregate.member_24s = std::move(members);
     aggregates.push_back(std::move(aggregate));
   }
-  std::sort(aggregates.begin(), aggregates.end(),
+  SortCanonical(aggregates);
+  return aggregates;
+}
+
+void SortCanonical(std::vector<AggregateBlock>& blocks) {
+  for (AggregateBlock& block : blocks) {
+    std::sort(block.member_24s.begin(), block.member_24s.end());
+  }
+  std::sort(blocks.begin(), blocks.end(),
             [](const AggregateBlock& a, const AggregateBlock& b) {
               if (a.member_24s.size() != b.member_24s.size()) {
                 return a.member_24s.size() > b.member_24s.size();
               }
               return a.member_24s.front() < b.member_24s.front();
             });
-  return aggregates;
 }
 
 Graph BuildSimilarityGraph(std::span<const AggregateBlock> aggregates,
@@ -84,9 +90,8 @@ Graph BuildSimilarityGraph(std::span<const AggregateBlock> aggregates,
   // buffer; chunks ascend with the shard index, so concatenating the
   // shard buffers in shard order yields the same (a, b)-sorted edge list
   // for every thread count.
-  const std::size_t slots =
-      pool != nullptr ? static_cast<std::size_t>(pool->thread_count()) : 1;
-  common::PerShard<std::vector<Graph::Edge>> edges_by_shard(slots);
+  common::PerShard<std::vector<Graph::Edge>> edges_by_shard(
+      common::ThreadCount(pool));
   common::ForEachChunk(
       pool, aggregates.size(), 1, [&](common::ChunkRange chunk) {
         std::vector<Graph::Edge>& edges = *edges_by_shard[chunk.shard];
@@ -159,22 +164,19 @@ MclAggregationResult RunMclAggregation(
     std::span<const AggregateBlock> aggregates,
     const MclAggregationParams& params) {
   MclAggregationResult result;
-  // One pool shared by edge generation, the inflation sweep and every
-  // per-component MCL run.
-  common::PoolRef pool(params.mcl.pool, params.mcl.threads);
-  Graph graph = BuildSimilarityGraph(aggregates, pool.get());
+  // The caller's pool (params.mcl.pool) serves edge generation, the
+  // inflation sweep and every per-component MCL run.
+  Graph graph = BuildSimilarityGraph(aggregates, params.mcl.pool);
 
   // §6.4 parameter sweep on the whole (disconnected) graph.
-  MclParams sweep_params = params.mcl;
-  sweep_params.pool = pool.get();
   SweepOutcome sweep =
-      SweepInflation(graph, params.inflation_candidates, sweep_params);
+      SweepInflation(graph, params.inflation_candidates, params.mcl);
   result.chosen_inflation = sweep.best_inflation;
 
   // Per-component MCL (§6.3 preprocessing step 2).
   std::vector<Component> components = SplitComponents(graph);
   result.component_count = components.size();
-  MclParams mcl_params = sweep_params;
+  MclParams mcl_params = params.mcl;
   mcl_params.inflation = result.chosen_inflation;
 
   for (const Component& component : components) {
@@ -276,8 +278,8 @@ void ValidateClusters(const netsim::Internet& internet,
   // StableHash(seed, prefix) seed, so neither the chunking nor what a
   // prober probed before can change a reprobed set.
   std::vector<std::vector<netsim::Ipv4Address>> reprobed(to_probe.size());
-  common::PoolRef pool(params.pool, params.threads);
-  pool->ForEachChunk(to_probe.size(), 1, [&](common::ChunkRange chunk) {
+  common::ForEachChunk(params.pool, to_probe.size(), 1,
+                       [&](common::ChunkRange chunk) {
     core::BlockProber prober = core::MakeReprobeProber(internet);
     for (std::size_t k = chunk.begin; k < chunk.end; ++k) {
       const probing::ZmapBlock& block = study_blocks[to_probe[k]];
@@ -337,19 +339,12 @@ std::vector<AggregateBlock> MergeValidatedClusters(
         }
       }
     }
-    std::sort(block.member_24s.begin(), block.member_24s.end());
     merged.push_back(std::move(block));
   }
   for (std::size_t i = 0; i < aggregates.size(); ++i) {
     if (!consumed[i]) merged.push_back(aggregates[i]);
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const AggregateBlock& a, const AggregateBlock& b) {
-              if (a.member_24s.size() != b.member_24s.size()) {
-                return a.member_24s.size() > b.member_24s.size();
-              }
-              return a.member_24s.front() < b.member_24s.front();
-            });
+  SortCanonical(merged);
   return merged;
 }
 

@@ -35,9 +35,15 @@ struct AggregateBlock {
 };
 
 /// §5.1: groups homogeneous /24s by identical last-hop sets.  Aggregates
-/// come back sorted by descending member count (ties by first prefix).
+/// come back in canonical order (SortCanonical).
 std::vector<AggregateBlock> AggregateIdentical(
     std::span<const core::BlockResult* const> homogeneous_blocks);
+
+/// The canonical block order every block list is published in: each
+/// block's members ascending, then blocks by descending member count,
+/// ties by first member.  Blocks must be non-empty and member-disjoint,
+/// which makes the order total.
+void SortCanonical(std::vector<AggregateBlock>& blocks);
 
 /// §6.3: the similarity graph.  Vertices are aggregates; an edge connects
 /// two aggregates with overlapping last-hop sets, weighted
@@ -104,12 +110,11 @@ MclAggregationResult RunMclAggregation(
 struct ValidationParams {
   std::size_t max_pairs_per_cluster = 64;
   std::uint64_t seed = 99;
-  /// Worker threads for the reprobe pass.  Every cluster draws its pair
-  /// sample from an RNG forked from (seed, cluster index) and every /24
-  /// is reprobed with a seed forked from (seed, prefix), so the outcome
-  /// is bit-identical for any thread count.  Ignored when `pool` is set.
-  int threads = 1;
-  /// Optional externally owned pool shared across pipeline stages.
+  /// The caller's pool for the reprobe pass; null reprobes serially.
+  /// Every cluster draws its pair sample from an RNG forked from (seed,
+  /// cluster index) and every /24 is reprobed with a seed forked from
+  /// (seed, prefix), so the outcome is bit-identical for any thread
+  /// count.
   common::ThreadPool* pool = nullptr;
 };
 void ValidateClusters(const netsim::Internet& internet,
@@ -119,8 +124,8 @@ void ValidateClusters(const netsim::Internet& internet,
                       const ValidationParams& params = {});
 
 /// Final §6.6 merge: validated clusters collapse into one block each;
-/// everything else carries over unchanged.  Returns the final block list,
-/// sorted by descending size.
+/// everything else carries over unchanged.  Returns the final block list
+/// in canonical order (SortCanonical).
 std::vector<AggregateBlock> MergeValidatedClusters(
     std::span<const AggregateBlock> aggregates,
     const MclAggregationResult& result);

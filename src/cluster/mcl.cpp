@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "cluster/sparse.h"
-#include "common/parallel.h"
 
 namespace hobbit::cluster {
 namespace {
@@ -74,9 +73,6 @@ std::vector<std::vector<std::uint32_t>> Interpret(const SparseMatrix& m) {
 MclResult RunMcl(const Graph& graph, const MclParams& params) {
   MclResult result;
   if (graph.vertex_count == 0) return result;
-  // One pool for the whole run, reused across iterations (worker threads
-  // persist); an externally shared pool takes precedence.
-  common::PoolRef pool(params.pool, params.threads);
   SparseMatrix m = BuildTransitionMatrix(graph, params);
   for (int iteration = 0; iteration < params.max_iterations; ++iteration) {
     // Expansion, inflation, pruning, renormalization and the
@@ -85,7 +81,7 @@ MclResult RunMcl(const Graph& graph, const MclParams& params) {
     // (pinned by tests/test_sparse.cpp and test_mcl.cpp).
     double delta = 0.0;
     m = m.MclIterate(params.inflation, params.prune_threshold,
-                     params.max_entries_per_column, pool.get(), &delta);
+                     params.max_entries_per_column, params.pool, &delta);
     result.iterations = iteration + 1;
     if (delta < params.epsilon) break;
   }

@@ -42,12 +42,9 @@ struct MclParams {
   /// Pruning keeps iterates sparse.
   double prune_threshold = 1e-5;
   std::size_t max_entries_per_column = 64;
-  /// Worker threads for expansion/inflation/pruning (column-sharded).
-  /// Results are bit-identical for any thread count; see
-  /// src/common/parallel.h.  Ignored when `pool` is set.
-  int threads = 1;
-  /// Optional externally owned pool shared across pipeline stages; when
-  /// null, RunMcl creates its own from `threads`.
+  /// The caller's pool for expansion/inflation/pruning (column-sharded);
+  /// null runs serially.  Results are bit-identical for any thread
+  /// count; see src/common/parallel.h.
   common::ThreadPool* pool = nullptr;
 };
 

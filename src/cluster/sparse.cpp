@@ -136,9 +136,7 @@ SparseMatrix SparseMatrix::MclIterate(double inflation,
   const common::simd::Kernels& kernels = common::simd::Active();
   if (rows_.size() < kInlineIterationNonZeros) pool = nullptr;
   SparseMatrix result(n_);
-  const std::size_t slots =
-      pool != nullptr ? static_cast<std::size_t>(pool->thread_count()) : 1;
-  common::PerShard<ShardColumns> shards(slots);
+  common::PerShard<ShardColumns> shards(common::ThreadCount(pool));
   common::ForEachChunk(pool, n_, kColumnGrain, [&](common::ChunkRange
                                                        chunk) {
     ShardColumns& out = *shards[chunk.shard];

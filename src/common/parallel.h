@@ -2,9 +2,12 @@
 //
 // Every parallel stage in the codebase — adaptive probing, similarity-graph
 // edge generation, MCL expansion/inflation, cluster validation reprobing —
-// runs through this one primitive so that a single `threads` knob governs a
-// whole campaign and so that results are *bit-identical for any thread
-// count*.  Two entry points, one discipline:
+// runs through this one primitive on a pool its caller owns, so that one
+// pool governs a whole campaign and so that results are *bit-identical for
+// any thread count*.  Library code never builds a pool: it takes a
+// `ThreadPool*`, and a null pool runs the stage serially on the calling
+// thread (the free `ForEach` / `ForEachChunk` / `ThreadCount` below).
+// Two entry points, one discipline:
 //
 //  * `ForEachChunk(count, grain, body)` — the preferred primitive.  The
 //    index range [0, count) is split into `shard_count` *contiguous*
@@ -227,35 +230,18 @@ class ThreadPool {
   std::condition_variable done_cv_;
 };
 
+/// The threads `pool` runs bodies on; 1 for a null pool (serial on the
+/// caller).  Sizes per-shard scratch: ForEachChunk(pool, ...) never hands
+/// out a shard index at or above it.
+inline int ThreadCount(const ThreadPool* pool) {
+  return pool != nullptr ? pool->thread_count() : 1;
+}
+
 /// True when `pool` would actually run bodies on more than one thread.
 /// The shared test every caller with a serial fallback path needs.
 inline bool IsParallel(const ThreadPool* pool) {
-  return pool != nullptr && pool->thread_count() > 1;
+  return ThreadCount(pool) > 1;
 }
-
-/// The `threads`-or-external-`pool` pattern every pipeline stage shares
-/// (PipelineConfig, MclParams, ValidationParams): use the caller's pool
-/// when one was supplied, otherwise own a local pool of `threads`.
-/// Replaces the hand-rolled `pool != nullptr ? 1 : threads` boilerplate
-/// that used to be copied across pipeline.cpp, mcl.cpp and
-/// aggregate.cpp.
-class PoolRef {
- public:
-  PoolRef(ThreadPool* external, int threads)
-      : local_(external != nullptr ? 1 : threads),
-        pool_(external != nullptr ? external : &local_) {}
-
-  PoolRef(const PoolRef&) = delete;
-  PoolRef& operator=(const PoolRef&) = delete;
-
-  ThreadPool* get() const { return pool_; }
-  ThreadPool& operator*() const { return *pool_; }
-  ThreadPool* operator->() const { return pool_; }
-
- private:
-  ThreadPool local_;
-  ThreadPool* pool_;
-};
 
 /// Convenience wrappers treating a null pool as "serial": library code can
 /// accept an optional `ThreadPool*` and call these unconditionally.

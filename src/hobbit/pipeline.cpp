@@ -48,9 +48,9 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 CampaignSetup PrepareCampaign(const netsim::Internet& internet,
                               const PipelineConfig& config,
-                              const netsim::Simulator* simulator,
-                              common::ThreadPool* pool) {
+                              const netsim::Simulator* simulator) {
   if (simulator == nullptr) simulator = internet.simulator.get();
+  common::ThreadPool* pool = config.pool;
   CampaignSetup setup;
   // The root RNG is never advanced, only forked: every stage derives its
   // stream from (seed, constant), so stages can be re-run or resumed
@@ -93,8 +93,8 @@ CampaignSetup PrepareCampaign(const netsim::Internet& internet,
     // so the chunk->block assignment cannot change any output (see
     // tests/test_concurrency.cpp).  Contiguous chunks keep each shard
     // writing adjacent result slots instead of striding the array.
-    common::PerShard<std::uint64_t> probes(pool->thread_count());
-    pool->ForEachChunk(want, 1, [&](common::ChunkRange chunk) {
+    common::PerShard<std::uint64_t> probes(common::ThreadCount(pool));
+    common::ForEachChunk(pool, want, 1, [&](common::ChunkRange chunk) {
       BlockProber shard_prober(simulator, nullptr, config.prober);
       for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
         setup.calibration[i] = shard_prober.ProbeBlockFully(
@@ -116,15 +116,9 @@ PipelineResult RunPipeline(const netsim::Internet& internet,
                            const netsim::Simulator* simulator) {
   if (simulator == nullptr) simulator = internet.simulator.get();
 
-  // One pool for the whole campaign, reused across the calibration and
-  // measurement stages (and shareable with the clustering stages via
-  // config.pool).  The pool clamps degenerate thread counts itself.
-  common::PoolRef pool(config.pool, config.threads);
-
   PipelineResult result;
   {
-    CampaignSetup setup =
-        PrepareCampaign(internet, config, simulator, pool.get());
+    CampaignSetup setup = PrepareCampaign(internet, config, simulator);
     result.study_blocks = std::move(setup.study_blocks);
     result.calibration = std::move(setup.calibration);
     result.table = std::move(setup.table);
@@ -136,8 +130,9 @@ PipelineResult RunPipeline(const netsim::Internet& internet,
   {
     result.results.resize(result.study_blocks.size());
     const std::size_t block_count = result.study_blocks.size();
-    common::PerShard<std::uint64_t> probes(pool->thread_count());
-    pool->ForEachChunk(block_count, 1, [&](common::ChunkRange chunk) {
+    common::PerShard<std::uint64_t> probes(common::ThreadCount(config.pool));
+    common::ForEachChunk(config.pool, block_count, 1,
+                         [&](common::ChunkRange chunk) {
       BlockProber shard_prober(simulator, &result.table, config.prober);
       for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
         result.results[i] = shard_prober.ProbeBlock(

@@ -27,13 +27,10 @@ namespace hobbit::core {
 
 struct PipelineConfig {
   std::uint64_t seed = 1;
-  /// Worker threads for the probing stages, run on a
-  /// common::ThreadPool.  Results are bit-identical for any thread count
-  /// (each block's probing is self-contained and deterministically
-  /// seeded); values < 1 clamp to 1.  Ignored when `pool` is set.
-  int threads = 1;
-  /// Optional externally owned pool shared with the clustering stages;
-  /// when null, RunPipeline creates its own from `threads`.
+  /// The caller's pool, shared with the clustering stages; null runs
+  /// every stage serially on the calling thread.  Results are
+  /// bit-identical either way and for any thread count (each block's
+  /// probing is self-contained and deterministically seeded).
   common::ThreadPool* pool = nullptr;
   /// Blocks probed exhaustively in the calibration stage.
   int calibration_blocks = 1500;
@@ -88,14 +85,12 @@ struct CampaignSetup {
   PipelineStats stats;
 };
 
-/// Runs stages 0 + 1.  `simulator` selects the probed view (nullptr =
-/// the internet's primary); `pool` must be non-null (callers hold a
-/// PoolRef).  Deterministic in (config.seed, world); thread-count
-/// invariant like every stage.
+/// Runs stages 0 + 1 on config.pool.  `simulator` selects the probed
+/// view (nullptr = the internet's primary).  Deterministic in
+/// (config.seed, world); thread-count invariant like every stage.
 CampaignSetup PrepareCampaign(const netsim::Internet& internet,
                               const PipelineConfig& config,
-                              const netsim::Simulator* simulator,
-                              common::ThreadPool* pool);
+                              const netsim::Simulator* simulator);
 
 /// The per-block RNG of the main measurement: a pure function of the
 /// campaign seed and the block's index in the sorted study list.  Batch

@@ -86,7 +86,6 @@ core::PipelineResult RunScenarioPipeline(netsim::Internet& internet,
                                          const ScenarioSpec& spec,
                                          ScenarioStats* stats_out) {
   const netsim::Simulator* simulator = internet.simulator.get();
-  common::PoolRef pool(config.pool, config.threads);
 
   ScenarioDriver driver(internet, spec);
   // Wave 0 before any probing: the snapshot and calibration stages see
@@ -96,7 +95,7 @@ core::PipelineResult RunScenarioPipeline(netsim::Internet& internet,
   core::PipelineResult result;
   {
     core::CampaignSetup setup =
-        core::PrepareCampaign(internet, config, simulator, pool.get());
+        core::PrepareCampaign(internet, config, simulator);
     result.study_blocks = std::move(setup.study_blocks);
     result.calibration = std::move(setup.calibration);
     result.table = std::move(setup.table);
@@ -113,14 +112,15 @@ core::PipelineResult RunScenarioPipeline(netsim::Internet& internet,
     result.results.resize(total);
     const std::size_t segment =
         spec.segment == 0 ? (total == 0 ? 1 : total) : spec.segment;
-    common::PerShard<std::uint64_t> probes(pool->thread_count());
+    common::PerShard<std::uint64_t> probes(common::ThreadCount(config.pool));
     std::size_t done = 0;
     std::size_t segment_index = 0;
     while (done < total) {
       if (segment_index > 0) driver.ApplyWave(segment_index);
       const std::size_t count = std::min(segment, total - done);
       const std::size_t base = done;
-      pool->ForEachChunk(count, 1, [&](common::ChunkRange chunk) {
+      common::ForEachChunk(config.pool, count, 1,
+                           [&](common::ChunkRange chunk) {
         core::BlockProber prober(simulator, &result.table, config.prober);
         for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
           const std::size_t index = base + i;

@@ -88,8 +88,8 @@ class Aggregator {
 
  private:
   /// The groups lowered into cluster::AggregateIdentical's canonical
-  /// form: members sorted, blocks by descending member count (ties by
-  /// first prefix).  Keyed maps make this arrival-order independent.
+  /// order (cluster::SortCanonical).  Keyed maps make this arrival-order
+  /// independent.
   std::vector<cluster::AggregateBlock> BuildBlocks() const {
     std::vector<cluster::AggregateBlock> blocks;
     blocks.reserve(groups_.size());
@@ -98,17 +98,9 @@ class Aggregator {
       block.last_hops = set;
       block.member_24s.reserve(members->size());
       members->AppendTo(block.member_24s);
-      std::sort(block.member_24s.begin(), block.member_24s.end());
       blocks.push_back(std::move(block));
     }
-    std::sort(blocks.begin(), blocks.end(),
-              [](const cluster::AggregateBlock& a,
-                 const cluster::AggregateBlock& b) {
-                if (a.member_24s.size() != b.member_24s.size()) {
-                  return a.member_24s.size() > b.member_24s.size();
-                }
-                return a.member_24s.front() < b.member_24s.front();
-              });
+    cluster::SortCanonical(blocks);
     return blocks;
   }
 
@@ -193,15 +185,11 @@ class Aggregator {
 StreamResult RunStreamCampaign(const netsim::Internet& internet,
                                const StreamConfig& config) {
   const netsim::Simulator* simulator = internet.simulator.get();
-  common::PoolRef pool(config.pool, config.threads);
-
-  core::PipelineConfig setup_config;
-  setup_config.seed = config.seed;
-  setup_config.calibration_blocks = config.calibration_blocks;
-  setup_config.samples_per_block = config.samples_per_block;
-  setup_config.prober = config.prober;
+  const core::PipelineConfig& campaign = config.campaign;
+  const std::size_t threads =
+      static_cast<std::size_t>(common::ThreadCount(campaign.pool));
   core::CampaignSetup setup =
-      core::PrepareCampaign(internet, setup_config, simulator, pool.get());
+      core::PrepareCampaign(internet, campaign, simulator);
 
   StreamResult result;
   result.stats.setup = setup.stats;
@@ -211,8 +199,7 @@ StreamResult RunStreamCampaign(const netsim::Internet& internet,
   // The O(in-flight) guarantee: at most `capacity` queued results plus
   // one under construction per worker plus one being consumed.  (The
   // queue clamps capacity 0 to 1, hence capacity() not config.window.)
-  result.stats.inflight_bound =
-      queue.capacity() + static_cast<std::size_t>(pool->thread_count()) + 1;
+  result.stats.inflight_bound = queue.capacity() + threads + 1;
   std::atomic<std::size_t> inflight{0};
   std::atomic<std::size_t> peak_inflight{0};
 
@@ -225,7 +212,7 @@ StreamResult RunStreamCampaign(const netsim::Internet& internet,
   });
 
   const auto measurement_start = std::chrono::steady_clock::now();
-  common::PerShard<std::uint64_t> probes(pool->thread_count());
+  common::PerShard<std::uint64_t> probes(threads);
   const std::size_t total = setup.study_blocks.size();
   const std::size_t segment =
       config.segment == 0 ? (total == 0 ? 1 : total) : config.segment;
@@ -239,8 +226,9 @@ StreamResult RunStreamCampaign(const netsim::Internet& internet,
     }
     const std::size_t count = std::min(segment, total - done);
     const std::size_t base = done;
-    pool->ForEachChunk(count, 1, [&](common::ChunkRange chunk) {
-      core::BlockProber prober(simulator, &setup.table, config.prober);
+    common::ForEachChunk(campaign.pool, count, 1,
+                         [&](common::ChunkRange chunk) {
+      core::BlockProber prober(simulator, &setup.table, campaign.prober);
       for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
         const std::size_t index = base + i;
         const std::size_t now =
@@ -252,7 +240,7 @@ StreamResult RunStreamCampaign(const netsim::Internet& internet,
         ResultItem item;
         item.index = index;
         item.result = prober.ProbeBlock(setup.study_blocks[index],
-                                        core::MeasurementRng(config.seed,
+                                        core::MeasurementRng(campaign.seed,
                                                              index));
         // Push parks here when the aggregator lags — the backpressure
         // that bounds resident observations.

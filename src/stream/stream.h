@@ -8,7 +8,7 @@
 //
 //   driver ──ForEachChunk──▶ probe workers ──BoundedQueue──▶ aggregator
 //   (segments of the          (stage 2, on the   (capacity =   (grouping +
-//    study list)               shared pool)       window)       classify +
+//    study list)               caller's pool)     window)       classify +
 //                                                               aggregate +
 //                                                               publish)
 //
@@ -59,16 +59,12 @@
 namespace hobbit::stream {
 
 struct StreamConfig {
-  std::uint64_t seed = 1;
-  /// Probe worker threads (ignored when `pool` is set); the aggregator
+  /// The campaign the stream measures: seed, stage-0/1 knobs, prober
+  /// options, and the caller's pool the probe workers run on (null
+  /// probes serially on the calling thread).  A stream and a batch run of
+  /// the same `campaign` classify every /24 identically.  The aggregator
   /// runs on its own dedicated thread either way.
-  int threads = 1;
-  /// Optional externally owned pool shared with other stages.
-  common::ThreadPool* pool = nullptr;
-  /// Stage-0/1 knobs, as in core::PipelineConfig.
-  int calibration_blocks = 1500;
-  int samples_per_block = 64;
-  core::ProberOptions prober;
+  core::PipelineConfig campaign;
 
   /// Capacity of the probe→aggregate queue.  The in-flight bound —
   /// the most full BlockResults ever resident — is
@@ -143,9 +139,9 @@ struct StreamResult {
 };
 
 /// Runs a full streaming campaign over `internet`'s study universe.
-/// Deterministic in (config.seed, world, segment/churn schedule); the
-/// records, blocks and final snapshot are invariant under thread count
-/// and queue timing.
+/// Deterministic in (config.campaign.seed, world, segment/churn
+/// schedule); the records, blocks and final snapshot are invariant under
+/// thread count and queue timing.
 StreamResult RunStreamCampaign(const netsim::Internet& internet,
                                const StreamConfig& config);
 

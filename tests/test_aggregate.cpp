@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -160,10 +159,8 @@ TEST(SimilarityGraph, MatchesAllPairsOracleAcrossThreadCounts) {
   const auto aggregates = RandomAggregates(160);
   const Graph oracle = AllPairsSimilarityGraph(aggregates);
   ASSERT_GT(oracle.edges.size(), 0u);
-  for (int threads : {1, 2, 7}) {
-    SCOPED_TRACE(threads);
-    common::ThreadPool pool(threads);
-    const Graph graph = BuildSimilarityGraph(aggregates, &pool);
+  test::ForEachPool({1, 2, 7}, [&](common::ThreadPool* pool) {
+    const Graph graph = BuildSimilarityGraph(aggregates, pool);
     EXPECT_EQ(graph.vertex_count, oracle.vertex_count);
     ASSERT_EQ(graph.edges.size(), oracle.edges.size());
     for (std::size_t e = 0; e < oracle.edges.size(); ++e) {
@@ -171,7 +168,7 @@ TEST(SimilarityGraph, MatchesAllPairsOracleAcrossThreadCounts) {
       EXPECT_EQ(graph.edges[e].b, oracle.edges[e].b) << e;
       EXPECT_EQ(graph.edges[e].weight, oracle.edges[e].weight) << e;
     }
-  }
+  });
 }
 
 TEST(MclAggregation, OverlappingFamilesCluster) {
@@ -277,15 +274,6 @@ TEST(ValidateClusters, EndToEndOnTinyInternet) {
   EXPECT_LE(merged.size(), aggregates.size());
 }
 
-// Serial, the smallest pool, a prime that never divides the work
-// evenly, and the machine's own width — as in test_concurrency.cpp.
-std::vector<int> ThreadCounts() {
-  std::vector<int> counts = {1, 2, 7};
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 1) counts.push_back(static_cast<int>(hw));
-  return counts;
-}
-
 // FNV-1a 64 over every cluster's verdict: the identical-pair ratio's
 // bits, then the validated flag.
 std::uint64_t VerdictHash(const MclAggregationResult& result) {
@@ -309,28 +297,28 @@ std::uint64_t VerdictHash(const MclAggregationResult& result) {
 
 TEST(ValidateClusters, GoldenVerdicts) {
   // Pins the validation verdicts and the campaign's packet count of one
-  // fixed world, at every thread count.  Any restructuring of the
-  // reprobe pass must reproduce these constants bit for bit.
+  // fixed world, with no pool and at every thread count.  Any
+  // restructuring of the reprobe pass must reproduce these constants bit
+  // for bit.
   netsim::InternetConfig world;
   world.seed = 42;
   world.scale = 0.05;
   netsim::Internet internet = netsim::BuildInternet(world);
-  for (int threads : ThreadCounts()) {
-    SCOPED_TRACE(threads);
+  test::ForEachPool(test::ThreadCounts(), [&](common::ThreadPool* pool) {
     core::PipelineConfig config;
     config.seed = 42;
-    config.threads = threads;
+    config.pool = pool;
     config.calibration_blocks = 200;
     config.samples_per_block = 32;
     core::PipelineResult pipeline = core::RunPipeline(internet, config);
     auto homogeneous = pipeline.HomogeneousBlocks();
     auto aggregates = AggregateIdentical(homogeneous);
     MclAggregationParams mcl_params;
-    mcl_params.mcl.threads = threads;
+    mcl_params.mcl.pool = pool;
     MclAggregationResult mcl = RunMclAggregation(aggregates, mcl_params);
     ValidationParams validation;
     validation.seed = 42;
-    validation.threads = threads;
+    validation.pool = pool;
     ValidateClusters(internet, pipeline.study_blocks, aggregates, mcl,
                      validation);
     std::size_t validated = 0;
@@ -341,7 +329,7 @@ TEST(ValidateClusters, GoldenVerdicts) {
     EXPECT_EQ(validated, 27u);
     EXPECT_EQ(VerdictHash(mcl), 0xd94f97bbc78456e9ULL);
     EXPECT_EQ(pipeline.stats.probes_sent, 510776u);
-  }
+  });
 }
 
 }  // namespace

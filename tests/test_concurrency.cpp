@@ -97,15 +97,8 @@ TEST(Concurrency, ProbeCounterCountsEveryPacket) {
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-// The thread counts the determinism properties are checked over:
-// serial, the smallest parallel pool, a prime count that never divides
-// the work evenly, and whatever this machine actually has.
-std::vector<int> ThreadCounts() {
-  std::vector<int> counts = {1, 2, 7};
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 1) counts.push_back(static_cast<int>(hw));
-  return counts;
-}
+using test::ForEachPool;
+using test::ThreadCounts;
 
 // FNV-1a over a snapshot: each block's prefix base (little-endian), then
 // its active octets in ascending order.
@@ -139,17 +132,15 @@ TEST(ZmapScan, GoldenSnapshot) {
     world.seed = golden.seed;
     world.scale = 0.05;
     Internet internet = BuildInternet(world);
-    for (int threads : ThreadCounts()) {
-      SCOPED_TRACE(testing::Message() << "seed=" << golden.seed
-                                      << " threads=" << threads);
-      common::ThreadPool pool(threads);
+    SCOPED_TRACE(testing::Message() << "seed=" << golden.seed);
+    ForEachPool(ThreadCounts(), [&](common::ThreadPool* pool) {
       probing::ZmapSnapshot snapshot =
-          probing::RunZmapScan(internet, internet.study_24s, nullptr, &pool);
+          probing::RunZmapScan(internet, internet.study_24s, nullptr, pool);
       EXPECT_EQ(SnapshotHash(snapshot), golden.hash);
       EXPECT_EQ(snapshot.ActiveCount(), golden.active);
       EXPECT_EQ(snapshot.blocks.size(), golden.candidates);
       EXPECT_EQ(probing::SelectStudyBlocks(snapshot).size(), golden.study);
-    }
+    });
   }
 }
 
@@ -175,8 +166,8 @@ std::uint64_t BlockListHash(std::span<const cluster::AggregateBlock> blocks) {
 TEST(Campaign, GoldenChain) {
   // Pins the whole batch chain — measurement, exact aggregation, MCL,
   // reprobe validation, the validated merge and the HSNP image — for two
-  // fixed worlds at 1 and 4 threads.  Any restructuring of a stage must
-  // reproduce these constants bit for bit.
+  // fixed worlds with no pool and at 1 and 4 threads.  Any restructuring
+  // of a stage must reproduce these constants bit for bit.
   struct Golden {
     std::uint64_t seed;
     std::array<std::size_t, 5> classes;  // Table 1, Classification order
@@ -194,25 +185,23 @@ TEST(Campaign, GoldenChain) {
     world.seed = golden.seed;
     world.scale = 0.05;
     Internet internet = BuildInternet(world);
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE(testing::Message() << "seed=" << golden.seed
-                                      << " threads=" << threads);
-      common::ThreadPool pool(threads);
+    SCOPED_TRACE(testing::Message() << "seed=" << golden.seed);
+    ForEachPool({1, 4}, [&](common::ThreadPool* pool) {
       core::PipelineConfig config;
       config.seed = golden.seed;
-      config.pool = &pool;
+      config.pool = pool;
       config.calibration_blocks = 200;
       config.samples_per_block = 32;
       core::PipelineResult pipeline = core::RunPipeline(internet, config);
       auto aggregates =
           cluster::AggregateIdentical(pipeline.HomogeneousBlocks());
       cluster::MclAggregationParams mcl_params;
-      mcl_params.mcl.pool = &pool;
+      mcl_params.mcl.pool = pool;
       cluster::MclAggregationResult mcl =
           cluster::RunMclAggregation(aggregates, mcl_params);
       cluster::ValidationParams validation;
       validation.seed = golden.seed;
-      validation.pool = &pool;
+      validation.pool = pool;
       cluster::ValidateClusters(internet, pipeline.study_blocks, aggregates,
                                 mcl, validation);
       auto blocks = cluster::MergeValidatedClusters(aggregates, mcl);
@@ -229,44 +218,43 @@ TEST(Campaign, GoldenChain) {
       EXPECT_EQ(blocks.size(), golden.final_blocks);
       EXPECT_EQ(BlockListHash(blocks), golden.block_hash);
       EXPECT_EQ(snapshot->checksum(), golden.checksum);
-    }
+    });
   }
 }
 
 TEST(DeterminismProperty, RunPipelineByteIdenticalAcrossThreadCounts) {
+  // The null-pool (serial) run is the baseline for every pool size.
   Internet internet = BuildInternet(TinyConfig(23));
   std::string baseline;
   std::uint64_t baseline_probes = 0;
-  for (int threads : ThreadCounts()) {
+  ForEachPool(ThreadCounts(), [&](common::ThreadPool* pool) {
     core::PipelineConfig config;
     config.seed = 23;
-    config.threads = threads;
+    config.pool = pool;
     config.calibration_blocks = 40;
     config.samples_per_block = 32;
     core::PipelineResult result = core::RunPipeline(internet, config);
     std::ostringstream serialized;
     core::WriteResults(serialized, result.results);
-    if (threads == 1) {
+    if (pool == nullptr) {
       baseline = serialized.str();
       baseline_probes = result.stats.probes_sent;
       ASSERT_FALSE(baseline.empty());
-      continue;
+      return;
     }
-    EXPECT_EQ(serialized.str(), baseline) << "threads=" << threads;
-    EXPECT_EQ(result.stats.probes_sent, baseline_probes)
-        << "threads=" << threads;
-  }
+    EXPECT_EQ(serialized.str(), baseline);
+    EXPECT_EQ(result.stats.probes_sent, baseline_probes);
+  });
 }
 
 TEST(DeterminismProperty, FastPathPipelineMatchesReferenceAcrossThreads) {
   // The measurement path (incremental grouping + one route memo per
-  // prober) on a second world: the 1-thread run is the reference, and
-  // the full campaign output and packet count must match it byte for
-  // byte at every thread count.
+  // prober) on a second world: the serial (null-pool) run is the
+  // reference, and the full campaign output and packet count must match
+  // it byte for byte at every thread count.
   Internet internet = BuildInternet(TinyConfig(37));
   core::PipelineConfig reference_config;
   reference_config.seed = 37;
-  reference_config.threads = 1;
   reference_config.calibration_blocks = 40;
   reference_config.samples_per_block = 32;
   core::PipelineResult reference =
@@ -275,17 +263,15 @@ TEST(DeterminismProperty, FastPathPipelineMatchesReferenceAcrossThreads) {
   core::WriteResults(reference_serialized, reference.results);
   ASSERT_FALSE(reference_serialized.str().empty());
 
-  for (int threads : ThreadCounts()) {
+  ForEachPool(ThreadCounts(), [&](common::ThreadPool* pool) {
     core::PipelineConfig config = reference_config;
-    config.threads = threads;
+    config.pool = pool;
     core::PipelineResult result = core::RunPipeline(internet, config);
     std::ostringstream serialized;
     core::WriteResults(serialized, result.results);
-    EXPECT_EQ(serialized.str(), reference_serialized.str())
-        << "threads=" << threads;
-    EXPECT_EQ(result.stats.probes_sent, reference.stats.probes_sent)
-        << "threads=" << threads;
-  }
+    EXPECT_EQ(serialized.str(), reference_serialized.str());
+    EXPECT_EQ(result.stats.probes_sent, reference.stats.probes_sent);
+  });
 }
 
 TEST(DeterminismProperty, RunMclByteIdenticalAcrossThreadCounts) {
@@ -300,20 +286,19 @@ TEST(DeterminismProperty, RunMclByteIdenticalAcrossThreadCounts) {
         if (rng.NextBool(0.15)) graph.edges.push_back({i, j, rng.NextUnit()});
       }
     }
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
     cluster::MclResult baseline;
-    for (int threads : ThreadCounts()) {
+    ForEachPool(ThreadCounts(), [&](common::ThreadPool* pool) {
       cluster::MclParams params;
-      params.threads = threads;
+      params.pool = pool;
       cluster::MclResult result = cluster::RunMcl(graph, params);
-      if (threads == 1) {
+      if (pool == nullptr) {
         baseline = std::move(result);
-        continue;
+        return;
       }
-      EXPECT_EQ(result.clusters, baseline.clusters)
-          << "seed=" << seed << " threads=" << threads;
-      EXPECT_EQ(result.iterations, baseline.iterations)
-          << "seed=" << seed << " threads=" << threads;
-    }
+      EXPECT_EQ(result.clusters, baseline.clusters);
+      EXPECT_EQ(result.iterations, baseline.iterations);
+    });
   }
 }
 
@@ -374,13 +359,13 @@ TEST(DeterminismProperty, ValidationByteIdenticalAcrossThreadCounts) {
 
   std::vector<double> baseline_ratios;
   std::vector<bool> baseline_validated;
-  for (int threads : ThreadCounts()) {
+  ForEachPool(ThreadCounts(), [&](common::ThreadPool* pool) {
     cluster::MclAggregationParams mcl_params;
-    mcl_params.mcl.threads = threads;
+    mcl_params.mcl.pool = pool;
     cluster::MclAggregationResult mcl =
         cluster::RunMclAggregation(aggregates, mcl_params);
     cluster::ValidationParams validation;
-    validation.threads = threads;
+    validation.pool = pool;
     cluster::ValidateClusters(internet, pipeline.study_blocks, aggregates,
                               mcl, validation);
     std::vector<double> ratios;
@@ -389,14 +374,14 @@ TEST(DeterminismProperty, ValidationByteIdenticalAcrossThreadCounts) {
       ratios.push_back(cluster.identical_pair_ratio);
       validated.push_back(cluster.validated_homogeneous);
     }
-    if (threads == 1) {
+    if (pool == nullptr) {
       baseline_ratios = std::move(ratios);
       baseline_validated = std::move(validated);
-      continue;
+      return;
     }
-    EXPECT_EQ(ratios, baseline_ratios) << "threads=" << threads;
-    EXPECT_EQ(validated, baseline_validated) << "threads=" << threads;
-  }
+    EXPECT_EQ(ratios, baseline_ratios);
+    EXPECT_EQ(validated, baseline_validated);
+  });
 }
 
 TEST(DeterminismProperty, FusedMclIterationByteIdenticalAcrossThreadCounts) {

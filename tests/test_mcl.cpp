@@ -251,8 +251,9 @@ TEST(MclInvariants, PruningYieldsIdenticalClustersSerialVsParallel) {
     MclParams serial;
     serial.prune_threshold = threshold;
     serial.max_entries_per_column = max_entries;
+    common::ThreadPool pool(5);
     MclParams parallel = serial;
-    parallel.threads = 5;
+    parallel.pool = &pool;
     MclResult a = RunMcl(g, serial);
     MclResult b = RunMcl(g, parallel);
     EXPECT_EQ(a.clusters, b.clusters)

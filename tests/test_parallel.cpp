@@ -314,6 +314,11 @@ TEST(ForEachChunk, StitchedPerShardOutputIdenticalAcrossThreadCounts) {
 }
 
 TEST(FreeForEach, NullPoolRunsSeriallyInOrder) {
+  EXPECT_EQ(ThreadCount(nullptr), 1);
+  EXPECT_FALSE(IsParallel(nullptr));
+  const ThreadPool three(3);
+  EXPECT_EQ(ThreadCount(&three), 3);
+  EXPECT_TRUE(IsParallel(&three));
   std::vector<std::size_t> order;
   ForEach(nullptr, 5, [&](std::size_t i) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));

@@ -179,20 +179,21 @@ TEST_F(PipelineTest, ProbesSentMatchesIndependentSendCount) {
   // PipelineStats::probes_sent sums the per-shard probers' counts; an
   // independent hook on the simulator must see exactly that many packets
   // (the zmap snapshot reads liveness without sending probes).
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE(threads);
+  test::ForEachPool({1, 4}, [&](common::ThreadPool* pool) {
     PipelineConfig config = SmallPipeline(21);
-    config.threads = threads;
+    config.pool = pool;
     test::SendCounter sends(*internet_.simulator);
     PipelineResult result = RunPipeline(internet_, config);
     EXPECT_GT(result.stats.probes_sent, 0u);
     EXPECT_EQ(result.stats.probes_sent, sends.count());
-  }
+  });
 }
 
 TEST_F(PipelineTest, ThreadCountDoesNotChangeResults) {
+  // result_ ran with no pool (serial on the calling thread).
+  common::ThreadPool pool(4);
   PipelineConfig threaded = SmallPipeline(21);
-  threaded.threads = 4;
+  threaded.pool = &pool;
   PipelineResult parallel = RunPipeline(internet_, threaded);
   ASSERT_EQ(parallel.results.size(), result_.results.size());
   for (std::size_t i = 0; i < parallel.results.size(); ++i) {

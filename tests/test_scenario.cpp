@@ -11,9 +11,9 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "hobbit/pipeline.h"
 #include "hobbit/resultio.h"
 #include "netsim/internet.h"
@@ -39,15 +39,6 @@ std::string Serialize(const core::PipelineResult& result) {
   std::ostringstream out;
   core::WriteResults(out, result.results);
   return out.str();
-}
-
-// Serial, the smallest pool, a prime that never divides the work
-// evenly, and the machine's own width — as in test_concurrency.cpp.
-std::vector<int> ThreadCounts() {
-  std::vector<int> counts = {1, 2, 7};
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 1) counts.push_back(static_cast<int>(hw));
-  return counts;
 }
 
 // A schedule exercising all the adversity classes at once: reply-side
@@ -226,29 +217,22 @@ TEST(ZeroIntensity, EveryIdleInjectorLeavesPipelineBitIdentical) {
 
 TEST(ZeroIntensity, ByteIdenticalAcrossThreadCounts) {
   netsim::Internet internet = netsim::BuildInternet(netsim::TinyConfig(35));
-  std::string baseline;
-  std::uint64_t baseline_probes = 0;
-  for (int threads : ThreadCounts()) {
+  // The serial scenario run against the *plain* serial pipeline, then
+  // every thread count against that same baseline.
+  const core::PipelineResult reference =
+      core::RunPipeline(internet, Small(35));
+  const std::string baseline = Serialize(reference);
+  ASSERT_FALSE(baseline.empty());
+  test::ForEachPool(test::ThreadCounts(), [&](common::ThreadPool* pool) {
     core::PipelineConfig config = Small(35);
-    config.threads = threads;
+    config.pool = pool;
     ScenarioSpec spec;
     spec.segment = 16;  // idle waves still cross segment boundaries
     core::PipelineResult result =
         RunScenarioPipeline(internet, config, spec);
-    const std::string serialized = Serialize(result);
-    if (threads == 1) {
-      // The serial scenario run against the *plain* serial pipeline...
-      core::PipelineConfig plain = Small(35);
-      core::PipelineResult reference = core::RunPipeline(internet, plain);
-      baseline = Serialize(reference);
-      baseline_probes = reference.stats.probes_sent;
-      ASSERT_FALSE(baseline.empty());
-    }
-    // ...and every thread count against that same baseline.
-    EXPECT_EQ(serialized, baseline) << "threads=" << threads;
-    EXPECT_EQ(result.stats.probes_sent, baseline_probes)
-        << "threads=" << threads;
-  }
+    EXPECT_EQ(Serialize(result), baseline);
+    EXPECT_EQ(result.stats.probes_sent, reference.stats.probes_sent);
+  });
 }
 
 // ------------------------------------------------- injectors that do fire
@@ -420,13 +404,11 @@ TEST(Scenario, StreamMatchesBatchUnderFullAdversity) {
 
   netsim::Internet stream_world =
       netsim::BuildInternet(netsim::TinyConfig(29));
+  common::ThreadPool pool(2);
   stream::StreamConfig stream_config;
-  stream_config.seed = 29;
-  stream_config.threads = 2;
+  stream_config.campaign = config;
+  stream_config.campaign.pool = &pool;
   stream_config.window = 8;
-  stream_config.calibration_blocks = config.calibration_blocks;
-  stream_config.samples_per_block = config.samples_per_block;
-  stream_config.prober = config.prober;
   ScenarioStats stream_stats;
   stream::StreamResult stream =
       RunScenarioStream(stream_world, stream_config, spec, &stream_stats);
@@ -463,27 +445,27 @@ TEST(Scenario, StreamMatchesBatchUnderFullAdversity) {
 }
 
 TEST(Scenario, ThreadCountInvariantUnderFullAdversity) {
+  // The serial (null-pool) run is the baseline for every pool size.
   std::string baseline;
   std::uint64_t baseline_probes = 0;
-  for (int threads : ThreadCounts()) {
+  test::ForEachPool(test::ThreadCounts(), [&](common::ThreadPool* pool) {
     // Fresh world per run: the schedule mutates the topology.
     netsim::Internet internet =
         netsim::BuildInternet(netsim::TinyConfig(43));
     core::PipelineConfig config = Small(43);
-    config.threads = threads;
+    config.pool = pool;
     core::PipelineResult result =
         RunScenarioPipeline(internet, config, Adversity(internet), nullptr);
     const std::string serialized = Serialize(result);
-    if (threads == 1) {
+    if (pool == nullptr) {
       baseline = serialized;
       baseline_probes = result.stats.probes_sent;
       ASSERT_FALSE(baseline.empty());
-      continue;
+      return;
     }
-    EXPECT_EQ(serialized, baseline) << "threads=" << threads;
-    EXPECT_EQ(result.stats.probes_sent, baseline_probes)
-        << "threads=" << threads;
-  }
+    EXPECT_EQ(serialized, baseline);
+    EXPECT_EQ(result.stats.probes_sent, baseline_probes);
+  });
 }
 
 }  // namespace

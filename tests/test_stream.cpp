@@ -16,6 +16,7 @@
 
 #include "cluster/aggregate.h"
 #include "common/bounded_queue.h"
+#include "common/parallel.h"
 #include "hobbit/pipeline.h"
 #include "netsim/internet.h"
 #include "scenario/artifacts.h"
@@ -157,8 +158,8 @@ TEST(BoundedQueue, CloseWakesBlockedProducer) {
 
 // ------------------------------------------------------------- campaign
 
-StreamConfig SmallStream(std::uint64_t seed) {
-  StreamConfig config;
+core::PipelineConfig SmallBatch(std::uint64_t seed) {
+  core::PipelineConfig config;
   config.seed = seed;
   config.calibration_blocks = 60;
   config.samples_per_block = 48;
@@ -166,12 +167,9 @@ StreamConfig SmallStream(std::uint64_t seed) {
   return config;
 }
 
-core::PipelineConfig SmallBatch(std::uint64_t seed) {
-  core::PipelineConfig config;
-  config.seed = seed;
-  config.calibration_blocks = 60;
-  config.samples_per_block = 48;
-  config.prober.min_cell_trials = 100;
+StreamConfig SmallStream(std::uint64_t seed) {
+  StreamConfig config;
+  config.campaign = SmallBatch(seed);
   return config;
 }
 
@@ -221,14 +219,14 @@ TEST(StreamCampaign, MatchesBatchPipeline) {
 
 // Thread-count invariance with churn: segment boundaries sit at fixed
 // indices, so the same flips land between the same waves regardless of
-// how chunks map to threads.  Each run needs its own world (churn
-// mutates the topology).
+// how chunks map to threads, or whether a pool exists at all.  Each run
+// needs its own world (churn mutates the topology).
 TEST(StreamCampaign, ThreadCountInvariantUnderChurn) {
-  auto run = [](int threads) {
+  auto run = [](common::ThreadPool* pool) {
     netsim::Internet internet =
         netsim::BuildInternet(netsim::TinyConfig(23));
     StreamConfig config = SmallStream(23);
-    config.threads = threads;
+    config.campaign.pool = pool;
     config.window = 8;
     config.segment = 40;
     netsim::Rng churn_rng = netsim::Rng(23).Fork(0xC4024ULL);
@@ -237,21 +235,22 @@ TEST(StreamCampaign, ThreadCountInvariantUnderChurn) {
     };
     return RunStreamCampaign(internet, config);
   };
-  StreamResult one = run(1);
-  StreamResult two = run(2);
-  StreamResult seven = run(7);
-  ASSERT_GT(one.records.size(), 0u);
-  ASSERT_EQ(one.records.size(), two.records.size());
-  ASSERT_EQ(one.records.size(), seven.records.size());
-  for (std::size_t i = 0; i < one.records.size(); ++i) {
-    EXPECT_EQ(one.records[i].prefix, two.records[i].prefix);
-    EXPECT_EQ(one.records[i].classification, two.records[i].classification);
-    EXPECT_EQ(one.records[i].classification,
-              seven.records[i].classification);
-    EXPECT_EQ(one.records[i].probes_used, seven.records[i].probes_used);
+  const StreamResult serial = run(nullptr);
+  ASSERT_GT(serial.records.size(), 0u);
+  for (int threads : {1, 2, 7}) {
+    SCOPED_TRACE(threads);
+    common::ThreadPool pool(threads);
+    const StreamResult pooled = run(&pool);
+    ASSERT_EQ(pooled.records.size(), serial.records.size());
+    for (std::size_t i = 0; i < serial.records.size(); ++i) {
+      EXPECT_EQ(pooled.records[i].prefix, serial.records[i].prefix);
+      EXPECT_EQ(pooled.records[i].classification,
+                serial.records[i].classification);
+      EXPECT_EQ(pooled.records[i].probes_used,
+                serial.records[i].probes_used);
+    }
+    EXPECT_EQ(pooled.final_snapshot, serial.final_snapshot);
   }
-  EXPECT_EQ(one.final_snapshot, two.final_snapshot);
-  EXPECT_EQ(one.final_snapshot, seven.final_snapshot);
 }
 
 // The O(in-flight) guarantee: a tiny window with a deliberately slow
@@ -259,8 +258,9 @@ TEST(StreamCampaign, ThreadCountInvariantUnderChurn) {
 // results.
 TEST(StreamCampaign, PeakInflightBoundedByWindow) {
   netsim::Internet internet = netsim::BuildInternet(netsim::TinyConfig(31));
+  common::ThreadPool pool(2);
   StreamConfig config = SmallStream(31);
-  config.threads = 2;
+  config.campaign.pool = &pool;
   config.window = 4;
   StreamResult result = RunStreamCampaign(internet, config);
   ASSERT_GT(result.stats.measured_24s, config.window);

@@ -1,13 +1,19 @@
 // test_util.h — shared fixtures: a small hand-wired topology with known
-// ground truth, used by the simulator / probing / prober tests.
+// ground truth, used by the simulator / probing / prober tests, and the
+// pool sweep (null pool, then each thread count) of the determinism
+// tests.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "netsim/artifacts.h"
 #include "netsim/host_model.h"
 #include "netsim/internet.h"
@@ -18,6 +24,31 @@
 #include "probing/zmap.h"
 
 namespace hobbit::test {
+
+/// The thread counts the determinism tests sweep: the smallest pool, a
+/// prime that never divides the work evenly, and the machine's own width.
+inline std::vector<int> ThreadCounts() {
+  std::vector<int> counts = {1, 2, 7};
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw > 1) counts.push_back(static_cast<int>(hw));
+  return counts;
+}
+
+/// Calls `run(pool)` with a null pool — every stage then runs serially on
+/// the calling thread — and then once per entry of `counts` with a fresh
+/// pool of that many threads, each call under a SCOPED_TRACE naming it.
+template <typename Run>
+void ForEachPool(const std::vector<int>& counts, Run&& run) {
+  {
+    SCOPED_TRACE("pool=null");
+    run(static_cast<common::ThreadPool*>(nullptr));
+  }
+  for (int threads : counts) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    common::ThreadPool pool(threads);
+    run(&pool);
+  }
+}
 
 inline netsim::Ipv4Address Addr(const char* text) {
   auto a = netsim::Ipv4Address::Parse(text);

@@ -17,18 +17,19 @@
 // mode), so the binary pipes cleanly.  SIGINT/SIGTERM trigger a graceful
 // drain: pending replies are flushed before the server exits.
 
-#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <iostream>
 #include <string>
-#include <string_view>
 
 #include "common/parallel.h"
+#include "parse_number.h"
 #include "serve/reactor.h"
 #include "serve/service.h"
 
 namespace {
+
+using hobbit::tools::ParseNumber;
 
 hobbit::serve::Reactor* g_reactor = nullptr;
 
@@ -59,21 +60,6 @@ int Usage() {
       "  --port 0-65535, --max-connections 1-1000000, --idle-timeout-ms\n"
       "  0-86400000 (0 disables idle eviction).\n";
   return 2;
-}
-
-/// Parses all of `text` as a decimal integer in [min, max].  Anything
-/// else — empty, a sign where none fits, trailing characters, overflow —
-/// is rejected rather than read as a prefix or wrapped.
-template <typename T>
-bool ParseNumber(std::string_view text, T min, T max, T* out) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc() || stop != end || value < min || value > max) {
-    return false;
-  }
-  *out = value;
-  return true;
 }
 
 }  // namespace

@@ -42,6 +42,7 @@
 #include "hobbit/resultio.h"
 #include "netsim/internet.h"
 #include "netsim/rdns.h"
+#include "parse_number.h"
 #include "probing/traceroute.h"
 #include "serve/snapshot.h"
 #include "serve/store.h"
@@ -57,6 +58,9 @@ struct Args {
   std::string command;
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
+  /// --threads, checked by main before any command runs: the size of
+  /// the one pool a campaign command builds and shares across stages.
+  int threads = 1;
 
   bool Has(const std::string& flag) const { return flags.count(flag) > 0; }
   std::string Get(const std::string& flag,
@@ -117,7 +121,8 @@ int Usage() {
       "  scenario   [--seed N] [--scale S] [--threads T]\n"
       "             [--loss P] [--ratelimit P] [--loops P]\n"
       "             [--churn N] [--perpacket N] [--outage PREFIX]\n"
-      "             [--segment B] [--mda-lite] [--stream]\n";
+      "             [--segment B] [--mda-lite] [--stream]\n"
+      "  --threads T takes a plain decimal in 1-1024 (default 1).\n";
   return 2;
 }
 
@@ -151,7 +156,7 @@ int CmdMeasure(const Args& args) {
   netsim::Internet internet = BuildWorld(args);
   // One pool serves probing, MCL clustering and validation reprobing;
   // --threads is the single knob for the whole campaign.
-  common::ThreadPool pool(std::atoi(args.Get("threads", "1").c_str()));
+  common::ThreadPool pool(args.threads);
   core::PipelineConfig config;
   config.seed =
       std::strtoull(args.Get("seed", "42").c_str(), nullptr, 10);
@@ -435,7 +440,7 @@ int CmdExportSnapshot(const Args& args) {
     }
   } else {
     netsim::Internet internet = BuildWorld(args);
-    common::ThreadPool pool(std::atoi(args.Get("threads", "1").c_str()));
+    common::ThreadPool pool(args.threads);
     core::PipelineConfig config;
     config.seed =
         std::strtoull(args.Get("seed", "42").c_str(), nullptr, 10);
@@ -478,12 +483,13 @@ int CmdExportSnapshot(const Args& args) {
 // blocks), and the delta-vs-full differential check (--verify).
 int CmdStreamCampaign(const Args& args) {
   netsim::Internet internet = BuildWorld(args);
-  common::ThreadPool pool(std::atoi(args.Get("threads", "1").c_str()));
+  common::ThreadPool pool(args.threads);
   serve::SnapshotStore store;
 
   stream::StreamConfig config;
-  config.seed = std::strtoull(args.Get("seed", "42").c_str(), nullptr, 10);
-  config.pool = &pool;
+  config.campaign.seed =
+      std::strtoull(args.Get("seed", "42").c_str(), nullptr, 10);
+  config.campaign.pool = &pool;
   config.window = std::strtoull(args.Get("window", "256").c_str(), nullptr, 10);
   config.segment =
       std::strtoull(args.Get("segment", "0").c_str(), nullptr, 10);
@@ -496,7 +502,7 @@ int CmdStreamCampaign(const Args& args) {
 
   const std::size_t churn_every =
       std::strtoull(args.Get("churn-every", "0").c_str(), nullptr, 10);
-  netsim::Rng churn_rng = netsim::Rng(config.seed).Fork(0xC4024ULL);
+  netsim::Rng churn_rng = netsim::Rng(config.campaign.seed).Fork(0xC4024ULL);
   std::size_t churn_flips = 0;
   if (churn_every > 0) {
     if (config.segment == 0 || config.segment > churn_every) {
@@ -571,7 +577,6 @@ int CmdStreamCampaign(const Args& args) {
 int CmdScenario(const Args& args) {
   const std::uint64_t seed =
       std::strtoull(args.Get("seed", "42").c_str(), nullptr, 10);
-  const int threads = std::atoi(args.Get("threads", "1").c_str());
 
   scenario::ScenarioSpec spec;
   spec.seed = seed;
@@ -624,9 +629,11 @@ int CmdScenario(const Args& args) {
     spec.segment = 64;
   }
 
+  // One pool for the clean baseline and the scenario run.
+  common::ThreadPool pool(args.threads);
   core::PipelineConfig config;
   config.seed = seed;
-  config.threads = threads;
+  config.pool = &pool;
   config.prober.mda_lite = args.Has("mda-lite");
 
   // Clean full-MDA baseline on a pristine copy of the same world
@@ -643,11 +650,8 @@ int CmdScenario(const Args& args) {
   std::array<std::size_t, 5> counts{};
   scenario::ScenarioStats stats;
   if (args.Has("stream")) {
-    common::ThreadPool pool(threads);
     stream::StreamConfig stream_config;
-    stream_config.seed = seed;
-    stream_config.pool = &pool;
-    stream_config.prober = config.prober;
+    stream_config.campaign = config;
     stream::StreamResult streamed =
         scenario::RunScenarioStream(world, stream_config, spec, &stats);
     for (const stream::StreamRecord& record : streamed.records) {
@@ -720,6 +724,12 @@ int CmdScenario(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args = ParseArgs(argc, argv);
+  // Strict, like hobbit_serve: garbage must not read as 0, and no value
+  // may ask for an unbounded number of OS threads.
+  if (args.Has("threads") &&
+      !tools::ParseNumber(args.Get("threads", ""), 1, 1024, &args.threads)) {
+    return Usage();
+  }
   if (args.command == "generate") return CmdGenerate(args);
   if (args.command == "measure") return CmdMeasure(args);
   if (args.command == "classify") return CmdClassify(args);
