@@ -11,8 +11,9 @@
 // host's capability string (`cpu_features`), so checked-in numbers are
 // attributable to the kernel tier that produced them, plus the warm-memo
 // MDA-shaped probe cost (`mda_probe_ns`, ns per simulated probe) and the
-// full snapshot verification cost (`snapshot_verify_ns_per_byte`) and the
-// cost of a default RELOAD at the store (`store_reload_ms`).  A run with
+// full snapshot verification cost (`snapshot_verify_ns_per_byte`), the
+// cost of a default RELOAD at the store (`store_reload_ms`) and of
+// compiling a census-sized block map (`snapshot_compile_ms`).  A run with
 // --benchmark_filter is partial: its report goes beside the binary, not
 // over the checked-in one.
 
@@ -338,6 +339,69 @@ void BM_StoreReload(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreReload)->Unit(benchmark::kMillisecond);
 
+/// A census-shaped block map of `entry_count` /24s, shaped like
+/// e2ebench's census: ascending keys with gaps; a fifth classified only
+/// (no block), the rest in blocks of 1-8 members, each member classified
+/// too, with one last hop (70%) or two to four.
+struct CensusMap {
+  std::vector<cluster::AggregateBlock> blocks;
+  std::vector<serve::ClassifiedPrefix> classified;
+};
+
+CensusMap CensusShapedMap(std::size_t entry_count, std::uint64_t seed) {
+  CensusMap map;
+  map.classified.reserve(entry_count);
+  netsim::Rng rng(seed);
+  std::uint32_t cursor = 0x010000;  // /24 index of 1.0.0.0
+  auto slash24 = [](std::uint32_t index) {
+    return netsim::Prefix::Of(netsim::Ipv4Address(index << 8), 24);
+  };
+  auto token = [](core::Classification c) {
+    return static_cast<std::uint8_t>(c);
+  };
+  static constexpr core::Classification kUnblocked[] = {
+      core::Classification::kDifferentButHierarchical,
+      core::Classification::kTooFewActive,
+      core::Classification::kUnresponsiveLastHop};
+  while (map.classified.size() < entry_count) {
+    cursor += static_cast<std::uint32_t>(rng.NextBelow(25));
+    if (rng.NextBool(0.2)) {
+      map.classified.push_back(
+          {slash24(cursor++), token(kUnblocked[rng.NextBelow(3)])});
+      continue;
+    }
+    const std::size_t size = std::min<std::size_t>(
+        entry_count - map.classified.size(), 1 + rng.NextBelow(8));
+    const bool same_hop = rng.NextBool(0.7);
+    cluster::AggregateBlock block;
+    const std::uint8_t verdict =
+        token(same_hop ? core::Classification::kSameLastHop
+                       : core::Classification::kNonHierarchical);
+    for (std::size_t m = 0; m < size; ++m, ++cursor) {
+      block.member_24s.push_back(slash24(cursor));
+      map.classified.push_back({slash24(cursor), verdict});
+    }
+    const std::size_t hops = same_hop ? 1 : 2 + rng.NextBelow(3);
+    for (std::size_t h = 0; h < hops; ++h) {
+      block.last_hops.emplace_back(0x0A000000u + static_cast<std::uint32_t>(h));
+    }
+    map.blocks.push_back(std::move(block));
+  }
+  return map;
+}
+
+// The whole compile of a census-sized block map (3.37 M /24s, ~710 k
+// blocks): entry resolution, the block table and the assembled, checksummed
+// buffer -- what `setup.WriteSnapshot` pays before its file write.
+void BM_SnapshotCompile(benchmark::State& state) {
+  static const CensusMap census = CensusShapedMap(3'370'000, 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        serve::CompileSnapshotV2(census.blocks, census.classified, 1));
+  }
+}
+BENCHMARK(BM_SnapshotCompile)->Unit(benchmark::kMillisecond);
+
 /// The console reporter, also keeping the per-iteration wall time of the
 /// benchmarks whose numbers go into BENCH_microperf.json.  Colour codes
 /// only on a terminal: piped or redirected output stays plain text.
@@ -357,6 +421,8 @@ class RecordingReporter : public benchmark::ConsoleReporter {
             static_cast<double>(SharedLargeSnapshot().buffer_bytes());
       } else if (run.benchmark_name() == "BM_StoreReload") {
         store_reload_ms = run.GetAdjustedRealTime();
+      } else if (run.benchmark_name() == "BM_SnapshotCompile") {
+        snapshot_compile_ms = run.GetAdjustedRealTime();
       }
     }
     ConsoleReporter::ReportRuns(runs);
@@ -364,6 +430,7 @@ class RecordingReporter : public benchmark::ConsoleReporter {
   double mda_probe_ns = 0.0;
   double snapshot_verify_ns_per_byte = 0.0;
   double store_reload_ms = 0.0;
+  double snapshot_compile_ms = 0.0;
 };
 
 }  // namespace
@@ -397,6 +464,9 @@ int main(int argc, char** argv) {
   }
   if (console.store_reload_ms > 0.0) {
     report.Metric("store_reload_ms", console.store_reload_ms);
+  }
+  if (console.snapshot_compile_ms > 0.0) {
+    report.Metric("snapshot_compile_ms", console.snapshot_compile_ms);
   }
   report.Write();
   return 0;

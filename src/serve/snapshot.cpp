@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <map>
+#include <memory>
 #include <utility>
 
 #include "serve/lookup.h"
@@ -21,7 +21,6 @@
 namespace hobbit::serve {
 namespace {
 
-using wire::AppendU32;
 using wire::ReadU32;
 using wire::ReadU64;
 
@@ -178,6 +177,34 @@ void FoldSpans(const std::array<std::span<const std::byte>, N>& spans,
     done = end;
   }
   for (std::size_t l = 0; l < N; ++l) hashes[order[l]] = lanes[l];
+}
+
+/// Stable LSD radix sort of key << 32 | payload records by key, one key
+/// byte per pass, all 32 key bits.  A pass whose byte is the same in
+/// every record would move nothing and is skipped, so /24 keys (low byte
+/// zero) pay three passes.  `scratch` holds at least records.size()
+/// values.
+void SortByKey(std::span<std::uint64_t> records, std::uint64_t* scratch) {
+  const std::size_t n = records.size();
+  if (n < 2) return;
+  std::array<std::array<std::size_t, 256>, 4> counts{};
+  for (const std::uint64_t r : records) {
+    for (int d = 0; d < 4; ++d) ++counts[d][(r >> (32 + 8 * d)) & 0xFF];
+  }
+  std::uint64_t* from = records.data();
+  std::uint64_t* to = scratch;
+  for (int d = 0; d < 4; ++d) {
+    const int shift = 32 + 8 * d;
+    std::array<std::size_t, 256>& next = counts[d];
+    if (next[(from[0] >> shift) & 0xFF] == n) continue;
+    std::size_t start = 0;
+    for (std::size_t& slot : next) start += std::exchange(slot, start);
+    for (std::size_t k = 0; k < n; ++k) {
+      to[next[(from[k] >> shift) & 0xFF]++] = from[k];
+    }
+    std::swap(from, to);
+  }
+  if (from != records.data()) std::copy(from, from + n, records.data());
 }
 
 /// The running state of the verifying pass over the entries.  Every
@@ -350,25 +377,57 @@ std::vector<ClassifiedPrefix> ClassifiedFrom(
 std::vector<SnapshotEntry> BuildSnapshotEntries(
     std::span<const cluster::AggregateBlock> blocks,
     std::span<const ClassifiedPrefix> classified) {
-  // key -> (block id, class token); block membership wins over a
-  // results-only record, classification survives either insertion order.
-  std::map<std::uint32_t, std::pair<std::uint32_t, std::uint8_t>> entries;
+  // Each record tagged key << 32 | payload and stably sorted by key, so
+  // a key's member run starts at its lowest block and its classified run
+  // keeps input order for the first-token-not-kNoClass rule.
+  std::size_t member_total = 0;
+  for (const cluster::AggregateBlock& block : blocks) {
+    member_total += block.member_24s.size();
+  }
+  std::vector<std::uint64_t> members;
+  members.reserve(member_total);
   for (std::uint32_t b = 0; b < blocks.size(); ++b) {
     for (const netsim::Prefix& member : blocks[b].member_24s) {
-      entries.emplace(member.base().value(), std::make_pair(b, kNoClass));
+      members.push_back(std::uint64_t{member.base().value()} << 32 | b);
     }
   }
+  std::vector<std::uint64_t> tokens;
+  tokens.reserve(classified.size());
   for (const ClassifiedPrefix& c : classified) {
-    auto [pos, inserted] = entries.emplace(
-        c.prefix.base().value(), std::make_pair(kNoBlock, c.class_token));
-    if (!inserted && pos->second.second == kNoClass) {
-      pos->second.second = c.class_token;
-    }
+    tokens.push_back(std::uint64_t{c.prefix.base().value()} << 32 |
+                     c.class_token);
   }
+  {
+    // Freed before the merge allocates its output.
+    const auto scratch = std::make_unique_for_overwrite<std::uint64_t[]>(
+        std::max(members.size(), tokens.size()));
+    SortByKey(members, scratch.get());
+    SortByKey(tokens, scratch.get());
+  }
+
+  // One merge over the two key-sorted runs; kEnd is past every key.
+  constexpr std::uint64_t kEnd = std::uint64_t{1} << 32;
+  const std::size_t nm = members.size();
+  const std::size_t nt = tokens.size();
   std::vector<SnapshotEntry> out;
-  out.reserve(entries.size());
-  for (const auto& [key, meta] : entries) {
-    out.push_back({key, meta.first, meta.second});
+  out.reserve(nm + nt);  // an upper bound; pages past the end stay untouched
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < nm || j < nt) {
+    const std::uint64_t member_key = i < nm ? members[i] >> 32 : kEnd;
+    const std::uint64_t token_key = j < nt ? tokens[j] >> 32 : kEnd;
+    const std::uint64_t key = std::min(member_key, token_key);
+    SnapshotEntry entry{static_cast<std::uint32_t>(key), kNoBlock, kNoClass};
+    if (member_key == key) {
+      entry.block = static_cast<std::uint32_t>(members[i]);
+      while (i < nm && members[i] >> 32 == key) ++i;
+    }
+    for (; j < nt && tokens[j] >> 32 == key; ++j) {
+      if (entry.class_token == kNoClass) {
+        entry.class_token = static_cast<std::uint8_t>(tokens[j]);
+      }
+    }
+    out.push_back(entry);
   }
   return out;
 }
@@ -376,17 +435,28 @@ std::vector<SnapshotEntry> BuildSnapshotEntries(
 void AppendBlockTable(std::span<const cluster::AggregateBlock> blocks,
                       std::vector<std::byte>* blocktab,
                       std::vector<std::byte>* hops) {
+  std::size_t hop_total = 0;
+  for (const cluster::AggregateBlock& block : blocks) {
+    hop_total += block.last_hops.size();
+  }
+  const std::size_t tab_start = blocktab->size();
+  const std::size_t hop_start = hops->size();
+  blocktab->resize(tab_start + blocks.size() * 12);
+  hops->resize(hop_start + hop_total * 4);
+  std::byte* row = blocktab->data() + tab_start;
+  std::byte* hop_out = hops->data() + hop_start;
   std::uint32_t hop_offset = 0;
   for (const cluster::AggregateBlock& block : blocks) {
-    AppendU32(*blocktab, static_cast<std::uint32_t>(block.member_24s.size()));
-    AppendU32(*blocktab, hop_offset);
-    AppendU32(*blocktab, static_cast<std::uint32_t>(block.last_hops.size()));
-    hop_offset += static_cast<std::uint32_t>(block.last_hops.size());
-  }
-  for (const cluster::AggregateBlock& block : blocks) {
+    const auto hop_count = static_cast<std::uint32_t>(block.last_hops.size());
+    wire::StoreU32(row, static_cast<std::uint32_t>(block.member_24s.size()));
+    wire::StoreU32(row + 4, hop_offset);
+    wire::StoreU32(row + 8, hop_count);
+    row += 12;
     for (const netsim::Ipv4Address& hop : block.last_hops) {
-      AppendU32(*hops, hop.value());
+      wire::StoreU32(hop_out, hop.value());
+      hop_out += 4;
     }
+    hop_offset += hop_count;
   }
 }
 

@@ -127,8 +127,11 @@ struct SnapshotEntry {
 
 /// Resolves blocks + classifications into the sorted, deduplicated entry
 /// list.  Entries are the union: every block member /24 and every
-/// classified /24.  Duplicate keys collapse (block membership wins for
-/// the block id, the classification rides along either insertion order).
+/// classified /24, one per key.  A key's block is the lowest block index
+/// whose member_24s holds it, else kNoBlock; its class is the first
+/// classified token for it, in input order, that is not kNoClass, else
+/// kNoClass.  Resolved by sort-merge: both inputs are tagged with their
+/// 32-bit key, stably radix-sorted by it and merged in one linear pass.
 std::vector<SnapshotEntry> BuildSnapshotEntries(
     std::span<const cluster::AggregateBlock> blocks,
     std::span<const ClassifiedPrefix> classified);

@@ -28,7 +28,10 @@
 // classification is a pure function of (world-at-its-segment, seed,
 // index) — bit-identical to the batch pipeline and invariant under
 // thread count and arrival order.  The aggregator's state is keyed maps,
-// so its published output is arrival-order independent too.
+// so its final state, and with it the final snapshot, is arrival-order
+// independent too.  Intermediate publishes are not: each one cuts the
+// stream after the next `publish_every` blocks in arrival order, so
+// which /24s an intermediate snapshot holds can vary from run to run.
 //
 // Publishing: with a SnapshotStore attached the aggregator publishes the
 // evolving state — a full snapshot first, then HSPT delta patches

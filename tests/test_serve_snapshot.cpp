@@ -8,6 +8,8 @@
 #include <cstring>
 #include <numeric>
 #include <optional>
+#include <string>
+#include <utility>
 
 #include "cluster/blockio.h"
 #include "hobbit/pipeline.h"
@@ -16,6 +18,7 @@
 #include "serve/lookup.h"
 #include "serve/snapshot.h"
 #include "serve/store.h"
+#include "snapshot_entries_oracle.h"
 #include "test_util.h"
 
 namespace hobbit::serve {
@@ -587,6 +590,155 @@ TEST(EytzingerIndex, EngineWithIndexMatchesEngineWithout) {
   Snapshot empty = MustLoad(CompileSnapshotV2({}, {}, 0));
   LookupEngine guarded(empty, &index);
   EXPECT_FALSE(guarded.Lookup(netsim::Ipv4Address(0)).found);
+}
+
+// --- Entry resolution against the std::map oracle ----------------------
+//
+// The e2e benchmark's expected replies come from the compiled snapshot
+// itself, so only these tests catch a resolver that merges duplicate
+// keys differently from the one-map-insert-per-record original.
+
+void ExpectSameEntries(const std::vector<SnapshotEntry>& got,
+                       const std::vector<SnapshotEntry>& want,
+                       const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].key, want[i].key) << context << " entry " << i;
+    ASSERT_EQ(got[i].block, want[i].block) << context << " entry " << i;
+    ASSERT_EQ(got[i].class_token, want[i].class_token)
+        << context << " entry " << i;
+  }
+}
+
+std::uint8_t Token(core::Classification c) {
+  return static_cast<std::uint8_t>(c);
+}
+
+struct BlockMap {
+  std::vector<cluster::AggregateBlock> blocks;
+  std::vector<ClassifiedPrefix> classified;
+};
+
+/// A random block map over a small pool of keys, so keys repeat within a
+/// block, across blocks and across classified records, in no order.  The
+/// pool varies only some key bytes (the rest are the same in every key),
+/// and now and then holds longer prefixes whose keys are not /24 bases.
+BlockMap RandomBlockMap(std::uint64_t seed) {
+  static constexpr std::uint32_t kVaryingBytes[] = {
+      0xFFFFFFFFu, 0x0000FFFFu, 0xFF0000FFu, 0x00FF0000u, 0x000000FFu};
+  netsim::Rng rng(seed);
+  const std::uint32_t varying = kVaryingBytes[rng.NextBelow(5)];
+  const auto fixed = static_cast<std::uint32_t>(rng.Next()) & ~varying;
+  std::vector<netsim::Prefix> pool(1 + rng.NextBelow(40));
+  for (netsim::Prefix& prefix : pool) {
+    const auto bits = static_cast<std::uint32_t>(rng.Next()) & varying;
+    const int length =
+        rng.NextBool(0.1) ? 25 + static_cast<int>(rng.NextBelow(8)) : 24;
+    prefix = netsim::Prefix::Of(netsim::Ipv4Address(fixed | bits), length);
+  }
+  auto draw = [&] { return pool[rng.NextBelow(pool.size())]; };
+  BlockMap map;
+  map.blocks.resize(rng.NextBelow(6));
+  for (cluster::AggregateBlock& block : map.blocks) {
+    for (std::uint64_t m = rng.NextBelow(5); m > 0; --m) {
+      block.member_24s.push_back(draw());
+    }
+  }
+  for (std::uint64_t c = rng.NextBelow(12); c > 0; --c) {
+    const std::uint64_t token = rng.NextBelow(7);
+    map.classified.push_back(
+        {draw(), token < 5 ? static_cast<std::uint8_t>(token) : kNoClass});
+  }
+  return map;
+}
+
+TEST(SnapshotEntries, MatchesTheMapOracleOnSeededInputs) {
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const BlockMap map = RandomBlockMap(seed);
+    ExpectSameEntries(BuildSnapshotEntries(map.blocks, map.classified),
+                      test::OracleSnapshotEntries(map.blocks, map.classified),
+                      "seed " + std::to_string(seed));
+  }
+}
+
+TEST(SnapshotEntries, DuplicateKeysResolveByTheDocumentedRule) {
+  const std::uint8_t same = Token(core::Classification::kSameLastHop);
+  const std::uint8_t few = Token(core::Classification::kTooFewActive);
+  std::vector<cluster::AggregateBlock> blocks(3);
+  // 30.0.0.0/24 in blocks 1 and 2 (lowest index wins); 40.0.0.0/24
+  // twice in block 2; members out of key order.
+  blocks[1].member_24s = {Pfx("40.0.0.0/24"), Pfx("30.0.0.0/24")};
+  blocks[2].member_24s = {Pfx("40.0.0.0/24"), Pfx("30.0.0.0/24"),
+                          Pfx("40.0.0.0/24")};
+  const std::vector<ClassifiedPrefix> classified = {
+      // Classified twice, kNoClass first: the second token wins.
+      {Pfx("30.0.0.0/24"), kNoClass},
+      {Pfx("30.0.0.0/24"), same},
+      {Pfx("30.0.0.0/24"), few},
+      // Classified only: no block.
+      {Pfx("50.0.0.0/24"), few},
+      {Pfx("10.0.0.0/24"), kNoClass},
+  };
+  const std::vector<SnapshotEntry> want = {
+      {Addr("10.0.0.0").value(), kNoBlock, kNoClass},
+      {Addr("30.0.0.0").value(), 1, same},
+      {Addr("40.0.0.0").value(), 1, kNoClass},
+      {Addr("50.0.0.0").value(), kNoBlock, few},
+  };
+  ExpectSameEntries(BuildSnapshotEntries(blocks, classified), want, "rule");
+  ExpectSameEntries(test::OracleSnapshotEntries(blocks, classified), want,
+                    "oracle");
+}
+
+TEST(SnapshotEntries, EmptyInputsResolveToNoEntries) {
+  const std::vector<cluster::AggregateBlock> no_members(4);
+  EXPECT_TRUE(BuildSnapshotEntries({}, {}).empty());
+  EXPECT_TRUE(BuildSnapshotEntries(no_members, {}).empty());
+  const std::vector<ClassifiedPrefix> one = {{Pfx("9.9.9.0/24"), kNoClass}};
+  ExpectSameEntries(BuildSnapshotEntries({}, one),
+                    test::OracleSnapshotEntries({}, one), "classified only");
+}
+
+/// A census-sized block map (3.37 M /24s, ~710 k blocks) shaped like the
+/// end-to-end benchmark's census, but with blocks and classified records
+/// in descending key order, so every sort pass has to move them.
+BlockMap ReversedCensus(std::size_t entries, std::uint64_t seed) {
+  BlockMap map;
+  netsim::Rng rng(seed);
+  std::uint32_t cursor = 0x010000;  // /24 index of 1.0.0.0
+  auto slash24 = [](std::uint32_t index) {
+    return netsim::Prefix::Of(netsim::Ipv4Address(index << 8), 24);
+  };
+  while (map.classified.size() < entries) {
+    cursor += static_cast<std::uint32_t>(rng.NextBelow(25));
+    if (rng.NextBool(0.2)) {
+      map.classified.push_back(
+          {slash24(cursor++), Token(core::Classification::kTooFewActive)});
+      continue;
+    }
+    cluster::AggregateBlock block;
+    for (std::uint64_t m = 1 + rng.NextBelow(8); m > 0; --m, ++cursor) {
+      block.member_24s.push_back(slash24(cursor));
+      map.classified.push_back(
+          {slash24(cursor), Token(core::Classification::kSameLastHop)});
+    }
+    block.last_hops.emplace_back(static_cast<std::uint32_t>(rng.Next()));
+    map.blocks.push_back(std::move(block));
+  }
+  std::reverse(map.blocks.begin(), map.blocks.end());
+  std::reverse(map.classified.begin(), map.classified.end());
+  return map;
+}
+
+TEST(SnapshotEntries, CensusSizedCompileMatchesTheOracleByteForByte) {
+  const BlockMap census = ReversedCensus(3'370'000, 17);
+  std::vector<std::byte> blocktab;
+  std::vector<std::byte> hops;
+  AppendBlockTable(census.blocks, &blocktab, &hops);
+  const std::vector<std::byte> want = AssembleSnapshotV2(
+      test::OracleSnapshotEntries(census.blocks, census.classified), blocktab,
+      hops, 3);
+  EXPECT_TRUE(CompileSnapshotV2(census.blocks, census.classified, 3) == want);
 }
 
 }  // namespace

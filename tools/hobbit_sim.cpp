@@ -26,9 +26,9 @@
 //                         [--churn N] [--perpacket N] [--outage PREFIX]
 //                         [--segment B] [--mda-lite] [--stream]
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -54,6 +54,22 @@ namespace {
 
 using namespace hobbit;
 
+/// The numeric flags, each parsed strictly by main before any command
+/// runs: integers take a plain decimal, the rest a number in [min, max].
+constexpr const char* kIntegerFlags[] = {
+    "seed", "window", "segment", "publish-every", "churn-every", "epoch",
+    "perpacket", "churn"};
+struct RealFlag {
+  const char* name;
+  double min;
+  double max;
+};
+constexpr RealFlag kRealFlags[] = {
+    {"scale", std::numeric_limits<double>::min(), 100.0},
+    {"loss", 0.0, 1.0},
+    {"ratelimit", 0.0, 1.0},
+    {"loops", 0.0, 1.0}};
+
 struct Args {
   std::string command;
   std::vector<std::string> positional;
@@ -61,12 +77,24 @@ struct Args {
   /// --threads, checked by main before any command runs: the size of
   /// the one pool a campaign command builds and shares across stages.
   int threads = 1;
+  /// The kIntegerFlags and kRealFlags given, as parsed by main.
+  std::map<std::string, std::uint64_t> integers;
+  std::map<std::string, double> reals;
 
   bool Has(const std::string& flag) const { return flags.count(flag) > 0; }
   std::string Get(const std::string& flag,
                   const std::string& fallback) const {
     auto pos = flags.find(flag);
     return pos == flags.end() ? fallback : pos->second;
+  }
+  std::uint64_t Integer(const std::string& flag,
+                        std::uint64_t fallback) const {
+    auto pos = integers.find(flag);
+    return pos == integers.end() ? fallback : pos->second;
+  }
+  double Real(const std::string& flag, double fallback) const {
+    auto pos = reals.find(flag);
+    return pos == reals.end() ? fallback : pos->second;
   }
 };
 
@@ -95,8 +123,8 @@ Args ParseArgs(int argc, char** argv) {
 
 netsim::Internet BuildWorld(const Args& args) {
   netsim::InternetConfig config;
-  config.seed = std::strtoull(args.Get("seed", "42").c_str(), nullptr, 10);
-  config.scale = std::atof(args.Get("scale", "0.1").c_str());
+  config.seed = args.Integer("seed", 42);
+  config.scale = args.Real("scale", 0.1);
   return netsim::BuildInternet(config);
 }
 
@@ -122,7 +150,10 @@ int Usage() {
       "             [--loss P] [--ratelimit P] [--loops P]\n"
       "             [--churn N] [--perpacket N] [--outage PREFIX]\n"
       "             [--segment B] [--mda-lite] [--stream]\n"
-      "  --threads T takes a plain decimal in 1-1024 (default 1).\n";
+      "  --threads T takes a plain decimal in 1-1024 (default 1).\n"
+      "  --seed, --window, --segment, --publish-every, --churn-every,\n"
+      "  --epoch, --perpacket and --churn take a plain decimal; --scale a\n"
+      "  number in (0, 100]; --loss, --ratelimit and --loops one in [0, 1].\n";
   return 2;
 }
 
@@ -158,8 +189,7 @@ int CmdMeasure(const Args& args) {
   // --threads is the single knob for the whole campaign.
   common::ThreadPool pool(args.threads);
   core::PipelineConfig config;
-  config.seed =
-      std::strtoull(args.Get("seed", "42").c_str(), nullptr, 10);
+  config.seed = args.Integer("seed", 42);
   config.pool = &pool;
   core::PipelineResult result = core::RunPipeline(internet, config);
 
@@ -408,8 +438,7 @@ int CmdExportSnapshot(const Args& args) {
     std::cerr << "export-snapshot needs --out\n";
     return 2;
   }
-  std::uint64_t epoch =
-      std::strtoull(args.Get("epoch", "0").c_str(), nullptr, 10);
+  std::uint64_t epoch = args.Integer("epoch", 0);
   std::vector<cluster::AggregateBlock> blocks;
   std::vector<serve::ClassifiedPrefix> classified;
   if (args.Has("blocks")) {
@@ -442,8 +471,7 @@ int CmdExportSnapshot(const Args& args) {
     netsim::Internet internet = BuildWorld(args);
     common::ThreadPool pool(args.threads);
     core::PipelineConfig config;
-    config.seed =
-        std::strtoull(args.Get("seed", "42").c_str(), nullptr, 10);
+    config.seed = args.Integer("seed", 42);
     config.pool = &pool;
     core::PipelineResult result = core::RunPipeline(internet, config);
     blocks = cluster::AggregateIdentical(result.HomogeneousBlocks());
@@ -487,21 +515,16 @@ int CmdStreamCampaign(const Args& args) {
   serve::SnapshotStore store;
 
   stream::StreamConfig config;
-  config.campaign.seed =
-      std::strtoull(args.Get("seed", "42").c_str(), nullptr, 10);
+  config.campaign.seed = args.Integer("seed", 42);
   config.campaign.pool = &pool;
-  config.window = std::strtoull(args.Get("window", "256").c_str(), nullptr, 10);
-  config.segment =
-      std::strtoull(args.Get("segment", "0").c_str(), nullptr, 10);
-  config.publish_every =
-      std::strtoull(args.Get("publish-every", "0").c_str(), nullptr, 10);
-  config.epoch_base =
-      std::strtoull(args.Get("epoch", "1").c_str(), nullptr, 10);
+  config.window = args.Integer("window", 256);
+  config.segment = args.Integer("segment", 0);
+  config.publish_every = args.Integer("publish-every", 0);
+  config.epoch_base = args.Integer("epoch", 1);
   config.store = &store;
   config.verify_full_reference = args.Has("verify");
 
-  const std::size_t churn_every =
-      std::strtoull(args.Get("churn-every", "0").c_str(), nullptr, 10);
+  const std::size_t churn_every = args.Integer("churn-every", 0);
   netsim::Rng churn_rng = netsim::Rng(config.campaign.seed).Fork(0xC4024ULL);
   std::size_t churn_flips = 0;
   if (churn_every > 0) {
@@ -575,20 +598,17 @@ int CmdStreamCampaign(const Args& args) {
 // MDA-Lite probing, then diff the classifications against a clean
 // full-MDA baseline of the same world.
 int CmdScenario(const Args& args) {
-  const std::uint64_t seed =
-      std::strtoull(args.Get("seed", "42").c_str(), nullptr, 10);
+  const std::uint64_t seed = args.Integer("seed", 42);
 
   scenario::ScenarioSpec spec;
   spec.seed = seed;
   spec.artifacts.seed = seed;
-  spec.artifacts.p_probe_loss = std::atof(args.Get("loss", "0").c_str());
-  spec.artifacts.p_rate_limit =
-      std::atof(args.Get("ratelimit", "0").c_str());
-  spec.artifacts.p_loop = std::atof(args.Get("loops", "0").c_str());
-  spec.segment = std::strtoull(args.Get("segment", "0").c_str(), nullptr, 10);
+  spec.artifacts.p_probe_loss = args.Real("loss", 0.0);
+  spec.artifacts.p_rate_limit = args.Real("ratelimit", 0.0);
+  spec.artifacts.p_loop = args.Real("loops", 0.0);
+  spec.segment = args.Integer("segment", 0);
 
-  const std::size_t perpacket =
-      std::strtoull(args.Get("perpacket", "0").c_str(), nullptr, 10);
+  const std::size_t perpacket = args.Integer("perpacket", 0);
   if (perpacket > 0) {
     scenario::ScenarioEvent event;
     event.action = scenario::ScenarioAction::kLbReconfigure;
@@ -596,8 +616,7 @@ int CmdScenario(const Args& args) {
     event.count = perpacket;
     spec.events.push_back(event);
   }
-  const std::size_t churn =
-      std::strtoull(args.Get("churn", "0").c_str(), nullptr, 10);
+  const std::size_t churn = args.Integer("churn", 0);
   if (churn > 0) {
     scenario::ScenarioEvent event;
     event.action = scenario::ScenarioAction::kRouteChurn;
@@ -729,6 +748,25 @@ int main(int argc, char** argv) {
   if (args.Has("threads") &&
       !tools::ParseNumber(args.Get("threads", ""), 1, 1024, &args.threads)) {
     return Usage();
+  }
+  for (const char* flag : kIntegerFlags) {
+    if (!args.Has(flag)) continue;
+    std::uint64_t value = 0;
+    if (!tools::ParseNumber(args.Get(flag, ""), std::uint64_t{0},
+                            std::numeric_limits<std::uint64_t>::max(),
+                            &value)) {
+      return Usage();
+    }
+    args.integers[flag] = value;
+  }
+  for (const RealFlag& flag : kRealFlags) {
+    if (!args.Has(flag.name)) continue;
+    double value = 0.0;
+    if (!tools::ParseNumber(args.Get(flag.name, ""), flag.min, flag.max,
+                            &value)) {
+      return Usage();
+    }
+    args.reals[flag.name] = value;
   }
   if (args.command == "generate") return CmdGenerate(args);
   if (args.command == "measure") return CmdMeasure(args);
