@@ -131,10 +131,17 @@ int main(int argc, char** argv) {
   bool gates_pass = true;
   const std::vector<int> thread_counts =
       quick ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
+  // Wall and process CPU seconds of each timed pass, for the failure
+  // report.
+  std::vector<double> wall_seconds;
+  std::vector<double> cpu_seconds;
   for (int threads : thread_counts) {
     common::ThreadPool pool(threads);
     cluster::MclAggregationResult result;
+    const double cpu_before = bench::ProcessCpuSeconds();
     StageTimes times = RunClusteringStage(world, pool, &result);
+    cpu_seconds.push_back(bench::ProcessCpuSeconds() - cpu_before);
+    wall_seconds.push_back(times.total());
     if (threads == 1) {
       baseline = std::move(result);
       baseline_total = times.total();
@@ -176,6 +183,13 @@ int main(int argc, char** argv) {
   }
   if (!gates_pass) {
     std::printf("scaling gate FAILED (threads_hw=%u; see table)\n", hw);
+    // CPU time next to wall time tells a starved process (CPU about
+    // wall: one core's worth) from workers that ran (CPU about N x wall).
+    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+      std::printf("  %d thread(s): timed pass wall %.3f s, process CPU "
+                  "%.3f s\n",
+                  thread_counts[i], wall_seconds[i], cpu_seconds[i]);
+    }
     return 2;
   }
   std::printf("scaling gates passed (threads_hw=%u)\n", hw);

@@ -62,8 +62,9 @@ int main() {
     }
   }
 
-  analysis::TracerouteCorpus corpus =
-      analysis::CollectCorpus(*world.internet.simulator, destinations);
+  netsim::RouteMemo memo;
+  analysis::TracerouteCorpus corpus = analysis::CollectCorpus(
+      *world.internet.simulator, memo, destinations);
   std::cout << "corpus: " << corpus.entries.size() << " traceroutes, "
             << corpus.total_links << " distinct links, "
             << sampled_24s.size() << " /24s\n\n";

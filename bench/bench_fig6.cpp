@@ -25,6 +25,7 @@ int main() {
   std::vector<std::pair<std::string, std::vector<double>>> curves;
 
   // The paper studies the large "Broadband"/mobile blocks of Table 5.
+  netsim::RouteMemo memo;
   int printed = 0;
   for (std::size_t i = 0; i < world.final_blocks.size() && printed < 8;
        ++i) {
@@ -39,7 +40,7 @@ int main() {
     }
     // Paper: 200 sampled /24s x 20 pings; scaled down here.
     std::vector<double> deltas = analysis::FirstRttDeltas(
-        world.internet, block, 60, 20, world.seed + i);
+        world.internet, memo, block, 60, 20, world.seed + i);
     if (deltas.size() < 40) continue;
     curves.emplace_back(as->organization + " #" + std::to_string(i + 1),
                         deltas);

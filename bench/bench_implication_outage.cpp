@@ -72,6 +72,7 @@ int main() {
   std::cout << "split /24s under watch: " << cases.size() << "\n\n";
 
   analysis::DetectionParams params;
+  netsim::RouteMemo memo;  // one for every probe of the loop below
   std::size_t partial_outages = 0;
   std::size_t caught_24 = 0, caught_sub = 0;
   std::size_t false_alarms_24 = 0, false_alarms_sub = 0;
@@ -81,19 +82,20 @@ int main() {
     const SplitCase& c = cases[i];
     // Baselines for both granularities (no outage installed).
     analysis::WatchedBlock watch_24 =
-        analysis::MakeWatchedBlock(simulator, c.all_actives);
+        analysis::MakeWatchedBlock(simulator, memo, c.all_actives);
     std::vector<analysis::WatchedBlock> watch_subs;
     for (const auto& members : c.members) {
-      watch_subs.push_back(analysis::MakeWatchedBlock(simulator, members));
+      watch_subs.push_back(
+          analysis::MakeWatchedBlock(simulator, memo, members));
     }
 
     // Sanity: with no outage, neither unit should raise an alarm.
-    auto quiet_24 =
-        analysis::DetectOutage(simulator, watch_24, params, rng.Fork(i));
+    auto quiet_24 = analysis::DetectOutage(simulator, memo, watch_24, params,
+                                           rng.Fork(i));
     false_alarms_24 += quiet_24.verdict == analysis::OutageVerdict::kDown;
     for (std::size_t s = 0; s < watch_subs.size(); ++s) {
-      auto quiet = analysis::DetectOutage(simulator, watch_subs[s], params,
-                                          rng.Fork(1000 + i * 8 + s));
+      auto quiet = analysis::DetectOutage(simulator, memo, watch_subs[s],
+                                          params, rng.Fork(1000 + i * 8 + s));
       false_alarms_sub += quiet.verdict == analysis::OutageVerdict::kDown;
     }
 
@@ -104,15 +106,15 @@ int main() {
     simulator.SetOutageOverlay(&overlay);
     ++partial_outages;
 
-    auto during_24 =
-        analysis::DetectOutage(simulator, watch_24, params, rng.Fork(2000 + i));
+    auto during_24 = analysis::DetectOutage(simulator, memo, watch_24, params,
+                                            rng.Fork(2000 + i));
     probes_24 += static_cast<std::uint64_t>(during_24.probes_used);
     caught_24 += during_24.verdict == analysis::OutageVerdict::kDown;
 
     bool sub_caught = false;
     for (std::size_t s = 0; s < watch_subs.size(); ++s) {
-      auto during = analysis::DetectOutage(simulator, watch_subs[s], params,
-                                           rng.Fork(3000 + i * 8 + s));
+      auto during = analysis::DetectOutage(simulator, memo, watch_subs[s],
+                                           params, rng.Fork(3000 + i * 8 + s));
       probes_sub += static_cast<std::uint64_t>(during.probes_used);
       if (s == 0) {
         sub_caught = during.verdict == analysis::OutageVerdict::kDown;

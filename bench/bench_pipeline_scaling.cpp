@@ -45,6 +45,10 @@ struct CampaignRun {
   std::uint64_t probes = 0;
   std::size_t blocks = 0;
   std::string serialized;  // resultio v1 dump of the classifications
+  // Set by MedianRun: wall and process CPU seconds summed over every
+  // timed pass at this thread count (the failure report prints both).
+  double timed_wall_seconds = 0.0;
+  double timed_cpu_seconds = 0.0;
 };
 
 CampaignRun RunCampaign(const netsim::Internet& internet, std::uint64_t seed,
@@ -85,17 +89,28 @@ CampaignRun MedianRun(const netsim::Internet& internet, std::uint64_t seed,
   // first timer starts.
   common::ThreadPool pool(threads);
   std::vector<CampaignRun> timed;
+  double wall_seconds = 0.0;
+  double cpu_seconds = 0.0;
   for (int pass = 0; pass <= kTimedPasses; ++pass) {
+    const double cpu_before = bench::ProcessCpuSeconds();
     CampaignRun run = RunCampaign(internet, seed, scale, &pool);
+    const double cpu_used = bench::ProcessCpuSeconds() - cpu_before;
     if (!reference->has_value()) *reference = run.serialized;
     *identical = *identical && run.serialized == **reference;
-    if (pass > 0) timed.push_back(std::move(run));
+    if (pass > 0) {
+      wall_seconds += run.seconds;
+      cpu_seconds += cpu_used;
+      timed.push_back(std::move(run));
+    }
   }
   std::sort(timed.begin(), timed.end(),
             [](const CampaignRun& a, const CampaignRun& b) {
               return a.seconds < b.seconds;
             });
-  return std::move(timed[kTimedPasses / 2]);
+  CampaignRun median = std::move(timed[kTimedPasses / 2]);
+  median.timed_wall_seconds = wall_seconds;
+  median.timed_cpu_seconds = cpu_seconds;
+  return median;
 }
 
 netsim::Internet BuildAt(double scale, std::uint64_t seed) {
@@ -141,6 +156,8 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   // 1t / 4t wall time at the largest scale.
   double thread_scaling = 0.0;
+  // The largest scale's runs by thread count, for the failure report.
+  std::vector<std::pair<int, CampaignRun>> last_scale_runs;
   for (double scale : scales) {
     const netsim::Internet internet = BuildAt(scale, seed);
     std::printf("\nscale %.3g\n", scale);
@@ -153,6 +170,7 @@ int main(int argc, char** argv) {
     const std::string tag = tag_buffer;
     std::optional<std::string> reference;  // the 1-thread classifications
     CampaignRun baseline;
+    last_scale_runs.clear();
     for (int t : threads) {
       bool identical = true;
       CampaignRun run =
@@ -174,6 +192,8 @@ int main(int argc, char** argv) {
       report.Metric(prefix + "_measure_seconds", run.measurement_seconds);
       report.Metric(prefix + "_speedup", speedup);
       if (t == 4) thread_scaling = speedup;
+      run.serialized.clear();
+      last_scale_runs.emplace_back(t, std::move(run));
     }
   }
 
@@ -195,6 +215,17 @@ int main(int argc, char** argv) {
                 "one core cannot show speedup)\n");
     return 77;
   }
-  if (thread_scaling < require_thread_scaling) return 3;
+  if (thread_scaling < require_thread_scaling) {
+    // CPU time next to wall time tells a starved process (CPU about
+    // wall: one core's worth) from workers that ran (CPU about N x wall).
+    std::printf("thread-scaling gate FAILED; the %d timed passes at the "
+                "largest scale:\n",
+                kTimedPasses);
+    for (const auto& [t, run] : last_scale_runs) {
+      std::printf("  %d thread(s): wall %.3f s, process CPU %.3f s\n", t,
+                  run.timed_wall_seconds, run.timed_cpu_seconds);
+    }
+    return 3;
+  }
   return 0;
 }

@@ -22,6 +22,7 @@ int main() {
   const bench::World& world = bench::GetWorld();
   const netsim::Simulator& simulator = *world.internet.simulator;
   netsim::Rng rng(world.seed + 0x9E1ULL);
+  netsim::RouteMemo memo;
   std::uint64_t serial = 1;
 
   const std::size_t kBlocks =
@@ -51,7 +52,8 @@ int main() {
       std::vector<std::vector<probing::Route>> route_sets;
       bool all_reached = true;
       for (netsim::Ipv4Address pick : picks) {
-        auto routes = probing::EnumerateRoutes(simulator, pick, serial);
+        auto routes =
+            probing::EnumerateRoutes(simulator, memo, pick, serial);
         if (routes.empty()) all_reached = false;
         route_sets.push_back(std::move(routes));
       }
@@ -80,8 +82,10 @@ int main() {
       if ((a & 1) != 0 || !block.IsActive(b2)) continue;
       netsim::Ipv4Address addr_a(block.prefix.base().value() | a);
       netsim::Ipv4Address addr_b(block.prefix.base().value() | b2);
-      auto routes_a = probing::EnumerateRoutes(simulator, addr_a, serial);
-      auto routes_b = probing::EnumerateRoutes(simulator, addr_b, serial);
+      auto routes_a =
+          probing::EnumerateRoutes(simulator, memo, addr_a, serial);
+      auto routes_b =
+          probing::EnumerateRoutes(simulator, memo, addr_b, serial);
       if (routes_a.empty() || routes_b.empty()) break;
       ++pairs;
       if (!probing::RouteSetsShareARoute(routes_a, routes_b, true)) {

@@ -1,5 +1,7 @@
 #include "common.h"
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <thread>
 #include <cstdio>
@@ -82,6 +84,16 @@ World BuildWorld() {
 double WorldScale() { return ParseEnvDouble("HOBBIT_SCALE", 0.25); }
 
 std::uint64_t WorldSeed() { return ParseEnvU64("HOBBIT_SEED", 42); }
+
+double ProcessCpuSeconds() {
+  struct rusage usage {};
+  ::getrusage(RUSAGE_SELF, &usage);
+  auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) / 1e6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
 
 const World& GetWorld() {
   static World world = BuildWorld();

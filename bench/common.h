@@ -43,6 +43,12 @@ const World& GetWorld();
 double WorldScale();
 std::uint64_t WorldSeed();
 
+/// User plus system CPU seconds this process has used so far
+/// (getrusage RUSAGE_SELF).  A scaling smoke prints its delta over the
+/// timed passes when a floor fails: about wall seconds means the process
+/// got one CPU's worth of time, about N times wall means N.
+double ProcessCpuSeconds();
+
 /// Prints the standard bench header (experiment id + scale note).
 void PrintHeader(const std::string& experiment,
                  const std::string& paper_reference);

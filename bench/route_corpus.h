@@ -35,6 +35,7 @@ struct BlockRouteSet {
 inline std::vector<BlockRouteSet> CollectRouteCorpus(const World& world,
                                                      std::size_t max_blocks) {
   std::vector<BlockRouteSet> corpus;
+  netsim::RouteMemo memo;
   std::uint64_t serial = 1;
   for (const probing::ZmapBlock& block : world.pipeline.study_blocks) {
     if (corpus.size() >= max_blocks) break;
@@ -45,7 +46,7 @@ inline std::vector<BlockRouteSet> CollectRouteCorpus(const World& world,
     for (std::uint8_t octet : block.ActiveOctets()) {
       netsim::Ipv4Address address(block.prefix.base().value() | octet);
       std::vector<probing::Route> routes = probing::EnumerateRoutes(
-          *world.internet.simulator, address, serial);
+          *world.internet.simulator, memo, address, serial);
       if (routes.empty()) continue;
       entry.observations.push_back({address, std::move(routes)});
     }

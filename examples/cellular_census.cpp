@@ -41,12 +41,13 @@ int main(int argc, char** argv) {
   analysis::TextTable table({"block", "org", "size", "share >0.5s",
                              "verdict"});
   std::vector<const cluster::AggregateBlock*> cellular_blocks;
+  netsim::RouteMemo memo;
   for (std::size_t i = 0; i < aggregates.size() && i < 12; ++i) {
     const cluster::AggregateBlock& block = aggregates[i];
     const netsim::AsInfo* as =
         analysis::AsOfBlock(internet.registry, block);
-    std::vector<double> deltas =
-        analysis::FirstRttDeltas(internet, block, 30, 20, config.seed + i);
+    std::vector<double> deltas = analysis::FirstRttDeltas(
+        internet, memo, block, 30, 20, config.seed + i);
     if (deltas.size() < 30) continue;
     analysis::Ecdf ecdf(std::move(deltas));
     const double above = 1.0 - ecdf.At(0.5);

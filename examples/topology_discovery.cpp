@@ -56,8 +56,9 @@ int main(int argc, char** argv) {
 
   std::cout << "== collecting traceroute corpus (" << destinations.size()
             << " destinations) ==\n";
+  netsim::RouteMemo memo;
   analysis::TracerouteCorpus corpus =
-      analysis::CollectCorpus(*internet.simulator, destinations);
+      analysis::CollectCorpus(*internet.simulator, memo, destinations);
   std::cout << corpus.total_links << " distinct router-router links\n\n";
 
   // Build strata for both plans.

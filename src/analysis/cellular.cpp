@@ -28,11 +28,12 @@ std::vector<netsim::Prefix> SampleMembers(
 }  // namespace
 
 std::vector<double> FirstRttDeltas(const netsim::Internet& internet,
+                                   netsim::RouteMemo& memo,
                                    const cluster::AggregateBlock& block,
                                    int sample_24s, int pings_per_address,
                                    std::uint64_t seed) {
   netsim::Rng rng(seed);
-  probing::Pinger pinger(internet.simulator.get());
+  probing::Pinger pinger(internet.simulator.get(), memo);
   std::vector<double> deltas;
   for (const netsim::Prefix& slash24 :
        SampleMembers(block, static_cast<std::size_t>(sample_24s), rng)) {

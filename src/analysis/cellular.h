@@ -22,8 +22,10 @@ namespace hobbit::analysis {
 
 /// Sends ping trains into a block and returns, per responsive address,
 /// first RTT minus the maximum of the remaining RTTs, in **seconds**
-/// (Fig 6's x axis).  Samples `sample_24s` member /24s.
+/// (Fig 6's x axis).  Samples `sample_24s` member /24s.  Pings through
+/// the caller's `memo` (one per loop over blocks).
 std::vector<double> FirstRttDeltas(const netsim::Internet& internet,
+                                   netsim::RouteMemo& memo,
                                    const cluster::AggregateBlock& block,
                                    int sample_24s, int pings_per_address,
                                    std::uint64_t seed);

@@ -7,10 +7,10 @@
 namespace hobbit::analysis {
 
 WatchedBlock MakeWatchedBlock(
-    const netsim::Simulator& simulator,
+    const netsim::Simulator& simulator, netsim::RouteMemo& memo,
     const std::vector<netsim::Ipv4Address>& candidates) {
   WatchedBlock block;
-  probing::Pinger pinger(&simulator);
+  probing::Pinger pinger(&simulator, memo);
   for (netsim::Ipv4Address address : candidates) {
     if (pinger.Ping(address).has_value()) block.actives.push_back(address);
   }
@@ -23,6 +23,7 @@ WatchedBlock MakeWatchedBlock(
 }
 
 DetectionResult DetectOutage(const netsim::Simulator& simulator,
+                             netsim::RouteMemo& memo,
                              const WatchedBlock& block,
                              const DetectionParams& params,
                              netsim::Rng rng) {
@@ -39,7 +40,7 @@ DetectionResult DetectOutage(const netsim::Simulator& simulator,
   for (std::size_t i = 0; i + 1 < order.size(); ++i) {
     std::swap(order[i], order[i + rng.NextBelow(order.size() - i)]);
   }
-  probing::Pinger pinger(&simulator);
+  probing::Pinger pinger(&simulator, memo);
   // P(response | up): a known-active answers with (churn-adjusted)
   // probability close to 1; Trinocular uses the block's A for fresh
   // addresses.  Use a conservative blend.

@@ -46,13 +46,15 @@ struct DetectionResult {
 };
 
 /// Builds a watch unit by probing every address once at baseline (no
-/// outage installed) and keeping the responders.
+/// outage installed) and keeping the responders.  Both functions probe
+/// through the caller's `memo`; pass one memo to every call of a loop.
 WatchedBlock MakeWatchedBlock(
-    const netsim::Simulator& simulator,
+    const netsim::Simulator& simulator, netsim::RouteMemo& memo,
     const std::vector<netsim::Ipv4Address>& candidates);
 
 /// One adaptive detection round against the current network state.
 DetectionResult DetectOutage(const netsim::Simulator& simulator,
+                             netsim::RouteMemo& memo,
                              const WatchedBlock& block,
                              const DetectionParams& params, netsim::Rng rng);
 

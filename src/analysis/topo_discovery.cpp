@@ -8,7 +8,7 @@
 namespace hobbit::analysis {
 
 TracerouteCorpus CollectCorpus(
-    const netsim::Simulator& simulator,
+    const netsim::Simulator& simulator, netsim::RouteMemo& memo,
     std::span<const netsim::Ipv4Address> destinations) {
   TracerouteCorpus corpus;
   corpus.entries.reserve(destinations.size());
@@ -19,8 +19,8 @@ TracerouteCorpus CollectCorpus(
     // shows up across the corpus.
     auto flow = static_cast<std::uint16_t>(
         netsim::StableHash({destination.value(), 0xF10ULL}) & 0xFFFF);
-    probing::Route route =
-        probing::ParisTraceroute(simulator, destination, flow, serial);
+    probing::Route route = probing::ParisTraceroute(simulator, memo,
+                                                    destination, flow, serial);
     if (!route.reached_destination) continue;
     CorpusEntry entry;
     entry.destination = destination;

@@ -36,9 +36,9 @@ struct TracerouteCorpus {
 
 /// Collects one Paris traceroute per destination (flow identifier varied
 /// per destination, so per-flow path diversity appears across the corpus
-/// as it did in the paper's MDA dataset).
+/// as it did in the paper's MDA dataset), through the caller's `memo`.
 TracerouteCorpus CollectCorpus(
-    const netsim::Simulator& simulator,
+    const netsim::Simulator& simulator, netsim::RouteMemo& memo,
     std::span<const netsim::Ipv4Address> destinations);
 
 /// One point of a discovery curve.

@@ -80,7 +80,7 @@ void MergeLastHops(std::vector<netsim::Ipv4Address>& set,
 
 BlockResult BlockProber::ProbeBlock(const probing::ZmapBlock& block,
                                     netsim::Rng rng) {
-  probing::LastHopProber prober(simulator_, &memo_,
+  probing::LastHopProber prober(simulator_, memo_,
                                 options_.mda_lite ? probing::MdaMode::kLite
                                                   : probing::MdaMode::kFull);
   BlockResult result = ProbeBlockImpl(block, rng, prober);
@@ -221,7 +221,7 @@ FullyProbedBlock BlockProber::ProbeBlockFully(const probing::ZmapBlock& block,
   result.prefix = block.prefix;
 
   DestinationSchedule schedule(block, rng.Fork(0xF0BBULL));
-  probing::LastHopProber prober(simulator_, &memo_,
+  probing::LastHopProber prober(simulator_, memo_,
                                 options_.mda_lite ? probing::MdaMode::kLite
                                                   : probing::MdaMode::kFull);
   std::vector<netsim::Ipv4Address> union_set;

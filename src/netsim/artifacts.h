@@ -18,9 +18,9 @@
 //   * A zero-intensity implementation must leave the reply untouched;
 //     the scenario differential tests pin installed-but-idle hooks to
 //     bit-identical pipeline output.
-//   * The hook only sees measurement probes (Send).  Ground-truth
-//     helpers (ResolvePath, GroundTruthLastHop) and the zmap snapshot
-//     (which reads the HostModel directly) stay artifact-free.
+//   * The hook only sees measurement probes (Send).  The ground-truth
+//     path (ResolvePath) and the zmap snapshot (which reads the
+//     HostModel directly) stay artifact-free.
 #pragma once
 
 namespace hobbit::netsim {

@@ -31,8 +31,10 @@
 //     `{serial, 0xBEEF}`), because its pick depends on the serial;
 //   * the RouterResponds draw, a pure function of (router, destination),
 //     made on first use.
-// Replies through a memo are therefore bit-identical to replies without
-// one (tests/test_route_memo.cpp checks that differentially).
+// Simulator::Send and ResolvePath walk only through a memo, so rows are
+// the simulator's one forward walk.  tests/test_route_memo.cpp checks its
+// paths against the FIB-resolved walk of tests/walk_oracle.h, and replies
+// through a warm memo against replies through a fresh one.
 //
 // Invalidation: rows depend on the topology (FIBs, subnets, response
 // models) and on the simulator that decoded them (its seed and source

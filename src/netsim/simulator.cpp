@@ -56,7 +56,7 @@ RouterId Simulator::PickNextHop(RouterId router, const EcmpGroup& group,
 std::vector<RouterId> Simulator::ResolvePath(Ipv4Address destination,
                                              std::uint16_t flow_id,
                                              std::uint64_t serial,
-                                             RouteMemo* memo) const {
+                                             RouteMemo& memo) const {
   HopAt unused;
   std::vector<RouterId> path;
   WalkForward(destination, flow_id, serial, memo, 0, &unused, &path);
@@ -119,39 +119,17 @@ void Simulator::DecodeRow(RouterId router, Ipv4Address dst,
 }
 
 int Simulator::WalkForward(Ipv4Address destination, std::uint16_t flow_id,
-                           std::uint64_t serial, RouteMemo* memo,
+                           std::uint64_t serial, RouteMemo& memo,
                            int want_hop, HopAt* at_hop,
                            std::vector<RouterId>* full_path) const {
-  if (memo == nullptr) {
-    // Reference walk: every hop resolved from the topology.
-    SubnetId subnet_id = topology_->FindSubnet(destination);
-    if (subnet_id == kNoSubnet) return 0;
-    const auto& gateways = topology_->subnet(subnet_id).gateways;
-    RouterId current = source_router_;
-    for (int hop = 1; hop <= config_.max_hops; ++hop) {
-      if (hop == want_hop) at_hop->router = current;
-      if (full_path != nullptr) full_path->push_back(current);
-      for (RouterId gw : gateways) {
-        if (gw == current) return hop;
-      }
-      const FibEntry* entry =
-          topology_->router(current).fib.LookupEntry(destination);
-      if (entry == nullptr || entry->group.next_hops.empty()) break;
-      current =
-          PickNextHop(current, entry->group, destination, flow_id, serial);
-    }
-    if (full_path != nullptr) full_path->clear();
-    return 0;  // unroutable, a dead end, or a forwarding loop
-  }
-
-  memo->Bind(*topology_, seed_hash_state_, source_address_);
-  const SubnetId subnet_id = memo->FindSubnet(destination);
+  memo.Bind(*topology_, seed_hash_state_, source_address_);
+  const SubnetId subnet_id = memo.FindSubnet(destination);
   if (subnet_id == kNoSubnet) return 0;
   const Subnet& subnet = topology_->subnet(subnet_id);
   RouterId current = source_router_;
   for (int hop = 1; hop <= config_.max_hops; ++hop) {
     RouteMemo::HopRow& row =
-        memo->Row(current, destination, [&](RouteMemo::HopRow& fresh) {
+        memo.Row(current, destination, [&](RouteMemo::HopRow& fresh) {
           DecodeRow(current, destination, subnet, fresh);
         });
     if (hop == want_hop) *at_hop = {current, &row};
@@ -180,15 +158,8 @@ int Simulator::WalkForward(Ipv4Address destination, std::uint16_t flow_id,
   return 0;
 }
 
-RouterId Simulator::GroundTruthLastHop(Ipv4Address destination,
-                                       std::uint16_t flow_id) const {
-  std::vector<RouterId> path = ResolvePath(destination, flow_id, 0);
-  return path.empty() ? kNoRouter : path.back();
-}
-
 bool Simulator::RouterResponds(const HopAt& at,
                                Ipv4Address destination) const {
-  if (at.row == nullptr) return DrawResponds(at.router, destination);
   // The row was decoded for `destination` by this walk; the draw is a
   // pure function of (router, destination), so it is made once per row.
   RouteMemo::HopRow& row = *at.row;
@@ -227,7 +198,7 @@ int Simulator::ReverseHops(Ipv4Address destination, int forward_hops) const {
   return forward_hops + extra;
 }
 
-ProbeReply Simulator::Send(const ProbeSpec& probe, RouteMemo* memo) const {
+ProbeReply Simulator::Send(const ProbeSpec& probe, RouteMemo& memo) const {
   ArtifactContext context;
   ProbeReply reply = SendImpl(probe, memo, &context.path_length);
   // The single artifact application point: every termination path of
@@ -237,7 +208,7 @@ ProbeReply Simulator::Send(const ProbeSpec& probe, RouteMemo* memo) const {
   return reply;
 }
 
-ProbeReply Simulator::SendImpl(const ProbeSpec& probe, RouteMemo* memo,
+ProbeReply Simulator::SendImpl(const ProbeSpec& probe, RouteMemo& memo,
                                int* path_length_out) const {
   HopAt expiring;
   const int path_length = WalkForward(probe.destination, probe.flow_id,
@@ -263,9 +234,7 @@ ProbeReply Simulator::SendImpl(const ProbeSpec& probe, RouteMemo* memo,
     return reply;
   }
 
-  SubnetId subnet_id = memo != nullptr
-                           ? memo->FindSubnet(probe.destination)
-                           : topology_->FindSubnet(probe.destination);
+  const SubnetId subnet_id = memo.FindSubnet(probe.destination);
   if (subnet_id == kNoSubnet) return {};
   const Subnet& subnet = topology_->subnet(subnet_id);
   if (!host_model_.ActiveAtProbeTime(probe.destination, subnet)) return {};

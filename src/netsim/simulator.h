@@ -79,28 +79,30 @@ class Simulator {
             Ipv4Address source_address, HostModel host_model,
             RttModel rtt_model, SimulatorConfig config);
 
-  /// Sends one probe and returns what the source observes.  `memo`, when
-  /// non-null, serves each hop from the router's hop row (see route_memo.h);
-  /// replies are bit-identical with and without it.  The memo must be
-  /// owned by the calling thread — the simulator itself stays const and
-  /// writes no shared state, not even a packet counter: measurement load
-  /// is counted by the callers that own the probes (per-prober
-  /// BlockProber::probes_sent, summed per shard into
+  /// Sends one probe and returns what the source observes.  Every hop is
+  /// served from the router's hop row in `memo` (see route_memo.h), which
+  /// must be owned by the calling thread — the simulator itself stays
+  /// const and writes no shared state, not even a packet counter:
+  /// measurement load is counted by the callers that own the probes
+  /// (per-prober BlockProber::probes_sent, summed per shard into
   /// core::PipelineStats::probes_sent).
-  ProbeReply Send(const ProbeSpec& probe, RouteMemo* memo = nullptr) const;
+  ProbeReply Send(const ProbeSpec& probe, RouteMemo& memo) const;
 
   /// The forward router path the given header would take, ending with the
   /// last-hop router.  Empty when the destination is not routable.  This
-  /// is ground truth used by tests and by the internal walk — measurement
-  /// tools must not call it.
+  /// is ground truth for tests and benches, walked through `memo` like
+  /// Send — measurement tools must not call it.
   std::vector<RouterId> ResolvePath(Ipv4Address destination,
                                     std::uint16_t flow_id,
                                     std::uint64_t serial,
-                                    RouteMemo* memo = nullptr) const;
+                                    RouteMemo& memo) const;
 
-  /// Ground-truth last-hop router for a header, or kNoRouter.
-  RouterId GroundTruthLastHop(Ipv4Address destination,
-                              std::uint16_t flow_id) const;
+  /// Picks the next hop from an ECMP group at `router` for the header:
+  /// the one definition of each balancer policy's pick.  Hop rows fold
+  /// it (route_memo.h); the test oracle calls it hop by hop.
+  RouterId PickNextHop(RouterId router, const EcmpGroup& group,
+                       Ipv4Address dst, std::uint16_t flow_id,
+                       std::uint64_t serial) const;
 
   const Topology& topology() const { return *topology_; }
 
@@ -126,34 +128,30 @@ class Simulator {
   const HostModel& host_model() const { return host_model_; }
   const RttModel& rtt_model() const { return rtt_model_; }
   Ipv4Address source_address() const { return source_address_; }
+  RouterId source_router() const { return source_router_; }
+  int max_hops() const { return config_.max_hops; }
 
  private:
-  /// Picks the next hop from an ECMP group at `router` for the header.
-  RouterId PickNextHop(RouterId router, const EcmpGroup& group,
-                       Ipv4Address dst, std::uint16_t flow_id,
-                       std::uint64_t serial) const;
-
-  /// A router on the walk and, for a memoized walk, its hop row.
+  /// A router on the walk and its hop row.
   struct HopAt {
     RouterId router = kNoRouter;
     RouteMemo::HopRow* row = nullptr;
   };
 
   /// Fills `row` with the forwarding facts of `router` for `dst` (see
-  /// route_memo.h): the same decisions PickNextHop and the reference walk
-  /// make, with every hash input except the probe's own fields folded.
+  /// route_memo.h): the decisions PickNextHop makes, with every hash
+  /// input except the probe's own fields folded.
   void DecodeRow(RouterId router, Ipv4Address dst, const Subnet& subnet,
                  RouteMemo::HopRow& row) const;
 
-  /// Allocation-free forward walk used by Send and ResolvePath: returns
-  /// the path length (routers traversed, 0 when unroutable) and, when
-  /// `want_hop` lies on the path, stores the router at that 1-based hop
-  /// (plus its row, with a memo) in `*at_hop`.  With a memo every hop is
-  /// served from the router's hop row; without one, from the topology.
+  /// Allocation-free forward walk used by Send and ResolvePath, every hop
+  /// served from the router's hop row: returns the path length (routers
+  /// traversed, 0 when unroutable) and, when `want_hop` lies on the path,
+  /// stores the router at that 1-based hop and its row in `*at_hop`.
   /// `full_path`, when given, collects every hop (cleared when the
   /// destination is unroutable).
   int WalkForward(Ipv4Address destination, std::uint16_t flow_id,
-                  std::uint64_t serial, RouteMemo* memo, int want_hop,
+                  std::uint64_t serial, RouteMemo& memo, int want_hop,
                   HopAt* at_hop,
                   std::vector<RouterId>* full_path = nullptr) const;
 
@@ -161,11 +159,11 @@ class Simulator {
   /// the walk's path length (0 = unroutable) for the hook's
   /// ArtifactContext.  Every return path of Send funnels through exactly
   /// one Rewrite application in Send itself.
-  ProbeReply SendImpl(const ProbeSpec& probe, RouteMemo* memo,
+  ProbeReply SendImpl(const ProbeSpec& probe, RouteMemo& memo,
                       int* path_length_out) const;
 
   /// Whether the router at `at` answers a TTL-exceeded probe toward
-  /// `destination`; memoized in the row when the walk had one.
+  /// `destination`; memoized in its row.
   bool RouterResponds(const HopAt& at, Ipv4Address destination) const;
   bool DrawResponds(RouterId router, Ipv4Address destination) const;
 

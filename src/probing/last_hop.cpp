@@ -12,9 +12,9 @@ struct SingleProbe {
 };
 
 SingleProbe SendOne(const netsim::Simulator& simulator,
+                    netsim::RouteMemo& memo,
                     netsim::Ipv4Address destination, int ttl,
-                    std::uint16_t flow, std::uint64_t& serial,
-                    netsim::RouteMemo* memo) {
+                    std::uint16_t flow, std::uint64_t& serial) {
   netsim::ProbeSpec probe;
   probe.destination = destination;
   probe.ttl = ttl;
@@ -31,7 +31,8 @@ LastHopResult LastHopProber::Probe(netsim::Ipv4Address destination) {
   const std::uint64_t serial_before = serial_;
 
   // Step 1-2: echo, infer hop distance of the last router.
-  SingleProbe echo = SendOne(*simulator_, destination, 64, 0, serial_, memo_);
+  SingleProbe echo =
+      SendOne(*simulator_, *memo_, destination, 64, 0, serial_);
   if (echo.kind != netsim::ReplyKind::kEchoReply) {
     result.status = LastHopStatus::kHostUnresponsive;
     result.probes_used = static_cast<int>(serial_ - serial_before);
@@ -47,7 +48,7 @@ LastHopResult LastHopProber::Probe(netsim::Ipv4Address destination) {
   constexpr int kMaxWalk = 48;
   while (host_hop == 0) {
     SingleProbe at =
-        SendOne(*simulator_, destination, first_ttl, 1, serial_, memo_);
+        SendOne(*simulator_, *memo_, destination, first_ttl, 1, serial_);
     if (at.kind == netsim::ReplyKind::kEchoReply && first_ttl > 1) {
       first_ttl /= 2;  // overestimate: halve and retry (paper §3.4)
       continue;
@@ -59,7 +60,7 @@ LastHopResult LastHopProber::Probe(netsim::Ipv4Address destination) {
     // Inside the path (TTL exceeded, or a silent router): walk forward.
     for (int ttl = first_ttl + 1; ttl <= first_ttl + kMaxWalk; ++ttl) {
       SingleProbe step =
-          SendOne(*simulator_, destination, ttl, 1, serial_, memo_);
+          SendOne(*simulator_, *memo_, destination, ttl, 1, serial_);
       if (step.kind == netsim::ReplyKind::kEchoReply) {
         host_hop = ttl;
         break;
@@ -84,8 +85,8 @@ LastHopResult LastHopProber::Probe(netsim::Ipv4Address destination) {
     return result;
   }
   HopInterfaces last = EnumerateHopInterfaces(
-      *simulator_, destination, host_hop - 1, serial_,
-      /*max_interfaces_hint=*/16, memo_, mda_);
+      *simulator_, *memo_, destination, host_hop - 1, serial_,
+      /*max_interfaces_hint=*/16, mda_);
   result.probes_used = static_cast<int>(serial_ - serial_before);
   if (last.interfaces.empty()) {
     result.status = LastHopStatus::kLastHopUnresponsive;

@@ -51,17 +51,16 @@ constexpr int InferDefaultTtl(int reply_ttl) {
 }
 
 /// Identifies last-hop routers.  Stateful only in the probe serial counter
-/// (so a campaign shares one packet sequence).  An optional RouteMemo
-/// (owned by the caller, single-threaded use) memoizes FIB resolutions
-/// across the probes; results are identical with and without one.
+/// (so a campaign shares one packet sequence).  Every probe goes through
+/// the caller's RouteMemo (single-threaded use; it must outlive the
+/// prober), so keep one prober per loop, never one per destination.
 class LastHopProber {
  public:
   /// `mda` selects the stopping rule of step 4's interface enumeration
   /// (full MDA by default; MdaMode::kLite for the cheaper 90 % rule).
-  explicit LastHopProber(const netsim::Simulator* simulator,
-                         netsim::RouteMemo* memo = nullptr,
-                         MdaMode mda = MdaMode::kFull)
-      : simulator_(simulator), memo_(memo), mda_(mda) {}
+  LastHopProber(const netsim::Simulator* simulator, netsim::RouteMemo& memo,
+                MdaMode mda = MdaMode::kFull)
+      : simulator_(simulator), memo_(&memo), mda_(mda) {}
 
   LastHopResult Probe(netsim::Ipv4Address destination);
 

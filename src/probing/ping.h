@@ -3,7 +3,8 @@
 // Thin client over the simulator: single echos (for liveness and TTL
 // readback) and ping trains (for the cellular first-RTT experiment,
 // Fig 6).  All probing tools in this library observe the network only
-// through `Simulator::Send` — never through ground truth.
+// through `Simulator::Send` — never through ground truth — and send
+// through a RouteMemo their caller owns (one per loop, see route_memo.h).
 #pragma once
 
 #include <cstdint>
@@ -23,11 +24,12 @@ struct EchoResult {
 
 /// Stateful pinger; owns the probe serial counter shared by a measurement
 /// campaign so per-packet load balancing and rate limiting see a global
-/// packet sequence.
+/// packet sequence.  Sends through the caller's `memo`, which must
+/// outlive the pinger.
 class Pinger {
  public:
-  explicit Pinger(const netsim::Simulator* simulator)
-      : simulator_(simulator) {}
+  Pinger(const netsim::Simulator* simulator, netsim::RouteMemo& memo)
+      : simulator_(simulator), memo_(&memo) {}
 
   /// One echo request.  nullopt == timeout.
   std::optional<EchoResult> Ping(netsim::Ipv4Address destination) {
@@ -38,7 +40,7 @@ class Pinger {
     probe.serial = next_serial_++;
     probe.train_sequence = 0;
     probe.train_id = static_cast<std::uint32_t>(next_train_++);
-    netsim::ProbeReply reply = simulator_->Send(probe);
+    netsim::ProbeReply reply = simulator_->Send(probe, *memo_);
     if (reply.kind != netsim::ReplyKind::kEchoReply) return std::nullopt;
     return EchoResult{reply.rtt_ms, reply.reply_ttl};
   }
@@ -58,7 +60,7 @@ class Pinger {
       probe.serial = next_serial_++;
       probe.train_sequence = static_cast<std::uint32_t>(i);
       probe.train_id = train;
-      netsim::ProbeReply reply = simulator_->Send(probe);
+      netsim::ProbeReply reply = simulator_->Send(probe, *memo_);
       if (reply.kind == netsim::ReplyKind::kEchoReply) {
         out.push_back({reply.rtt_ms, reply.reply_ttl});
       }
@@ -70,6 +72,7 @@ class Pinger {
 
  private:
   const netsim::Simulator* simulator_;
+  netsim::RouteMemo* memo_;
   std::uint64_t next_serial_ = 1;
   std::uint64_t next_train_ = 1;
 };

@@ -58,6 +58,7 @@ int MdaLiteProbeCount(int k) {
 }
 
 Route ParisTraceroute(const netsim::Simulator& simulator,
+                      netsim::RouteMemo& memo,
                       netsim::Ipv4Address destination, std::uint16_t flow_id,
                       std::uint64_t& serial, const TracerouteOptions& options) {
   Route route;
@@ -70,7 +71,7 @@ Route ParisTraceroute(const netsim::Simulator& simulator,
       probe.ttl = ttl;
       probe.flow_id = flow_id;
       probe.serial = serial++;
-      netsim::ProbeReply reply = simulator.Send(probe);
+      netsim::ProbeReply reply = simulator.Send(probe, memo);
       if (reply.kind == netsim::ReplyKind::kEchoReply) {
         route.reached_destination = true;
         return route;
@@ -97,6 +98,7 @@ Route ParisTraceroute(const netsim::Simulator& simulator,
 }
 
 std::vector<Route> EnumerateRoutes(const netsim::Simulator& simulator,
+                                   netsim::RouteMemo& memo,
                                    netsim::Ipv4Address destination,
                                    std::uint64_t& serial,
                                    const TracerouteOptions& options) {
@@ -106,8 +108,8 @@ std::vector<Route> EnumerateRoutes(const netsim::Simulator& simulator,
   // Fresh flow identifiers until MdaProbeCount(k) consecutive traces add
   // nothing, where k = number of routes found so far.
   while (true) {
-    Route route =
-        ParisTraceroute(simulator, destination, flow++, serial, options);
+    Route route = ParisTraceroute(simulator, memo, destination, flow++,
+                                  serial, options);
     bool is_new = false;
     if (route.reached_destination) {
       if (std::find(found.begin(), found.end(), route) == found.end()) {
@@ -124,10 +126,10 @@ std::vector<Route> EnumerateRoutes(const netsim::Simulator& simulator,
 }
 
 HopInterfaces EnumerateHopInterfaces(const netsim::Simulator& simulator,
+                                     netsim::RouteMemo& memo,
                                      netsim::Ipv4Address destination, int ttl,
                                      std::uint64_t& serial,
-                                     int max_interfaces_hint,
-                                     netsim::RouteMemo* memo, MdaMode mode) {
+                                     int max_interfaces_hint, MdaMode mode) {
   HopInterfaces result;
   int since_new = 0;
   std::uint16_t flow = 1;

@@ -87,9 +87,13 @@ struct TracerouteOptions {
   int attempts_per_hop = 2;
 };
 
+// Every probe below goes through the caller's `memo` (single-threaded
+// use): keep one per loop, never one per call inside a loop.
+
 /// One Paris traceroute with a fixed flow identifier.
 /// `serial` is advanced past every probe sent.
 Route ParisTraceroute(const netsim::Simulator& simulator,
+                      netsim::RouteMemo& memo,
                       netsim::Ipv4Address destination, std::uint16_t flow_id,
                       std::uint64_t& serial,
                       const TracerouteOptions& options = {});
@@ -99,6 +103,7 @@ Route ParisTraceroute(const netsim::Simulator& simulator,
 /// identifiers until MdaProbeCount(#routes) consecutive traces reveal
 /// nothing new.  Routes that failed to reach the destination are dropped.
 std::vector<Route> EnumerateRoutes(const netsim::Simulator& simulator,
+                                   netsim::RouteMemo& memo,
                                    netsim::Ipv4Address destination,
                                    std::uint64_t& serial,
                                    const TracerouteOptions& options = {});
@@ -107,8 +112,7 @@ std::vector<Route> EnumerateRoutes(const netsim::Simulator& simulator,
 /// distance `ttl` under varied flow identifiers, with the stopping rule
 /// selected by `mode` (full MDA by default; MdaMode::kLite trades
 /// completeness for probe savings).  `wildcards` counts probes that got
-/// no answer.  `memo`, when non-null, memoizes FIB resolutions
-/// (identical replies either way).
+/// no answer.
 struct HopInterfaces {
   /// Sorted, unique.  Inline small-vector storage: a hop almost always
   /// has 1-2 interfaces, and this struct is built once per probed
@@ -118,10 +122,10 @@ struct HopInterfaces {
   int probes_sent = 0;
 };
 HopInterfaces EnumerateHopInterfaces(const netsim::Simulator& simulator,
+                                     netsim::RouteMemo& memo,
                                      netsim::Ipv4Address destination, int ttl,
                                      std::uint64_t& serial,
                                      int max_interfaces_hint = 16,
-                                     netsim::RouteMemo* memo = nullptr,
                                      MdaMode mode = MdaMode::kFull);
 
 }  // namespace hobbit::probing

@@ -82,7 +82,9 @@ TEST_F(CellularSignals, CellularBlockShowsFirstProbeDelay) {
   cluster::AggregateBlock cellular =
       BlockOfKind(netsim::SubnetKind::kCellular);
   ASSERT_GE(cellular.member_24s.size(), 10u);
-  std::vector<double> deltas = FirstRttDeltas(Net(), cellular, 24, 10, 1);
+  netsim::RouteMemo memo;
+  std::vector<double> deltas =
+      FirstRttDeltas(Net(), memo, cellular, 24, 10, 1);
   ASSERT_GT(deltas.size(), 50u);
   // Paper Fig 6: a large share of cellular addresses show > 0.5 s extra
   // first-probe delay.
@@ -95,7 +97,9 @@ TEST_F(CellularSignals, DatacenterBlockShowsNoFirstProbeDelay) {
   cluster::AggregateBlock datacenter =
       BlockOfKind(netsim::SubnetKind::kDatacenter);
   ASSERT_GE(datacenter.member_24s.size(), 10u);
-  std::vector<double> deltas = FirstRttDeltas(Net(), datacenter, 24, 10, 1);
+  netsim::RouteMemo memo;
+  std::vector<double> deltas =
+      FirstRttDeltas(Net(), memo, datacenter, 24, 10, 1);
   ASSERT_GT(deltas.size(), 50u);
   std::size_t above_half_second = 0;
   for (double d : deltas) above_half_second += d > 0.5;

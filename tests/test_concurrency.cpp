@@ -51,8 +51,9 @@ TEST(Concurrency, ParallelSendsMatchSerialReplies) {
   }
   std::vector<ProbeReply> expected;
   expected.reserve(probes.size());
+  RouteMemo reference_memo;
   for (const ProbeSpec& probe : probes) {
-    expected.push_back(simulator.Send(probe));
+    expected.push_back(simulator.Send(probe, reference_memo));
   }
 
   // Re-send everything from four threads; each checks its shard.
@@ -60,9 +61,10 @@ TEST(Concurrency, ParallelSendsMatchSerialReplies) {
   std::vector<std::thread> workers;
   for (int w = 0; w < 4; ++w) {
     workers.emplace_back([&, w] {
+      RouteMemo memo;  // one per thread: a memo is single-owner state
       for (std::size_t i = static_cast<std::size_t>(w); i < probes.size();
            i += 4) {
-        ProbeReply reply = simulator.Send(probes[i]);
+        ProbeReply reply = simulator.Send(probes[i], memo);
         if (reply.kind != expected[i].kind ||
             reply.responder != expected[i].responder ||
             reply.reply_ttl != expected[i].reply_ttl) {
@@ -89,7 +91,8 @@ TEST(Concurrency, ProbeCounterCountsEveryPacket) {
       ProbeSpec probe;
       probe.destination = test::Addr("20.0.1.9");
       probe.ttl = 64;
-      for (int i = 0; i < kPerThread; ++i) simulator.Send(probe);
+      RouteMemo memo;
+      for (int i = 0; i < kPerThread; ++i) simulator.Send(probe, memo);
     });
   }
   for (std::thread& worker : workers) worker.join();

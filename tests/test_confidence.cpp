@@ -136,7 +136,9 @@ TEST(ConfidenceTable, FewProbesAtHighCardinalityMeansLowConfidence) {
   // Observing 8 distinct last hops after 8 probes means every group is a
   // point: a non-hierarchy can never have been seen.
   auto saturated = table.Confidence(8, 8, 50);
-  if (saturated) EXPECT_LT(*saturated, 0.05);
+  if (saturated) {
+    EXPECT_LT(*saturated, 0.05);
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "probing/last_hop.h"
 #include "probing/traceroute.h"
 #include "test_util.h"
+#include "walk_oracle.h"
 
 namespace hobbit {
 namespace {
@@ -26,9 +27,10 @@ TEST(FailureInjection, EntirelySilentWorldYieldsUnresponsiveClass) {
     net.topology.router(static_cast<netsim::RouterId>(r))
         .response.respond_probability = 0.0;
   }
+  netsim::RouteMemo memo;
   std::uint64_t serial = 1;
   probing::Route route = probing::ParisTraceroute(
-      *net.simulator, Addr("20.0.1.9"), 1, serial);
+      *net.simulator, memo, Addr("20.0.1.9"), 1, serial);
   // Traceroute hits its gap limit before ever reaching the host, exactly
   // as the real tool would; no responsive hop is recorded.
   EXPECT_FALSE(route.reached_destination);
@@ -60,13 +62,15 @@ TEST(FailureInjection, PerPacketBalancerDoesNotWedgeTraceroute) {
   net.topology.router(net.r1).fib.Add(
       Pfx("0.0.0.0/0"),
       {{net.m1, net.m2}, netsim::LbPolicy::kPerPacket});
+  netsim::RouteMemo memo;
   std::uint64_t serial = 1;
   probing::Route route = probing::ParisTraceroute(
-      *net.simulator, Addr("20.0.1.9"), 1, serial);
+      *net.simulator, memo, Addr("20.0.1.9"), 1, serial);
   EXPECT_TRUE(route.reached_destination);
   // MDA still terminates (the safety valve bounds it).
   std::vector<probing::Route> routes =
-      probing::EnumerateRoutes(*net.simulator, Addr("20.0.1.9"), serial);
+      probing::EnumerateRoutes(*net.simulator, memo, Addr("20.0.1.9"),
+                               serial);
   EXPECT_GE(routes.size(), 1u);
 }
 
@@ -89,11 +93,12 @@ TEST(FailureInjection, ForwardingLoopIsUnroutable) {
   netsim::Simulator sim(&t, ra, Addr("10.0.0.1"),
                         netsim::HostModel(hosts),
                         netsim::RttModel({}), {});
-  EXPECT_TRUE(sim.ResolvePath(Addr("20.0.0.5"), 0, 0).empty());
+  netsim::RouteMemo memo;
+  EXPECT_TRUE(sim.ResolvePath(Addr("20.0.0.5"), 0, 0, memo).empty());
   netsim::ProbeSpec probe;
   probe.destination = Addr("20.0.0.5");
   probe.ttl = 64;
-  EXPECT_EQ(sim.Send(probe).kind, netsim::ReplyKind::kTimeout);
+  EXPECT_EQ(sim.Send(probe, memo).kind, netsim::ReplyKind::kTimeout);
 }
 
 TEST(FailureInjection, ExtremeReverseAsymmetryStillResolvesLastHops) {
@@ -107,7 +112,8 @@ TEST(FailureInjection, ExtremeReverseAsymmetryStillResolvesLastHops) {
     profile.dense_occupancy_max = 0.9;
   }
   netsim::Internet internet = netsim::BuildInternet(config);
-  probing::LastHopProber prober(internet.simulator.get());
+  netsim::RouteMemo memo;
+  probing::LastHopProber prober(internet.simulator.get(), memo);
   int resolved = 0, attempted = 0;
   for (std::size_t i = 0; i < internet.study_24s.size() && attempted < 40;
        i += 5) {
@@ -162,8 +168,8 @@ TEST(FailureInjection, CyclicPolicySplitsAdjacentAddresses) {
   for (std::uint32_t base = 0; base < 250; base += 2) {
     netsim::Ipv4Address a(Addr("20.0.2.0").value() + base);
     netsim::Ipv4Address b(Addr("20.0.2.0").value() + base + 1);
-    differ += net.simulator->GroundTruthLastHop(a, 0) !=
-              net.simulator->GroundTruthLastHop(b, 0);
+    differ += test::OracleLastHop(*net.simulator, a, 0) !=
+              test::OracleLastHop(*net.simulator, b, 0);
     ++pairs;
   }
   EXPECT_GT(differ, pairs * 9 / 10);
@@ -182,8 +188,11 @@ TEST(FailureInjection, RateLimitingIsPerDestinationStable) {
       probe.destination = dst;
       probe.ttl = 5;  // the agg hop
       probe.serial = s;
-      answers +=
-          net.simulator->Send(probe).kind == netsim::ReplyKind::kTtlExceeded;
+      // A fresh memo per probe: every probe makes the responds draw anew
+      // instead of reading the one its row kept.
+      netsim::RouteMemo memo;
+      answers += net.simulator->Send(probe, memo).kind ==
+                 netsim::ReplyKind::kTtlExceeded;
     }
     EXPECT_TRUE(answers == 0 || answers == 8) << dst.ToString();
   }

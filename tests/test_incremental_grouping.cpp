@@ -302,9 +302,10 @@ TEST(FastPathEquivalence, GroupingMatchesBatchOnEveryObservationPrefix) {
 
 TEST(FastPathEquivalence, LastHopProberIdenticalWithAndWithoutMemo) {
   // The route memo is BlockProber's only fast path on the wire: a
-  // LastHopProber with one must return exactly what a prober without one
-  // returns, destination by destination, under both MDA stopping rules.
-  // One memo spans every block, as in BlockProber.
+  // LastHopProber whose one memo spans every block, as in BlockProber,
+  // must return exactly what a prober given a fresh memo for each
+  // destination returns, destination by destination, under both MDA
+  // stopping rules.
   MiniNet net = BuildMiniNet();
   std::vector<netsim::Ipv4Address> destinations;
   for (const char* base : {"20.0.1.0", "20.0.2.0", "20.0.3.0", "20.0.4.0",
@@ -315,13 +316,15 @@ TEST(FastPathEquivalence, LastHopProberIdenticalWithAndWithoutMemo) {
   }
   for (probing::MdaMode mode :
        {probing::MdaMode::kFull, probing::MdaMode::kLite}) {
-    probing::LastHopProber direct(net.simulator.get(), nullptr, mode);
+    netsim::RouteMemo fresh;
+    probing::LastHopProber direct(net.simulator.get(), fresh, mode);
     std::vector<probing::LastHopResult> want;
     for (netsim::Ipv4Address destination : destinations) {
+      fresh = netsim::RouteMemo();
       want.push_back(direct.Probe(destination));
     }
     netsim::RouteMemo memo;
-    probing::LastHopProber memoized(net.simulator.get(), &memo, mode);
+    probing::LastHopProber memoized(net.simulator.get(), memo, mode);
     for (std::size_t i = 0; i < destinations.size(); ++i) {
       const probing::LastHopResult got = memoized.Probe(destinations[i]);
       SCOPED_TRACE(destinations[i].ToString());

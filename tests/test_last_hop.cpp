@@ -5,6 +5,7 @@
 #include <set>
 
 #include "test_util.h"
+#include "walk_oracle.h"
 
 namespace hobbit::probing {
 namespace {
@@ -27,7 +28,8 @@ TEST(InferDefaultTtl, PaperBuckets) {
 
 TEST(LastHopProber, IdentifiesSingleGateway) {
   MiniNet net = BuildMiniNet();
-  LastHopProber prober(net.simulator.get());
+  netsim::RouteMemo memo;
+  LastHopProber prober(net.simulator.get(), memo);
   LastHopResult result = prober.Probe(Addr("20.0.1.9"));
   ASSERT_EQ(result.status, LastHopStatus::kOk);
   ASSERT_EQ(result.last_hops.size(), 1u);
@@ -38,12 +40,13 @@ TEST(LastHopProber, IdentifiesSingleGateway) {
 
 TEST(LastHopProber, PerDestGatewayMatchesGroundTruth) {
   MiniNet net = BuildMiniNet();
-  LastHopProber prober(net.simulator.get());
+  netsim::RouteMemo memo;
+  LastHopProber prober(net.simulator.get(), memo);
   for (std::uint32_t host = 1; host < 32; ++host) {
     netsim::Ipv4Address dst(Addr("20.0.2.0").value() + host);
     LastHopResult result = prober.Probe(dst);
     ASSERT_EQ(result.status, LastHopStatus::kOk) << dst.ToString();
-    netsim::RouterId truth = net.simulator->GroundTruthLastHop(dst, 1);
+    netsim::RouterId truth = test::OracleLastHop(*net.simulator, dst, 1);
     ASSERT_EQ(result.last_hops.size(), 1u);
     EXPECT_EQ(result.last_hops.front(),
               net.topology.router(truth).reply_address);
@@ -55,7 +58,8 @@ TEST(LastHopProber, UnresponsiveHost) {
   cold.snapshot_availability = 1.0;
   cold.probe_availability = 0.0;
   MiniNet net = BuildMiniNet(cold);
-  LastHopProber prober(net.simulator.get());
+  netsim::RouteMemo memo;
+  LastHopProber prober(net.simulator.get(), memo);
   LastHopResult result = prober.Probe(Addr("20.0.1.9"));
   EXPECT_EQ(result.status, LastHopStatus::kHostUnresponsive);
   EXPECT_TRUE(result.last_hops.empty());
@@ -64,7 +68,8 @@ TEST(LastHopProber, UnresponsiveHost) {
 
 TEST(LastHopProber, SilentGatewayReportsUnresponsiveLastHop) {
   MiniNet net = BuildMiniNet();
-  LastHopProber prober(net.simulator.get());
+  netsim::RouteMemo memo;
+  LastHopProber prober(net.simulator.get(), memo);
   LastHopResult result = prober.Probe(Addr("20.0.3.9"));
   EXPECT_EQ(result.status, LastHopStatus::kLastHopUnresponsive);
   EXPECT_TRUE(result.last_hops.empty());
@@ -86,7 +91,8 @@ TEST(LastHopProber, LegacyTtlHostStillResolved) {
     }
   }
   ASSERT_TRUE(found) << "fixture should contain at least one legacy host";
-  LastHopProber prober(net.simulator.get());
+  netsim::RouteMemo memo;
+  LastHopProber prober(net.simulator.get(), memo);
   LastHopResult result = prober.Probe(legacy);
   ASSERT_EQ(result.status, LastHopStatus::kOk);
   EXPECT_EQ(result.last_hops.front(),
@@ -111,7 +117,8 @@ TEST(LastHopProber, ReverseAsymmetryTriggersHalving) {
   rtt.seed = 13;
   Simulator asym(&net.topology, net.src, test::Addr("10.0.0.1"),
                  HostModel(warm), RttModel(rtt), sim);
-  LastHopProber prober(&asym);
+  RouteMemo memo;
+  LastHopProber prober(&asym, memo);
   for (std::uint32_t host = 1; host < 16; ++host) {
     Ipv4Address dst(test::Addr("20.0.1.0").value() + host);
     LastHopResult result = prober.Probe(dst);
@@ -125,7 +132,8 @@ TEST(LastHopProber, ProbeBudgetIsModest) {
   // The whole point of §3.4: identifying a last hop should cost an echo
   // plus a handful of targeted probes, not a full traceroute.
   MiniNet net = BuildMiniNet();
-  LastHopProber prober(net.simulator.get());
+  netsim::RouteMemo memo;
+  LastHopProber prober(net.simulator.get(), memo);
   LastHopResult result = prober.Probe(Addr("20.0.1.77"));
   ASSERT_EQ(result.status, LastHopStatus::kOk);
   EXPECT_LE(result.probes_used, 12);

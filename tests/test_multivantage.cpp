@@ -6,6 +6,7 @@
 
 #include "netsim/internet.h"
 #include "test_util.h"
+#include "walk_oracle.h"
 
 namespace hobbit::netsim {
 namespace {
@@ -16,9 +17,10 @@ TEST(MultiVantage, ExtraVantagesAreBuiltAndRoutable) {
   Internet internet = BuildInternet(config);
   ASSERT_EQ(internet.extra_vantages.size(), 2u);
   auto sim = internet.MakeSimulatorAt(internet.extra_vantages[0]);
+  RouteMemo memo;
   for (std::size_t i = 0; i < internet.study_24s.size(); i += 17) {
     Ipv4Address dst(internet.study_24s[i].base().value() + 5);
-    EXPECT_FALSE(sim->ResolvePath(dst, 0, 0).empty())
+    EXPECT_FALSE(sim->ResolvePath(dst, 0, 0, memo).empty())
         << internet.study_24s[i].ToString();
   }
 }
@@ -49,12 +51,12 @@ TEST(MultiVantage, VantagesDisagreeOnlyOnSourceSensitiveGroups) {
   for (std::uint32_t host = 1; host < 120; ++host) {
     Ipv4Address dst_pds(Addr("20.0.2.0").value() + host);
     disagreements_pds +=
-        net.simulator->GroundTruthLastHop(dst_pds, 0) !=
-        from_b.GroundTruthLastHop(dst_pds, 0);
+        test::OracleLastHop(*net.simulator, dst_pds, 0) !=
+        test::OracleLastHop(from_b, dst_pds, 0);
     Ipv4Address dst_plain(Addr("20.0.1.0").value() + host);
     disagreements_plain +=
-        net.simulator->GroundTruthLastHop(dst_plain, 0) !=
-        from_b.GroundTruthLastHop(dst_plain, 0);
+        test::OracleLastHop(*net.simulator, dst_plain, 0) !=
+        test::OracleLastHop(from_b, dst_plain, 0);
   }
   EXPECT_GT(disagreements_pds, 20);
   EXPECT_EQ(disagreements_plain, 0);
@@ -81,9 +83,9 @@ TEST(MultiVantage, UnionOfVantagesRefinesSparseSets) {
   std::set<RouterId> from_a_set, union_set;
   for (std::uint32_t host = 1; host <= 3; ++host) {  // very sparse sample
     Ipv4Address dst(Addr("20.0.2.0").value() + host);
-    from_a_set.insert(net.simulator->GroundTruthLastHop(dst, 0));
-    union_set.insert(net.simulator->GroundTruthLastHop(dst, 0));
-    union_set.insert(from_b.GroundTruthLastHop(dst, 0));
+    from_a_set.insert(test::OracleLastHop(*net.simulator, dst, 0));
+    union_set.insert(test::OracleLastHop(*net.simulator, dst, 0));
+    union_set.insert(test::OracleLastHop(from_b, dst, 0));
   }
   EXPECT_GE(union_set.size(), from_a_set.size());
 }

@@ -36,47 +36,53 @@ TEST(OutageOverlay, ContainmentSemantics) {
 
 TEST(OutageOverlay, SilencesHostsInSimulator) {
   MiniNet net = BuildMiniNet();
+  netsim::RouteMemo memo;
   netsim::OutageOverlay overlay;
   overlay.Fail(Pfx("20.0.1.0/24"));
   net.simulator->SetOutageOverlay(&overlay);
   netsim::ProbeSpec probe;
   probe.destination = Addr("20.0.1.9");
   probe.ttl = 64;
-  EXPECT_EQ(net.simulator->Send(probe).kind, netsim::ReplyKind::kTimeout);
+  EXPECT_EQ(net.simulator->Send(probe, memo).kind,
+            netsim::ReplyKind::kTimeout);
   // Routers still answer TTL-limited probes (the outage is at the hosts).
   probe.ttl = 3;
-  EXPECT_EQ(net.simulator->Send(probe).kind,
+  EXPECT_EQ(net.simulator->Send(probe, memo).kind,
             netsim::ReplyKind::kTtlExceeded);
   // Other blocks are unaffected.
   netsim::ProbeSpec other;
   other.destination = Addr("20.0.2.9");
   other.ttl = 64;
-  EXPECT_EQ(net.simulator->Send(other).kind, netsim::ReplyKind::kEchoReply);
+  EXPECT_EQ(net.simulator->Send(other, memo).kind,
+            netsim::ReplyKind::kEchoReply);
   net.simulator->SetOutageOverlay(nullptr);
   probe.ttl = 64;
-  EXPECT_EQ(net.simulator->Send(probe).kind, netsim::ReplyKind::kEchoReply);
+  EXPECT_EQ(net.simulator->Send(probe, memo).kind,
+            netsim::ReplyKind::kEchoReply);
 }
 
 TEST(OutageDetection, UpBlockStaysUp) {
   MiniNet net = BuildMiniNet();
-  WatchedBlock block = MakeWatchedBlock(*net.simulator,
+  netsim::RouteMemo memo;
+  WatchedBlock block = MakeWatchedBlock(*net.simulator, memo,
                                         AddressesOf("20.0.1.0", 1, 40));
   EXPECT_EQ(block.actives.size(), 40u);
   DetectionResult result =
-      DetectOutage(*net.simulator, block, {}, netsim::Rng(1));
+      DetectOutage(*net.simulator, memo, block, {}, netsim::Rng(1));
   EXPECT_EQ(result.verdict, OutageVerdict::kUp);
   EXPECT_LE(result.probes_used, 6);
 }
 
 TEST(OutageDetection, FullOutageIsCaught) {
   MiniNet net = BuildMiniNet();
-  WatchedBlock block = MakeWatchedBlock(*net.simulator,
+  netsim::RouteMemo memo;
+  WatchedBlock block = MakeWatchedBlock(*net.simulator, memo,
                                         AddressesOf("20.0.1.0", 1, 40));
   netsim::OutageOverlay overlay;
   overlay.Fail(Pfx("20.0.1.0/24"));
   net.simulator->SetOutageOverlay(&overlay);
   DetectionResult result =
-      DetectOutage(*net.simulator, block, {}, netsim::Rng(2));
+      DetectOutage(*net.simulator, memo, block, {}, netsim::Rng(2));
   EXPECT_EQ(result.verdict, OutageVerdict::kDown);
   net.simulator->SetOutageOverlay(nullptr);
 }
@@ -86,10 +92,11 @@ TEST(OutageDetection, PartialOutageHidesAtCoarseGranularity) {
   // /24; a whole-/24 watch (sampling mostly live addresses) keeps saying
   // "up", a sub-block watch says "down".
   MiniNet net = BuildMiniNet();
+  netsim::RouteMemo memo;
   std::vector<netsim::Ipv4Address> whole = AddressesOf("20.0.1.0", 1, 200);
-  WatchedBlock watch_24 = MakeWatchedBlock(*net.simulator, whole);
+  WatchedBlock watch_24 = MakeWatchedBlock(*net.simulator, memo, whole);
   WatchedBlock watch_sub = MakeWatchedBlock(
-      *net.simulator, AddressesOf("20.0.1.0", 1, 60));
+      *net.simulator, memo, AddressesOf("20.0.1.0", 1, 60));
 
   netsim::OutageOverlay overlay;
   overlay.Fail(Pfx("20.0.1.0/26"));
@@ -97,10 +104,10 @@ TEST(OutageDetection, PartialOutageHidesAtCoarseGranularity) {
 
   int whole_down = 0, sub_down = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    whole_down += DetectOutage(*net.simulator, watch_24, {},
+    whole_down += DetectOutage(*net.simulator, memo, watch_24, {},
                                netsim::Rng(seed))
                       .verdict == OutageVerdict::kDown;
-    sub_down += DetectOutage(*net.simulator, watch_sub, {},
+    sub_down += DetectOutage(*net.simulator, memo, watch_sub, {},
                              netsim::Rng(seed))
                     .verdict == OutageVerdict::kDown;
   }
@@ -111,9 +118,10 @@ TEST(OutageDetection, PartialOutageHidesAtCoarseGranularity) {
 
 TEST(OutageDetection, EmptyWatchIsUndecided) {
   MiniNet net = BuildMiniNet();
+  netsim::RouteMemo memo;
   WatchedBlock block;
   DetectionResult result =
-      DetectOutage(*net.simulator, block, {}, netsim::Rng(3));
+      DetectOutage(*net.simulator, memo, block, {}, netsim::Rng(3));
   EXPECT_EQ(result.verdict, OutageVerdict::kUndecided);
   EXPECT_EQ(result.probes_used, 0);
 }

@@ -13,7 +13,8 @@ using test::MiniNet;
 
 TEST(Pinger, EchoReturnsRttAndTtl) {
   MiniNet net = BuildMiniNet();
-  Pinger pinger(net.simulator.get());
+  netsim::RouteMemo memo;
+  Pinger pinger(net.simulator.get(), memo);
   auto result = pinger.Ping(Addr("20.0.1.9"));
   ASSERT_TRUE(result.has_value());
   EXPECT_GT(result->rtt_ms, 0.0);
@@ -25,13 +26,15 @@ TEST(Pinger, UnresponsiveHostGivesNullopt) {
   netsim::HostModelConfig cold;
   cold.probe_availability = 0.0;
   MiniNet net = BuildMiniNet(cold);
-  Pinger pinger(net.simulator.get());
+  netsim::RouteMemo memo;
+  Pinger pinger(net.simulator.get(), memo);
   EXPECT_FALSE(pinger.Ping(Addr("20.0.1.9")).has_value());
 }
 
 TEST(Pinger, TrainDeliversRequestedCount) {
   MiniNet net = BuildMiniNet();
-  Pinger pinger(net.simulator.get());
+  netsim::RouteMemo memo;
+  Pinger pinger(net.simulator.get(), memo);
   auto train = pinger.PingTrain(Addr("20.0.1.9"), 12);
   EXPECT_EQ(train.size(), 12u);
   for (const EchoResult& echo : train) EXPECT_GT(echo.rtt_ms, 0.0);
@@ -41,7 +44,8 @@ TEST(Pinger, TrainToDeadHostIsEmpty) {
   netsim::HostModelConfig cold;
   cold.probe_availability = 0.0;
   MiniNet net = BuildMiniNet(cold);
-  Pinger pinger(net.simulator.get());
+  netsim::RouteMemo memo;
+  Pinger pinger(net.simulator.get(), memo);
   EXPECT_TRUE(pinger.PingTrain(Addr("20.0.1.9"), 5).empty());
 }
 
@@ -54,7 +58,8 @@ TEST(Pinger, DistinctTrainsGetDistinctTrainIds) {
   // Mark the subnet cellular so first probes stand out.
   netsim::SubnetId id = net.topology.FindSubnet(Addr("20.0.1.9"));
   net.topology.subnet(id).kind = netsim::SubnetKind::kCellular;
-  Pinger pinger(net.simulator.get());
+  netsim::RouteMemo memo;
+  Pinger pinger(net.simulator.get(), memo);
   int big_first = 0;
   for (int t = 0; t < 20; ++t) {
     auto train = pinger.PingTrain(Addr("20.0.1.9"), 4);
@@ -68,7 +73,8 @@ TEST(Pinger, DistinctTrainsGetDistinctTrainIds) {
 
 TEST(Pinger, SerialCounterAdvancesAcrossCalls) {
   MiniNet net = BuildMiniNet();
-  Pinger pinger(net.simulator.get());
+  netsim::RouteMemo memo;
+  Pinger pinger(net.simulator.get(), memo);
   std::uint64_t first = pinger.next_serial();
   pinger.Ping(Addr("20.0.1.9"));
   pinger.PingTrain(Addr("20.0.1.10"), 3);

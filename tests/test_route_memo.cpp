@@ -1,7 +1,8 @@
-// test_route_memo.cpp — the per-prober hop-row memo must be an exact,
-// invisible optimization: identical routing results and replies with and
-// without it, across flows, TTLs, balancer policies, vantages and
-// topology mutations.
+// test_route_memo.cpp — the hop-row memo is the simulator's one forward
+// walk, so it must be exact: paths equal to the FIB-resolved oracle walk
+// (walk_oracle.h), and replies through a warm memo equal to replies
+// through a fresh one, across flows, TTLs, balancer policies, vantages
+// and topology mutations.
 #include "netsim/route_memo.h"
 
 #include <gtest/gtest.h>
@@ -9,8 +10,10 @@
 #include <string>
 
 #include "netsim/internet.h"
+#include "netsim/outage.h"
 #include "netsim/simulator.h"
 #include "test_util.h"
+#include "walk_oracle.h"
 
 namespace hobbit::netsim {
 namespace {
@@ -18,6 +21,7 @@ namespace {
 using test::Addr;
 using test::BuildMiniNet;
 using test::MiniNet;
+using test::OracleWalk;
 using test::Pfx;
 
 /// Records the walk context Send hands the artifact hook, leaving every
@@ -31,34 +35,56 @@ class RecordingArtifacts : public ReplyArtifacts {
   mutable int path_length = -1;
 };
 
-/// Sends `probe` without a memo and through `memo`, and requires the two
-/// replies (and the hook's path length) to match field for field.
+/// Sends `probe` through a fresh memo, which decodes every row and makes
+/// every responds draw anew, and through the warm `memo`, and requires
+/// the two replies (and the hook's path length) to match field for
+/// field.  The walk itself is checked against the oracle: the path the
+/// hook sees has the oracle's length, and a TTL-exceeded reply comes from
+/// the oracle's router at that hop.
 void ExpectSameSend(Simulator& simulator, RouteMemo& memo,
                     const ProbeSpec& probe) {
   RecordingArtifacts recorder;
   simulator.SetReplyArtifacts(&recorder);
-  const ProbeReply direct = simulator.Send(probe);
-  const int direct_length = recorder.path_length;
-  const ProbeReply memoized = simulator.Send(probe, &memo);
+  RouteMemo fresh_memo;
+  const ProbeReply fresh = simulator.Send(probe, fresh_memo);
+  const int fresh_length = recorder.path_length;
+  const ProbeReply memoized = simulator.Send(probe, memo);
   const int memoized_length = recorder.path_length;
   simulator.SetReplyArtifacts(nullptr);
   const std::string where = probe.destination.ToString() + " ttl " +
                             std::to_string(probe.ttl) + " flow " +
                             std::to_string(probe.flow_id);
-  ASSERT_EQ(memoized.kind, direct.kind) << where;
-  ASSERT_EQ(memoized.responder, direct.responder) << where;
-  ASSERT_EQ(memoized.reply_ttl, direct.reply_ttl) << where;
-  ASSERT_EQ(memoized.hop, direct.hop) << where;
-  ASSERT_EQ(memoized.rtt_ms, direct.rtt_ms) << where;
-  ASSERT_EQ(memoized_length, direct_length) << where;
+  ASSERT_EQ(memoized.kind, fresh.kind) << where;
+  ASSERT_EQ(memoized.responder, fresh.responder) << where;
+  ASSERT_EQ(memoized.reply_ttl, fresh.reply_ttl) << where;
+  ASSERT_EQ(memoized.hop, fresh.hop) << where;
+  ASSERT_EQ(memoized.rtt_ms, fresh.rtt_ms) << where;
+  ASSERT_EQ(memoized_length, fresh_length) << where;
+
+  const std::vector<RouterId> oracle =
+      OracleWalk(simulator, probe.destination, probe.flow_id, probe.serial);
+  ASSERT_EQ(static_cast<std::size_t>(memoized_length), oracle.size())
+      << where;
+  if (memoized.kind == ReplyKind::kTtlExceeded) {
+    ASSERT_LE(static_cast<std::size_t>(probe.ttl), oracle.size()) << where;
+    ASSERT_EQ(memoized.responder,
+              simulator.topology()
+                  .router(oracle[static_cast<std::size_t>(probe.ttl) - 1])
+                  .reply_address)
+        << where;
+  }
 }
 
-/// Every TTL from 1 to one past the host, plus 64, for flows 0-15.
+/// Every TTL from 1 to one past the host, plus 64, for flows 0-15, with
+/// the memo's path for each flow checked against the oracle's.
 void SweepDestination(Simulator& simulator, RouteMemo& memo,
                       Ipv4Address dst, std::uint64_t& serial) {
   const int host_hop =
-      static_cast<int>(simulator.ResolvePath(dst, 0, 0).size()) + 1;
+      static_cast<int>(OracleWalk(simulator, dst, 0, 0).size()) + 1;
   for (std::uint16_t flow = 0; flow < 16; ++flow) {
+    ASSERT_EQ(simulator.ResolvePath(dst, flow, serial, memo),
+              OracleWalk(simulator, dst, flow, serial))
+        << dst.ToString() << " flow " << flow;
     for (int ttl = 1; ttl <= host_hop + 2; ++ttl) {
       ProbeSpec probe;
       probe.destination = dst;
@@ -103,9 +129,9 @@ TEST(RouteMemo, ResolvePathIdenticalWithAndWithoutMemo) {
   RouteMemo memo;
   for (Ipv4Address dst : BlockDestinations()) {
     for (std::uint16_t flow = 0; flow < 4; ++flow) {
-      auto memoized = net.simulator->ResolvePath(dst, flow, 0, &memo);
-      auto direct = net.simulator->ResolvePath(dst, flow, 0, nullptr);
-      ASSERT_EQ(memoized, direct)
+      auto memoized = net.simulator->ResolvePath(dst, flow, 0, memo);
+      auto oracle = OracleWalk(*net.simulator, dst, flow, 0);
+      ASSERT_EQ(memoized, oracle)
           << dst.ToString() << " flow " << flow;
     }
   }
@@ -126,16 +152,38 @@ TEST(RouteMemo, SendRepliesIdenticalWithMemo) {
         probe.ttl = ttl;
         probe.flow_id = flow;
         probe.serial = serial++;
-        ProbeReply direct = net.simulator->Send(probe);
-        ProbeReply memoized = net.simulator->Send(probe, &memo);
-        ASSERT_EQ(memoized.kind, direct.kind);
-        ASSERT_EQ(memoized.responder, direct.responder);
-        ASSERT_EQ(memoized.reply_ttl, direct.reply_ttl);
-        ASSERT_EQ(memoized.hop, direct.hop);
-        ASSERT_EQ(memoized.rtt_ms, direct.rtt_ms);
+        ExpectSameSend(*net.simulator, memo, probe);
+        if (HasFatalFailure()) return;
       }
     }
   }
+}
+
+TEST(RouteMemo, WarmMemoSeesOutageAndHookInstalledLater) {
+  // Rows hold forwarding facts only: an outage overlay and a reply hook
+  // installed after the memo is warm must show on the next probe.
+  MiniNet net = BuildMiniNet();
+  RouteMemo memo;
+  ProbeSpec probe;
+  probe.destination = Addr("20.0.1.9");
+  for (int ttl = 1; ttl <= MiniNet::kHostHop; ++ttl) {
+    probe.ttl = ttl;
+    net.simulator->Send(probe, memo);
+  }
+  probe.ttl = 64;
+  ASSERT_EQ(net.simulator->Send(probe, memo).kind, ReplyKind::kEchoReply);
+
+  OutageOverlay overlay;
+  overlay.Fail(Pfx("20.0.1.0/24"));
+  net.simulator->SetOutageOverlay(&overlay);
+  RecordingArtifacts recorder;
+  net.simulator->SetReplyArtifacts(&recorder);
+  const ProbeReply reply = net.simulator->Send(probe, memo);
+  net.simulator->SetReplyArtifacts(nullptr);
+  net.simulator->SetOutageOverlay(nullptr);
+  EXPECT_EQ(reply.kind, ReplyKind::kTimeout);
+  EXPECT_EQ(recorder.path_length, MiniNet::kHostHop - 1);
+  EXPECT_EQ(net.simulator->Send(probe, memo).kind, ReplyKind::kEchoReply);
 }
 
 TEST(RouteMemo, InvalidatesWhenTopologyMutates) {
@@ -145,7 +193,7 @@ TEST(RouteMemo, InvalidatesWhenTopologyMutates) {
 
   // Warm the memo through every router on the path.
   for (std::uint16_t flow = 0; flow < 8; ++flow) {
-    auto path = net.simulator->ResolvePath(dst, flow, 0, &memo);
+    auto path = net.simulator->ResolvePath(dst, flow, 0, memo);
     ASSERT_FALSE(path.empty());
     ASSERT_EQ(path.back(), net.gw1);
   }
@@ -159,9 +207,9 @@ TEST(RouteMemo, InvalidatesWhenTopologyMutates) {
   EXPECT_GT(net.topology.mutation_epoch(), epoch_before);
 
   for (std::uint16_t flow = 0; flow < 8; ++flow) {
-    auto memoized = net.simulator->ResolvePath(dst, flow, 0, &memo);
-    auto fresh = net.simulator->ResolvePath(dst, flow, 0, nullptr);
-    ASSERT_EQ(memoized, fresh) << "flow " << flow;
+    auto memoized = net.simulator->ResolvePath(dst, flow, 0, memo);
+    auto oracle = OracleWalk(*net.simulator, dst, flow, 0);
+    ASSERT_EQ(memoized, oracle) << "flow " << flow;
     ASSERT_EQ(memoized[2], net.m1) << "stale route served from the memo";
   }
 }
@@ -265,7 +313,7 @@ TEST(RouteMemo, SendIdenticalAcrossBalancerModes) {
     host.probe_availability = 1.0;
     Simulator simulator(&topology, src, Addr("10.0.0.1"), HostModel(host),
                         RttModel(RttModelConfig{}), SimulatorConfig{});
-    ASSERT_EQ(simulator.ResolvePath(Ipv4Address(0), 0, 0).size(), 4u);
+    ASSERT_EQ(OracleWalk(simulator, Ipv4Address(0), 0, 0).size(), 4u);
     RouteMemo memo;
     SweepDestination(simulator, memo, Ipv4Address(0), serial);
     SweepDestination(simulator, memo, Addr("0.0.0.1"), serial);

@@ -44,7 +44,7 @@ TEST(Sampling, RandomSampleMissesPatternsAtEqualSize) {
 TEST(Sampling, RandomImprovesWithMultiplier) {
   std::vector<std::uint32_t> ids;
   for (std::uint32_t s = 0; s < 16; ++s) {
-    for (int i = 0; i < 50 + 200 * (s % 2); ++i) ids.push_back(s);
+    for (std::uint32_t i = 0; i < 50 + 200 * (s % 2); ++i) ids.push_back(s);
   }
   double x1 = MeanDistinctPatternsRandom(ids, 16, 100, netsim::Rng(3));
   double x2 = MeanDistinctPatternsRandom(ids, 32, 100, netsim::Rng(3));

@@ -142,7 +142,9 @@ TEST(ZeroIntensity, EmptySpecReproducesPlainPipeline) {
     EXPECT_EQ(result.stats.probes_sent, plain.stats.probes_sent);
     EXPECT_EQ(stats.injector.total(), 0u);
     EXPECT_EQ(stats.events_fired, 0u);
-    if (segment != 0) EXPECT_GT(stats.waves, 1u);
+    if (segment != 0) {
+      EXPECT_GT(stats.waves, 1u);
+    }
   }
 }
 
@@ -291,6 +293,7 @@ TEST(Injectors, MutatorsSwitchGroupsAndBumpTheEpoch) {
 
 TEST(ArtifactInjector, TotalLossTimesOutEveryReply) {
   test::MiniNet net = test::BuildMiniNet();
+  netsim::RouteMemo memo;
   ArtifactConfig config;
   config.p_probe_loss = 1.0;
   ArtifactInjector injector(config);
@@ -300,7 +303,7 @@ TEST(ArtifactInjector, TotalLossTimesOutEveryReply) {
   probe.destination = test::Addr("20.0.1.9");
   for (int ttl : {1, 3, 64}) {
     probe.ttl = ttl;
-    netsim::ProbeReply reply = net.simulator->Send(probe);
+    netsim::ProbeReply reply = net.simulator->Send(probe, memo);
     EXPECT_EQ(reply.kind, netsim::ReplyKind::kTimeout) << "ttl=" << ttl;
   }
   EXPECT_EQ(injector.counters().probe_losses, 3u);
@@ -309,6 +312,7 @@ TEST(ArtifactInjector, TotalLossTimesOutEveryReply) {
 
 TEST(ArtifactInjector, RateLimitSilencesRoutersButNotHosts) {
   test::MiniNet net = test::BuildMiniNet();
+  netsim::RouteMemo memo;
   ArtifactConfig config;
   config.p_rate_limit = 1.0;
   ArtifactInjector injector(config);
@@ -317,16 +321,19 @@ TEST(ArtifactInjector, RateLimitSilencesRoutersButNotHosts) {
   netsim::ProbeSpec probe;
   probe.destination = test::Addr("20.0.1.9");
   probe.ttl = 3;
-  EXPECT_EQ(net.simulator->Send(probe).kind, netsim::ReplyKind::kTimeout);
+  EXPECT_EQ(net.simulator->Send(probe, memo).kind,
+            netsim::ReplyKind::kTimeout);
   EXPECT_GT(injector.counters().rate_limit_silences, 0u);
   // Echo replies are not TTL-exceeded — the rate limiter leaves them be.
   probe.ttl = 64;
-  EXPECT_EQ(net.simulator->Send(probe).kind, netsim::ReplyKind::kEchoReply);
+  EXPECT_EQ(net.simulator->Send(probe, memo).kind,
+            netsim::ReplyKind::kEchoReply);
   net.simulator->SetReplyArtifacts(nullptr);
 }
 
 TEST(ArtifactInjector, LoopCyclesSyntheticRoutersPastTheOnset) {
   test::MiniNet net = test::BuildMiniNet();
+  netsim::RouteMemo memo;
   ArtifactConfig config;
   config.p_loop = 1.0;
   config.loop_onset_min = 3;
@@ -343,25 +350,25 @@ TEST(ArtifactInjector, LoopCyclesSyntheticRoutersPastTheOnset) {
   probe.destination = test::Addr("20.0.1.9");
   // Below the onset the true path answers.
   probe.ttl = 2;
-  netsim::ProbeReply below = net.simulator->Send(probe);
+  netsim::ProbeReply below = net.simulator->Send(probe, memo);
   EXPECT_EQ(below.kind, netsim::ReplyKind::kTtlExceeded);
   EXPECT_FALSE(in_loop_space(below.responder));
   // From the onset on, synthetic loop routers answer and the cycle
   // repeats with period 2 or 3; the destination is unreachable.
   probe.ttl = 3;
-  netsim::ProbeReply at_onset = net.simulator->Send(probe);
+  netsim::ProbeReply at_onset = net.simulator->Send(probe, memo);
   EXPECT_EQ(at_onset.kind, netsim::ReplyKind::kTtlExceeded);
   EXPECT_TRUE(in_loop_space(at_onset.responder));
   bool cycled = false;
   for (int period : {2, 3}) {
     probe.ttl = 3 + period;
-    if (net.simulator->Send(probe).responder == at_onset.responder) {
+    if (net.simulator->Send(probe, memo).responder == at_onset.responder) {
       cycled = true;
     }
   }
   EXPECT_TRUE(cycled);
   probe.ttl = 64;
-  EXPECT_EQ(net.simulator->Send(probe).kind,
+  EXPECT_EQ(net.simulator->Send(probe, memo).kind,
             netsim::ReplyKind::kTtlExceeded);
   EXPECT_GT(injector.counters().loop_rewrites, 0u);
   net.simulator->SetReplyArtifacts(nullptr);
@@ -369,6 +376,7 @@ TEST(ArtifactInjector, LoopCyclesSyntheticRoutersPastTheOnset) {
 
 TEST(ArtifactInjector, RewriteIsDeterministicPerProbe) {
   test::MiniNet net = test::BuildMiniNet();
+  netsim::RouteMemo memo;
   ArtifactConfig config;
   config.p_probe_loss = 0.5;
   config.p_rate_limit = 0.5;
@@ -382,8 +390,8 @@ TEST(ArtifactInjector, RewriteIsDeterministicPerProbe) {
         netsim::Ipv4Address(test::Addr("20.0.2.0").value() + host);
     probe.ttl = static_cast<int>(1 + host % 8);
     probe.flow_id = static_cast<std::uint16_t>(host);
-    const netsim::ProbeReply first = net.simulator->Send(probe);
-    const netsim::ProbeReply second = net.simulator->Send(probe);
+    const netsim::ProbeReply first = net.simulator->Send(probe, memo);
+    const netsim::ProbeReply second = net.simulator->Send(probe, memo);
     EXPECT_EQ(first.kind, second.kind);
     EXPECT_EQ(first.responder, second.responder);
     EXPECT_EQ(first.reply_ttl, second.reply_ttl);

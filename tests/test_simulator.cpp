@@ -5,6 +5,7 @@
 #include <set>
 
 #include "test_util.h"
+#include "walk_oracle.h"
 
 namespace hobbit::netsim {
 namespace {
@@ -15,7 +16,8 @@ using test::MiniNet;
 
 TEST(Simulator, ResolvesPathToSingleGatewaySubnet) {
   MiniNet net = BuildMiniNet();
-  auto path = net.simulator->ResolvePath(Addr("20.0.1.9"), 0, 0);
+  RouteMemo memo;
+  auto path = net.simulator->ResolvePath(Addr("20.0.1.9"), 0, 0, memo);
   ASSERT_EQ(path.size(), 6u);
   EXPECT_EQ(path.front(), net.src);
   EXPECT_EQ(path.back(), net.gw1);
@@ -23,23 +25,26 @@ TEST(Simulator, ResolvesPathToSingleGatewaySubnet) {
 
 TEST(Simulator, UnroutableDestinationGivesEmptyPath) {
   MiniNet net = BuildMiniNet();
-  EXPECT_TRUE(net.simulator->ResolvePath(Addr("99.9.9.9"), 0, 0).empty());
+  RouteMemo memo;
+  EXPECT_TRUE(net.simulator->ResolvePath(Addr("99.9.9.9"), 0, 0, memo).empty());
 }
 
 TEST(Simulator, SameHeaderSamePath) {
   MiniNet net = BuildMiniNet();
+  RouteMemo memo;
   for (std::uint16_t flow : {0, 1, 7, 999}) {
-    auto a = net.simulator->ResolvePath(Addr("20.0.2.10"), flow, 1);
-    auto b = net.simulator->ResolvePath(Addr("20.0.2.10"), flow, 2);
+    auto a = net.simulator->ResolvePath(Addr("20.0.2.10"), flow, 1, memo);
+    auto b = net.simulator->ResolvePath(Addr("20.0.2.10"), flow, 2, memo);
     EXPECT_EQ(a, b) << "flow " << flow;
   }
 }
 
 TEST(Simulator, PerFlowDiversityVariesWithFlowId) {
   MiniNet net = BuildMiniNet();
+  RouteMemo memo;
   std::set<RouterId> mids;
   for (std::uint16_t flow = 0; flow < 32; ++flow) {
-    auto path = net.simulator->ResolvePath(Addr("20.0.1.9"), flow, 0);
+    auto path = net.simulator->ResolvePath(Addr("20.0.1.9"), flow, 0, memo);
     ASSERT_EQ(path.size(), 6u);
     mids.insert(path[2]);  // the m1/m2 stage
   }
@@ -51,8 +56,8 @@ TEST(Simulator, PerDestinationPicksOneGatewayPerAddress) {
   std::set<RouterId> gateways;
   for (std::uint32_t host = 1; host < 64; ++host) {
     Ipv4Address dst(Addr("20.0.2.0").value() + host);
-    RouterId gw_a = net.simulator->GroundTruthLastHop(dst, 0);
-    RouterId gw_b = net.simulator->GroundTruthLastHop(dst, 12345);
+    RouterId gw_a = test::OracleLastHop(*net.simulator, dst, 0);
+    RouterId gw_b = test::OracleLastHop(*net.simulator, dst, 12345);
     EXPECT_EQ(gw_a, gw_b) << "flow id must not influence per-dest choice";
     gateways.insert(gw_a);
   }
@@ -61,25 +66,27 @@ TEST(Simulator, PerDestinationPicksOneGatewayPerAddress) {
 
 TEST(Simulator, TtlExpiryReturnsRouterAtThatHop) {
   MiniNet net = BuildMiniNet();
+  RouteMemo memo;
   ProbeSpec probe;
   probe.destination = Addr("20.0.1.9");
   probe.ttl = 1;
-  ProbeReply reply = net.simulator->Send(probe);
+  ProbeReply reply = net.simulator->Send(probe, memo);
   EXPECT_EQ(reply.kind, ReplyKind::kTtlExceeded);
   EXPECT_EQ(reply.responder, Addr("10.0.0.1"));
 
   probe.ttl = 6;  // the gateway
-  reply = net.simulator->Send(probe);
+  reply = net.simulator->Send(probe, memo);
   EXPECT_EQ(reply.kind, ReplyKind::kTtlExceeded);
   EXPECT_EQ(reply.responder, net.topology.router(net.gw1).reply_address);
 }
 
 TEST(Simulator, SufficientTtlReachesHost) {
   MiniNet net = BuildMiniNet();
+  RouteMemo memo;
   ProbeSpec probe;
   probe.destination = Addr("20.0.1.9");
   probe.ttl = 64;
-  ProbeReply reply = net.simulator->Send(probe);
+  ProbeReply reply = net.simulator->Send(probe, memo);
   EXPECT_EQ(reply.kind, ReplyKind::kEchoReply);
   EXPECT_EQ(reply.responder, Addr("20.0.1.9"));
   EXPECT_EQ(reply.hop, MiniNet::kHostHop);
@@ -87,10 +94,11 @@ TEST(Simulator, SufficientTtlReachesHost) {
 
 TEST(Simulator, EchoReplyTtlEncodesReversePath) {
   MiniNet net = BuildMiniNet();
+  RouteMemo memo;
   ProbeSpec probe;
   probe.destination = Addr("20.0.1.9");
   probe.ttl = 64;
-  ProbeReply reply = net.simulator->Send(probe);
+  ProbeReply reply = net.simulator->Send(probe, memo);
   const HostModel& hosts = net.simulator->host_model();
   int default_ttl = hosts.DefaultTtl(probe.destination);
   // Symmetric reverse path (asymmetry disabled in the fixture): six
@@ -100,12 +108,13 @@ TEST(Simulator, EchoReplyTtlEncodesReversePath) {
 
 TEST(Simulator, SilentRouterNeverAnswers) {
   MiniNet net = BuildMiniNet();
+  RouteMemo memo;
   ProbeSpec probe;
   probe.destination = Addr("20.0.3.9");
   probe.ttl = 6;  // gw_silent
   for (std::uint64_t serial = 0; serial < 50; ++serial) {
     probe.serial = serial;
-    EXPECT_EQ(net.simulator->Send(probe).kind, ReplyKind::kTimeout);
+    EXPECT_EQ(net.simulator->Send(probe, memo).kind, ReplyKind::kTimeout);
   }
 }
 
@@ -114,19 +123,20 @@ TEST(Simulator, InactiveHostTimesOut) {
   cold.snapshot_availability = 0.0;
   cold.probe_availability = 0.0;
   MiniNet net = BuildMiniNet(cold);
+  RouteMemo memo;
   ProbeSpec probe;
   probe.destination = Addr("20.0.1.9");
   probe.ttl = 64;
-  EXPECT_EQ(net.simulator->Send(probe).kind, ReplyKind::kTimeout);
+  EXPECT_EQ(net.simulator->Send(probe, memo).kind, ReplyKind::kTimeout);
 }
 
 TEST(Simulator, CarvedPrefixRoutesToItsOwnGateway) {
   MiniNet net = BuildMiniNet();
-  EXPECT_EQ(net.simulator->GroundTruthLastHop(Addr("20.0.4.70"), 0),
+  EXPECT_EQ(test::OracleLastHop(*net.simulator, Addr("20.0.4.70"), 0),
             net.gw2);
-  EXPECT_EQ(net.simulator->GroundTruthLastHop(Addr("20.0.4.10"), 0),
+  EXPECT_EQ(test::OracleLastHop(*net.simulator, Addr("20.0.4.10"), 0),
             net.gw1);
-  EXPECT_EQ(net.simulator->GroundTruthLastHop(Addr("20.0.4.200"), 0),
+  EXPECT_EQ(test::OracleLastHop(*net.simulator, Addr("20.0.4.200"), 0),
             net.gw1);
 }
 
@@ -134,25 +144,27 @@ TEST(Simulator, ProbeCounterAdvances) {
   // The artifact hook sees every Send exactly once: the independent
   // packet count the load-accounting tests rely on.
   MiniNet net = BuildMiniNet();
+  RouteMemo memo;
   test::SendCounter sends(*net.simulator);
   ProbeSpec probe;
   probe.destination = Addr("20.0.1.9");
   probe.ttl = 64;
-  net.simulator->Send(probe);
-  net.simulator->Send(probe);
+  net.simulator->Send(probe, memo);
+  net.simulator->Send(probe, memo);
   EXPECT_EQ(sends.count(), 2u);
   probe.destination = Addr("20.0.3.9");  // silent gateway: still a packet
   probe.ttl = 6;
-  net.simulator->Send(probe);
+  net.simulator->Send(probe, memo);
   EXPECT_EQ(sends.count(), 3u);
 }
 
 TEST(Simulator, RttPositiveAndGrowsWithDistance) {
   MiniNet net = BuildMiniNet();
+  RouteMemo memo;
   ProbeSpec near_probe;
   near_probe.destination = Addr("20.0.1.9");
   near_probe.ttl = 64;
-  ProbeReply reply = net.simulator->Send(near_probe);
+  ProbeReply reply = net.simulator->Send(near_probe, memo);
   EXPECT_GT(reply.rtt_ms, 0.0);
 }
 

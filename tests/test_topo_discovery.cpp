@@ -22,8 +22,10 @@ std::vector<netsim::Ipv4Address> SomeDestinations() {
 
 TEST(CollectCorpus, RecordsLinksForReachableDestinations) {
   MiniNet net = BuildMiniNet();
+  netsim::RouteMemo memo;
   auto destinations = SomeDestinations();
-  TracerouteCorpus corpus = CollectCorpus(*net.simulator, destinations);
+  TracerouteCorpus corpus =
+      CollectCorpus(*net.simulator, memo, destinations);
   EXPECT_EQ(corpus.entries.size(), destinations.size());
   EXPECT_GT(corpus.total_links, 5u);
   for (const CorpusEntry& entry : corpus.entries) {
@@ -33,14 +35,18 @@ TEST(CollectCorpus, RecordsLinksForReachableDestinations) {
 
 TEST(CollectCorpus, SkipsUnreachableDestinations) {
   MiniNet net = BuildMiniNet();
+  netsim::RouteMemo memo;
   std::vector<netsim::Ipv4Address> destinations = {Addr("99.9.9.9")};
-  TracerouteCorpus corpus = CollectCorpus(*net.simulator, destinations);
+  TracerouteCorpus corpus =
+      CollectCorpus(*net.simulator, memo, destinations);
   EXPECT_TRUE(corpus.entries.empty());
 }
 
 TEST(DiscoverySeries, CoverageIsMonotoneAndReachesOne) {
   MiniNet net = BuildMiniNet();
-  TracerouteCorpus corpus = CollectCorpus(*net.simulator, SomeDestinations());
+  netsim::RouteMemo memo;
+  TracerouteCorpus corpus =
+      CollectCorpus(*net.simulator, memo, SomeDestinations());
   // One stratum holding everything: k rounds add one entry each.
   std::vector<std::vector<std::uint32_t>> strata(1);
   for (std::uint32_t i = 0; i < corpus.entries.size(); ++i) {
@@ -60,7 +66,9 @@ TEST(DiscoverySeries, CoarserStrataNeedFewerSelections) {
   // The Fig 11 effect in miniature: selecting per aggregate block reaches
   // a target coverage with fewer destinations than selecting per /24.
   MiniNet net = BuildMiniNet();
-  TracerouteCorpus corpus = CollectCorpus(*net.simulator, SomeDestinations());
+  netsim::RouteMemo memo;
+  TracerouteCorpus corpus =
+      CollectCorpus(*net.simulator, memo, SomeDestinations());
   ASSERT_EQ(corpus.entries.size(), 48u);
 
   // Fine strata: one per /24 (indices interleave 20.0.1.x / 20.0.2.x).

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "test_util.h"
+#include "walk_oracle.h"
 
 namespace hobbit::probing {
 namespace {
@@ -29,11 +30,13 @@ TEST(MdaProbeCount, ExtensionIsMonotone) {
 
 TEST(ParisTraceroute, FollowsGroundTruthPath) {
   MiniNet net = BuildMiniNet();
+  netsim::RouteMemo memo;
   std::uint64_t serial = 1;
-  Route route = ParisTraceroute(*net.simulator, Addr("20.0.1.9"), 3, serial);
+  Route route =
+      ParisTraceroute(*net.simulator, memo, Addr("20.0.1.9"), 3, serial);
   ASSERT_TRUE(route.reached_destination);
   ASSERT_EQ(route.hops.size(), 6u);
-  auto truth = net.simulator->ResolvePath(Addr("20.0.1.9"), 3, 0);
+  auto truth = test::OracleWalk(*net.simulator, Addr("20.0.1.9"), 3, 0);
   for (std::size_t i = 0; i < truth.size(); ++i) {
     ASSERT_TRUE(route.hops[i].responsive);
     EXPECT_EQ(route.hops[i].address,
@@ -45,8 +48,10 @@ TEST(ParisTraceroute, FollowsGroundTruthPath) {
 
 TEST(ParisTraceroute, SilentLastHopIsWildcard) {
   MiniNet net = BuildMiniNet();
+  netsim::RouteMemo memo;
   std::uint64_t serial = 1;
-  Route route = ParisTraceroute(*net.simulator, Addr("20.0.3.9"), 3, serial);
+  Route route =
+      ParisTraceroute(*net.simulator, memo, Addr("20.0.3.9"), 3, serial);
   ASSERT_TRUE(route.reached_destination);
   ASSERT_EQ(route.hops.size(), 6u);
   EXPECT_FALSE(route.hops.back().responsive);
@@ -57,8 +62,10 @@ TEST(ParisTraceroute, DeadDestinationStopsAtGapLimit) {
   cold.snapshot_availability = 0.0;
   cold.probe_availability = 0.0;
   MiniNet net = BuildMiniNet(cold);
+  netsim::RouteMemo memo;
   std::uint64_t serial = 1;
-  Route route = ParisTraceroute(*net.simulator, Addr("20.0.1.9"), 3, serial);
+  Route route =
+      ParisTraceroute(*net.simulator, memo, Addr("20.0.1.9"), 3, serial);
   EXPECT_FALSE(route.reached_destination);
   // Trailing wildcards are trimmed; the responsive prefix remains.
   ASSERT_FALSE(route.hops.empty());
@@ -67,11 +74,12 @@ TEST(ParisTraceroute, DeadDestinationStopsAtGapLimit) {
 
 TEST(ParisTraceroute, FirstTtlSkipsEarlyHops) {
   MiniNet net = BuildMiniNet();
+  netsim::RouteMemo memo;
   std::uint64_t serial = 1;
   TracerouteOptions options;
   options.first_ttl = 5;
-  Route route =
-      ParisTraceroute(*net.simulator, Addr("20.0.1.9"), 3, serial, options);
+  Route route = ParisTraceroute(*net.simulator, memo, Addr("20.0.1.9"), 3,
+                                serial, options);
   ASSERT_TRUE(route.reached_destination);
   ASSERT_EQ(route.hops.size(), 2u);  // hops 5 (agg) and 6 (gw1)
   EXPECT_EQ(route.hops.back().address,
@@ -114,9 +122,10 @@ TEST(RouteSetsShareARoute, GenerousIdentity) {
 
 TEST(EnumerateRoutes, FindsBothPerFlowPaths) {
   MiniNet net = BuildMiniNet();
+  netsim::RouteMemo memo;
   std::uint64_t serial = 1;
   std::vector<Route> routes =
-      EnumerateRoutes(*net.simulator, Addr("20.0.1.9"), serial);
+      EnumerateRoutes(*net.simulator, memo, Addr("20.0.1.9"), serial);
   // m1 and m2 both appear; last hop always gw1.
   ASSERT_EQ(routes.size(), 2u);
   std::set<netsim::Ipv4Address> mids;
@@ -131,11 +140,12 @@ TEST(EnumerateRoutes, FindsBothPerFlowPaths) {
 
 TEST(EnumerateRoutes, PerDestinationDiversityIsInvisible) {
   MiniNet net = BuildMiniNet();
+  netsim::RouteMemo memo;
   std::uint64_t serial = 1;
   // One destination of the per-dest /24: every flow id takes the same
   // gateway, so MDA sees only the per-flow (m1/m2) diversity.
   std::vector<Route> routes =
-      EnumerateRoutes(*net.simulator, Addr("20.0.2.9"), serial);
+      EnumerateRoutes(*net.simulator, memo, Addr("20.0.2.9"), serial);
   std::set<netsim::Ipv4Address> last_hops;
   for (const Route& route : routes) {
     last_hops.insert(route.hops.back().address);
@@ -145,9 +155,10 @@ TEST(EnumerateRoutes, PerDestinationDiversityIsInvisible) {
 
 TEST(EnumerateHopInterfaces, FindsSingleGateway) {
   MiniNet net = BuildMiniNet();
+  netsim::RouteMemo memo;
   std::uint64_t serial = 1;
   HopInterfaces result = EnumerateHopInterfaces(
-      *net.simulator, Addr("20.0.1.9"), MiniNet::kHostHop - 1, serial);
+      *net.simulator, memo, Addr("20.0.1.9"), MiniNet::kHostHop - 1, serial);
   ASSERT_EQ(result.interfaces.size(), 1u);
   EXPECT_EQ(result.interfaces.front(),
             net.topology.router(net.gw1).reply_address);
@@ -157,17 +168,19 @@ TEST(EnumerateHopInterfaces, FindsSingleGateway) {
 
 TEST(EnumerateHopInterfaces, SilentHopYieldsOnlyWildcards) {
   MiniNet net = BuildMiniNet();
+  netsim::RouteMemo memo;
   std::uint64_t serial = 1;
   HopInterfaces result = EnumerateHopInterfaces(
-      *net.simulator, Addr("20.0.3.9"), MiniNet::kHostHop - 1, serial);
+      *net.simulator, memo, Addr("20.0.3.9"), MiniNet::kHostHop - 1, serial);
   EXPECT_TRUE(result.interfaces.empty());
   EXPECT_GT(result.wildcard_probes, 0);
 }
 
 TEST(EnumerateHopInterfaces, MidPathPerFlowStage) {
   MiniNet net = BuildMiniNet();
+  netsim::RouteMemo memo;
   std::uint64_t serial = 1;
-  HopInterfaces result = EnumerateHopInterfaces(*net.simulator,
+  HopInterfaces result = EnumerateHopInterfaces(*net.simulator, memo,
                                                 Addr("20.0.1.9"), 3, serial);
   EXPECT_EQ(result.interfaces.size(), 2u);  // m1, m2
   EXPECT_GE(result.probes_sent, MdaProbeCount(2));

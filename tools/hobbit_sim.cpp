@@ -290,10 +290,11 @@ int CmdTraceroute(const Args& args) {
     return 2;
   }
   netsim::Internet internet = BuildWorld(args);
+  netsim::RouteMemo memo;
   std::uint64_t serial = 1;
   if (args.Has("mda")) {
-    auto routes =
-        probing::EnumerateRoutes(*internet.simulator, *address, serial);
+    auto routes = probing::EnumerateRoutes(*internet.simulator, memo,
+                                           *address, serial);
     std::cout << routes.size() << " distinct route(s)\n";
     for (std::size_t r = 0; r < routes.size(); ++r) {
       std::cout << "route " << r + 1 << ":";
@@ -304,8 +305,8 @@ int CmdTraceroute(const Args& args) {
       std::cout << "\n";
     }
   } else {
-    probing::Route route =
-        probing::ParisTraceroute(*internet.simulator, *address, 1, serial);
+    probing::Route route = probing::ParisTraceroute(*internet.simulator, memo,
+                                                    *address, 1, serial);
     for (std::size_t h = 0; h < route.hops.size(); ++h) {
       std::cout << h + 1 << "  "
                 << (route.hops[h].responsive
