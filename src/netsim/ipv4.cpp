@@ -49,7 +49,9 @@ void Ipv4Address::AppendTo(std::string* out) const {
   char* end = text;
   for (int i = 0; i < 4; ++i) {
     if (i > 0) *end++ = '.';
-    end = std::to_chars(end, text + sizeof(text), unsigned{Octet(i)}).ptr;
+    // An octet takes at most three digits; bounding each write by that
+    // lets the compiler see that four of them fit.
+    end = std::to_chars(end, end + 3, unsigned{Octet(i)}).ptr;
   }
   out->append(text, end);
 }

@@ -1,6 +1,8 @@
 #include "netsim/rdns.h"
 
 #include <array>
+#include <initializer_list>
+#include <string_view>
 
 #include "netsim/rng.h"
 
@@ -13,6 +15,16 @@ std::string Dashed(Ipv4Address a) {
     if (i > 0) out.push_back('-');
     out += std::to_string(a.Octet(i));
   }
+  return out;
+}
+
+/// `parts` concatenated into one string.
+std::string Join(std::initializer_list<std::string_view> parts) {
+  std::size_t size = 0;
+  for (std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (std::string_view part : parts) out += part;
   return out;
 }
 
@@ -43,47 +55,50 @@ std::optional<std::string> RdnsName(std::uint32_t scheme,
     case kRdnsNone:
       return std::nullopt;
     case kRdnsGenericIsp:
-      return "host-" + Dashed(address) + ".example-isp.net";
+      return Join({"host-", Dashed(address), ".example-isp.net"});
     case kRdnsTele2Cellular: {
       // "m" + digit(s) + per-host suffix, under cust.tele2.net.
       std::uint64_t h = StableHash({address.value(), 0x7E1E2ULL});
-      return "m" + std::to_string(1 + h % 9) + "-" + Dashed(address) +
-             ".cust.tele2.net";
+      return Join({"m", std::to_string(1 + h % 9), "-", Dashed(address),
+                   ".cust.tele2.net"});
     }
     case kRdnsOcnCellular: {
       std::uint64_t h = StableHash({address.value(), 0x0C4ULL});
-      return "p" + Dashed(address) + ".omed" +
-             std::to_string(1 + h % 20) + ".ocn.ne.jp";
+      return Join({"p", Dashed(address), ".omed", std::to_string(1 + h % 20),
+                   ".ocn.ne.jp"});
     }
     case kRdnsVerizonCellular:
-      return Dashed(address) + ".pools.vzwnet.com";
+      return Join({Dashed(address), ".pools.vzwnet.com"});
     case kRdnsAmazonEc2Tokyo:
-      return "ec2-" + Dashed(address) + ".ap-northeast-1.compute.amazonaws.com";
+      return Join({"ec2-", Dashed(address),
+                   ".ap-northeast-1.compute.amazonaws.com"});
     case kRdnsAmazonEc2UsWest:
-      return "ec2-" + Dashed(address) + ".us-west-1.compute.amazonaws.com";
+      return Join(
+          {"ec2-", Dashed(address), ".us-west-1.compute.amazonaws.com"});
     case kRdnsAmazonEc2Dublin:
-      return "ec2-" + Dashed(address) + ".eu-west-1.compute.amazonaws.com";
+      return Join(
+          {"ec2-", Dashed(address), ".eu-west-1.compute.amazonaws.com"});
     case kRdnsCoxBusiness:
-      return "wsip-" + Dashed(address) + ".ph.ph.cox.net";
+      return Join({"wsip-", Dashed(address), ".ph.ph.cox.net"});
     case kRdnsCoxResidential:
-      return "ip" + Dashed(address) + ".ph.ph.cox.net";
+      return Join({"ip", Dashed(address), ".ph.ph.cox.net"});
     case kRdnsGenericHosting:
-      return "server-" + Dashed(address) + ".fasthost.example";
+      return Join({"server-", Dashed(address), ".fasthost.example"});
     case kRdnsRouterInfra: {
       std::uint64_t h = StableHash({address.value(), 0x40075ULL});
-      return "ae-" + std::to_string(h % 16) + "-" + Dashed(address) +
-             ".core.backbone.example";
+      return Join({"ae-", std::to_string(h % 16), "-", Dashed(address),
+                   ".core.backbone.example"});
     }
     case kRdnsBitcoinHost:
-      return "ip" + Dashed(address) + ".ph.ph.cox.net";
+      return Join({"ip", Dashed(address), ".ph.ph.cox.net"});
     default:
       break;
   }
   if (scheme >= kRdnsTwcBase &&
       scheme < kRdnsTwcBase + kTwcPatternCount) {
     TwcParts parts = TwcPartsOf(scheme);
-    return "cpe-" + Dashed(address) + "." + parts.region + "." +
-           parts.service + ".rr.com";
+    return Join({"cpe-", Dashed(address), ".", parts.region, ".", parts.service,
+                 ".rr.com"});
   }
   return std::nullopt;
 }

@@ -42,8 +42,11 @@
 // patch, and the store keeps serving the current snapshot untouched.
 //
 // Contract: ApplyPatch(base, CompileDelta(base, S)) is byte-identical to
-// CompileSnapshotV2(S) for any state S.  Both sides funnel through
-// BuildSnapshotEntries / AppendBlockTable / AssembleSnapshotV2, so this
+// CompileSnapshotV2(S) for any state S.  CompileDelta diffs the entries
+// of the one resolver CompileSnapshotV2 writes through, ships the block
+// sections AppendBlockTable writes as the full compile does, and the
+// applier assembles through AssembleSnapshotV2, which lays out, fills
+// the header and checksums through the full compile's writer.  So this
 // holds structurally, and the differential gate in bench_stream and the
 // verify_full_reference stream option re-check it at runtime.
 #pragma once

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <memory>
@@ -179,34 +180,6 @@ void FoldSpans(const std::array<std::span<const std::byte>, N>& spans,
   for (std::size_t l = 0; l < N; ++l) hashes[order[l]] = lanes[l];
 }
 
-/// Stable LSD radix sort of key << 32 | payload records by key, one key
-/// byte per pass, all 32 key bits.  A pass whose byte is the same in
-/// every record would move nothing and is skipped, so /24 keys (low byte
-/// zero) pay three passes.  `scratch` holds at least records.size()
-/// values.
-void SortByKey(std::span<std::uint64_t> records, std::uint64_t* scratch) {
-  const std::size_t n = records.size();
-  if (n < 2) return;
-  std::array<std::array<std::size_t, 256>, 4> counts{};
-  for (const std::uint64_t r : records) {
-    for (int d = 0; d < 4; ++d) ++counts[d][(r >> (32 + 8 * d)) & 0xFF];
-  }
-  std::uint64_t* from = records.data();
-  std::uint64_t* to = scratch;
-  for (int d = 0; d < 4; ++d) {
-    const int shift = 32 + 8 * d;
-    std::array<std::size_t, 256>& next = counts[d];
-    if (next[(from[0] >> shift) & 0xFF] == n) continue;
-    std::size_t start = 0;
-    for (std::size_t& slot : next) start += std::exchange(slot, start);
-    for (std::size_t k = 0; k < n; ++k) {
-      to[next[(from[k] >> shift) & 0xFF]++] = from[k];
-    }
-    std::swap(from, to);
-  }
-  if (from != records.data()) std::copy(from, from + n, records.data());
-}
-
 /// The running state of the verifying pass over the entries.  Every
 /// entry check is folded into the sign of `negative`, so a passing entry
 /// costs a few ORs:
@@ -374,79 +347,253 @@ std::vector<ClassifiedPrefix> ClassifiedFrom(
   return out;
 }
 
-std::vector<SnapshotEntry> BuildSnapshotEntries(
-    std::span<const cluster::AggregateBlock> blocks,
-    std::span<const ClassifiedPrefix> classified) {
-  // Each record tagged key << 32 | payload and stably sorted by key, so
-  // a key's member run starts at its lowest block and its classified run
-  // keeps input order for the first-token-not-kNoClass rule.
-  std::size_t member_total = 0;
-  for (const cluster::AggregateBlock& block : blocks) {
-    member_total += block.member_24s.size();
-  }
-  std::vector<std::uint64_t> members;
-  members.reserve(member_total);
-  for (std::uint32_t b = 0; b < blocks.size(); ++b) {
-    for (const netsim::Prefix& member : blocks[b].member_24s) {
-      members.push_back(std::uint64_t{member.base().value()} << 32 | b);
-    }
-  }
-  std::vector<std::uint64_t> tokens;
-  tokens.reserve(classified.size());
-  for (const ClassifiedPrefix& c : classified) {
-    tokens.push_back(std::uint64_t{c.prefix.base().value()} << 32 |
-                     c.class_token);
-  }
-  {
-    // Freed before the merge allocates its output.
-    const auto scratch = std::make_unique_for_overwrite<std::uint64_t[]>(
-        std::max(members.size(), tokens.size()));
-    SortByKey(members, scratch.get());
-    SortByKey(tokens, scratch.get());
-  }
+namespace {
 
-  // One merge over the two key-sorted runs; kEnd is past every key.
-  constexpr std::uint64_t kEnd = std::uint64_t{1} << 32;
-  const std::size_t nm = members.size();
-  const std::size_t nt = tokens.size();
-  std::vector<SnapshotEntry> out;
-  out.reserve(nm + nt);  // an upper bound; pages past the end stay untouched
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < nm || j < nt) {
-    const std::uint64_t member_key = i < nm ? members[i] >> 32 : kEnd;
-    const std::uint64_t token_key = j < nt ? tokens[j] >> 32 : kEnd;
-    const std::uint64_t key = std::min(member_key, token_key);
-    SnapshotEntry entry{static_cast<std::uint32_t>(key), kNoBlock, kNoClass};
-    if (member_key == key) {
-      entry.block = static_cast<std::uint32_t>(members[i]);
-      while (i < nm && members[i] >> 32 == key) ++i;
-    }
-    for (; j < nt && tokens[j] >> 32 == key; ++j) {
-      if (entry.class_token == kNoClass) {
-        entry.class_token = static_cast<std::uint8_t>(tokens[j]);
-      }
-    }
-    out.push_back(entry);
-  }
-  return out;
+/// How many blocks ahead the loops over blocks prefetch a block's member
+/// or hop array.  Each array is its own heap allocation, and blocks in
+/// canonical order do not sit in allocation order.
+constexpr std::size_t kBlockPrefetch = 16;
+
+/// The bits set in `x`.  Spelled out because without a popcount
+/// instruction in the target (baseline x86-64 has none) std::popcount is
+/// a call into the compiler's runtime library.
+inline std::size_t Popcount(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
 }
 
-void AppendBlockTable(std::span<const cluster::AggregateBlock> blocks,
-                      std::vector<std::byte>* blocktab,
-                      std::vector<std::byte>* hops) {
-  std::size_t hop_total = 0;
-  for (const cluster::AggregateBlock& block : blocks) {
-    hop_total += block.last_hops.size();
+template <class Field>
+void PrefetchAhead(std::span<const cluster::AggregateBlock> blocks,
+                   std::size_t b, Field field) {
+  if (b + kBlockPrefetch < blocks.size()) {
+    __builtin_prefetch((blocks[b + kBlockPrefetch].*field).data());
   }
-  const std::size_t tab_start = blocktab->size();
-  const std::size_t hop_start = hops->size();
-  blocktab->resize(tab_start + blocks.size() * 12);
-  hops->resize(hop_start + hop_total * 4);
-  std::byte* row = blocktab->data() + tab_start;
-  std::byte* hop_out = hops->data() + hop_start;
-  std::uint32_t hop_offset = 0;
+}
+
+/// Where the resolver writes: a snapshot's three entry sections.
+struct EntrySections {
+  std::byte* keys;
+  std::byte* blocks;
+  std::byte* classes;
+};
+
+/// The distinct entry keys of a block map, ranked.  Every member and
+/// classified /24 sets its bit in a bitmap of the 2^24 /24s, and a
+/// summary keeps one bit per non-empty bitmap word, so ranking visits
+/// only the words that hold keys.  The bitmap is never cleared: a word is
+/// written whole when the first key lands in it and its summary bit goes
+/// up, and no word is read unless its summary bit is up.  A compile thus
+/// touches only the words its keys land in; clearing all 2 MiB would
+/// cost a map of a few thousand /24s spread over the space more than
+/// ranking it.  Ranking stores, densely, per non-empty word, the count
+/// of /24 keys in the words before it, and per summary group where its
+/// words' counts start.  A key's position is its word's count (found by
+/// the set summary bits below the word) plus the set bits below it in
+/// the word; for a map of a few thousand keys the dense counts stay in
+/// cache where a count per bitmap word would not.
+///
+/// A key that is not a /24 base (the base of a member prefix longer than
+/// /24, which the loader refuses) goes to a small sorted side list that
+/// emission merges in, so every input resolves as the map oracle does.
+class KeyRank {
+ public:
+  KeyRank(std::span<const cluster::AggregateBlock> blocks,
+          std::span<const ClassifiedPrefix> classified)
+      : bits_(std::make_unique_for_overwrite<std::uint64_t[]>(kWords)),
+        summary_(kWords / 64),
+        first_(kWords / 64) {
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      PrefetchAhead(blocks, b, &cluster::AggregateBlock::member_24s);
+      for (const netsim::Prefix& member : blocks[b].member_24s) {
+        Mark(member.base().value());
+      }
+    }
+    for (const ClassifiedPrefix& c : classified) Mark(c.prefix.base().value());
+    std::sort(odd_.begin(), odd_.end());
+    odd_.erase(std::unique(odd_.begin(), odd_.end()), odd_.end());
+    size_ += odd_.size();
+  }
+
+  /// Distinct keys: the entry count.
+  std::size_t size() const { return size_; }
+
+  /// Ranks the keys and writes them to `out` in ascending order, each
+  /// with kNoBlock and kNoClass.  PositionOf works from then on.
+  void Emit(const EntrySections& out) {
+    std::size_t non_empty = 0;
+    for (const std::uint64_t group : summary_) non_empty += Popcount(group);
+    rank_.reserve(non_empty);
+    odd_position_.resize(odd_.size());
+    std::size_t i = 0;
+    std::size_t odd = 0;
+    auto put = [&](std::uint32_t key) {
+      wire::StoreU32(out.keys + i * 4, key);
+      wire::StoreU32(out.blocks + i * 4, kNoBlock);
+      out.classes[i++] = std::byte{kNoClass};
+    };
+    auto put_odd_below = [&](std::uint64_t end) {
+      for (; odd < odd_.size() && odd_[odd] < end; ++odd) {
+        odd_position_[odd] = i;
+        put(odd_[odd]);
+      }
+    };
+    for (std::size_t group = 0; group < summary_.size(); ++group) {
+      first_[group] = static_cast<std::uint32_t>(rank_.size());
+      for (std::uint64_t words = summary_[group]; words != 0;
+           words &= words - 1) {
+        const auto w = static_cast<std::uint32_t>(
+            group * 64 + static_cast<std::size_t>(std::countr_zero(words)));
+        rank_.push_back(static_cast<std::uint32_t>(i - odd));
+        for (std::uint64_t bits = bits_[w]; bits != 0; bits &= bits - 1) {
+          const std::uint32_t key =
+              (w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)))
+              << 8;
+          put_odd_below(key);
+          put(key);
+        }
+      }
+    }
+    put_odd_below(std::uint64_t{1} << 32);
+  }
+
+  /// The position of `key`, one of the marked keys, in ascending order.
+  std::size_t PositionOf(std::uint32_t key) const {
+    if ((key & 0xFF) != 0) [[unlikely]] {
+      return odd_position_[OddBelow(key)];
+    }
+    const std::uint32_t w = key >> 14;
+    const std::uint32_t group = w >> 6;
+    const std::size_t slot =
+        first_[group] + Popcount(summary_[group] & Below(w & 63));
+    const std::size_t rank =
+        rank_[slot] + Popcount(bits_[w] & Below((key >> 8) & 63));
+    return odd_.empty() ? rank : rank + OddBelow(key);
+  }
+
+ private:
+  static constexpr std::size_t kWords = (std::size_t{1} << 24) / 64;
+
+  /// The bits below bit `i` of a word.
+  static std::uint64_t Below(std::uint32_t i) {
+    return (std::uint64_t{1} << i) - 1;
+  }
+
+  void Mark(std::uint32_t key) {
+    if ((key & 0xFF) != 0) [[unlikely]] {
+      odd_.push_back(key);
+      return;
+    }
+    const std::uint32_t w = key >> 14;
+    const std::uint64_t bit = std::uint64_t{1} << ((key >> 8) & 63);
+    std::uint64_t& group = summary_[w >> 6];
+    const std::uint64_t word = std::uint64_t{1} << (w & 63);
+    const std::uint64_t was = (group & word) != 0 ? bits_[w] : 0;
+    bits_[w] = was | bit;
+    group |= word;
+    size_ += (was & bit) == 0 ? 1 : 0;
+  }
+
+  /// Side-list keys below `key`.
+  std::size_t OddBelow(std::uint32_t key) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(odd_.begin(), odd_.end(), key) - odd_.begin());
+  }
+
+  std::unique_ptr<std::uint64_t[]> bits_;  ///< valid where summary_ says
+  std::vector<std::uint64_t> summary_;
+  /// Per summary group, the index in rank_ of its first non-empty word.
+  std::vector<std::uint32_t> first_;
+  /// Per non-empty word, ascending: the /24 keys in the words before it.
+  std::vector<std::uint32_t> rank_;
+  std::vector<std::uint32_t> odd_;
+  std::vector<std::size_t> odd_position_;  ///< entry index of each odd_ key
+  std::size_t size_ = 0;
+};
+
+/// Resolves the entries of `blocks` + `classified` into `out`: every key
+/// in order, with kNoBlock and kNoClass; then every member offers its
+/// block id, blocks in index order, and every record its token, in input
+/// order.  An entry keeps the first block id and the first token that is
+/// not kNoClass it is offered, which is the documented rule.
+void ResolveEntries(KeyRank& rank,
+                    std::span<const cluster::AggregateBlock> blocks,
+                    std::span<const ClassifiedPrefix> classified,
+                    const EntrySections& out) {
+  rank.Emit(out);
+  for (std::uint32_t b = 0; b < blocks.size(); ++b) {
+    PrefetchAhead(blocks, b, &cluster::AggregateBlock::member_24s);
+    for (const netsim::Prefix& member : blocks[b].member_24s) {
+      std::byte* slot =
+          out.blocks + rank.PositionOf(member.base().value()) * 4;
+      if (wire::ReadU32(slot) == kNoBlock) wire::StoreU32(slot, b);
+    }
+  }
+  for (const ClassifiedPrefix& c : classified) {
+    std::byte& slot = out.classes[rank.PositionOf(c.prefix.base().value())];
+    if (slot == std::byte{kNoClass}) slot = std::byte{c.class_token};
+  }
+}
+
+/// A snapshot buffer for n entries, m blocks and h hops: zeroed, each
+/// section at its offset.  The caller fills the sections; Seal writes
+/// the header and the section checksums.  Every snapshot the program
+/// writes -- a compile, an assembly, a patched one -- is sealed here.
+class SnapshotWriter {
+ public:
+  SnapshotWriter(std::size_t n, std::size_t m, std::size_t h)
+      : layout_(LayoutFor(n, m, h)),
+        out_(static_cast<std::size_t>(layout_.file_bytes)) {}
+
+  std::byte* section(std::size_t i) {
+    return out_.data() + layout_.offsets[i];
+  }
+  EntrySections entries() { return {section(0), section(1), section(2)}; }
+
+  std::vector<std::byte> Seal(std::uint64_t epoch) && {
+    std::byte* header = out_.data();
+    std::memcpy(header, kSnapshotMagic, 4);
+    wire::StoreU32(header + 4, kSnapshotVersion);
+    wire::StoreU32(header + 8, kSnapshotHeaderBytes);
+    // n, m and h, from the classes, blocktab and hops section sizes.
+    const std::uint64_t* sizes = layout_.sizes;
+    wire::StoreU32(header + 12, static_cast<std::uint32_t>(sizes[2]));
+    wire::StoreU32(header + 16, static_cast<std::uint32_t>(sizes[3] / 12));
+    wire::StoreU32(header + 20, static_cast<std::uint32_t>(sizes[4] / 4));
+    wire::StoreU64(header + 24, epoch);
+    wire::StoreU64(header + 32, layout_.file_bytes);
+    const std::array<std::uint64_t, kSnapshotSections> checksums =
+        SectionChecksums(layout_.Sections(out_.data()));
+    for (std::size_t i = 0; i < kSnapshotSections; ++i) {
+      wire::StoreU64(header + 40 + i * 8, layout_.offsets[i]);
+      wire::StoreU64(header + 80 + i * 8, checksums[i]);
+    }
+    wire::StoreU64(header + 120, 0);  // reserved
+    return std::move(out_);
+  }
+
+ private:
+  SectionLayout layout_;
+  std::vector<std::byte> out_;
+};
+
+std::size_t HopTotal(std::span<const cluster::AggregateBlock> blocks) {
+  std::size_t total = 0;
   for (const cluster::AggregateBlock& block : blocks) {
+    total += block.last_hops.size();
+  }
+  return total;
+}
+
+/// Writes the blocktab rows and the hop pool of `blocks` at `row` and
+/// `hop_out`, which have room for them.
+void WriteBlockTable(std::span<const cluster::AggregateBlock> blocks,
+                     std::byte* row, std::byte* hop_out) {
+  std::uint32_t hop_offset = 0;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    PrefetchAhead(blocks, b, &cluster::AggregateBlock::last_hops);
+    const cluster::AggregateBlock& block = blocks[b];
     const auto hop_count = static_cast<std::uint32_t>(block.last_hops.size());
     wire::StoreU32(row, static_cast<std::uint32_t>(block.member_24s.size()));
     wire::StoreU32(row + 4, hop_offset);
@@ -460,60 +607,61 @@ void AppendBlockTable(std::span<const cluster::AggregateBlock> blocks,
   }
 }
 
+}  // namespace
+
+std::vector<SnapshotEntry> BuildSnapshotEntries(
+    std::span<const cluster::AggregateBlock> blocks,
+    std::span<const ClassifiedPrefix> classified) {
+  KeyRank rank(blocks, classified);
+  const std::size_t n = rank.size();
+  std::vector<std::byte> columns(n * 9);
+  const EntrySections sections{columns.data(), columns.data() + n * 4,
+                               columns.data() + n * 8};
+  ResolveEntries(rank, blocks, classified, sections);
+  std::vector<SnapshotEntry> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = {wire::ReadU32(sections.keys + i * 4),
+              wire::ReadU32(sections.blocks + i * 4),
+              std::to_integer<std::uint8_t>(sections.classes[i])};
+  }
+  return out;
+}
+
+void AppendBlockTable(std::span<const cluster::AggregateBlock> blocks,
+                      std::vector<std::byte>* blocktab,
+                      std::vector<std::byte>* hops) {
+  const std::size_t tab_start = blocktab->size();
+  const std::size_t hop_start = hops->size();
+  blocktab->resize(tab_start + blocks.size() * 12);
+  hops->resize(hop_start + HopTotal(blocks) * 4);
+  WriteBlockTable(blocks, blocktab->data() + tab_start,
+                  hops->data() + hop_start);
+}
+
 std::vector<std::byte> AssembleSnapshotV2(std::span<const SnapshotEntry> entries,
                                           std::span<const std::byte> blocktab,
                                           std::span<const std::byte> hops,
                                           std::uint64_t epoch) {
-  const std::size_t n = entries.size();
-  const std::size_t m = blocktab.size() / 12;
-  const std::size_t h = hops.size() / 4;
-  const SectionLayout layout = LayoutFor(n, m, h);
-
-  std::vector<std::byte> out(layout.file_bytes, std::byte{0});
-  // Sections first, so the header can record their checksums.
-  {
-    std::byte* keys = out.data() + layout.offsets[0];
-    std::byte* blocks = out.data() + layout.offsets[1];
-    std::byte* classes = out.data() + layout.offsets[2];
-    for (std::size_t i = 0; i < n; ++i) {
-      const SnapshotEntry& e = entries[i];
-      wire::StoreU32(keys + i * 4, e.key);
-      wire::StoreU32(blocks + i * 4, e.block);
-      classes[i] = static_cast<std::byte>(e.class_token);
-    }
-    std::copy(blocktab.begin(), blocktab.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(layout.offsets[3]));
-    std::copy(hops.begin(), hops.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(layout.offsets[4]));
+  SnapshotWriter writer(entries.size(), blocktab.size() / 12, hops.size() / 4);
+  const EntrySections out = writer.entries();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    wire::StoreU32(out.keys + i * 4, entries[i].key);
+    wire::StoreU32(out.blocks + i * 4, entries[i].block);
+    out.classes[i] = static_cast<std::byte>(entries[i].class_token);
   }
-
-  std::byte* header = out.data();
-  std::memcpy(header, kSnapshotMagic, 4);
-  wire::StoreU32(header + 4, kSnapshotVersion);
-  wire::StoreU32(header + 8, kSnapshotHeaderBytes);
-  wire::StoreU32(header + 12, static_cast<std::uint32_t>(n));
-  wire::StoreU32(header + 16, static_cast<std::uint32_t>(m));
-  wire::StoreU32(header + 20, static_cast<std::uint32_t>(h));
-  wire::StoreU64(header + 24, epoch);
-  wire::StoreU64(header + 32, layout.file_bytes);
-  const std::array<std::uint64_t, kSnapshotSections> checksums =
-      SectionChecksums(layout.Sections(out.data()));
-  for (std::size_t i = 0; i < kSnapshotSections; ++i) {
-    wire::StoreU64(header + 40 + i * 8, layout.offsets[i]);
-    wire::StoreU64(header + 80 + i * 8, checksums[i]);
-  }
-  wire::StoreU64(header + 120, 0);  // reserved
-  return out;
+  std::copy(blocktab.begin(), blocktab.end(), writer.section(3));
+  std::copy(hops.begin(), hops.end(), writer.section(4));
+  return std::move(writer).Seal(epoch);
 }
 
 std::vector<std::byte> CompileSnapshotV2(
     std::span<const cluster::AggregateBlock> blocks,
     std::span<const ClassifiedPrefix> classified, std::uint64_t epoch) {
-  std::vector<SnapshotEntry> entries = BuildSnapshotEntries(blocks, classified);
-  std::vector<std::byte> blocktab;
-  std::vector<std::byte> hops;
-  AppendBlockTable(blocks, &blocktab, &hops);
-  return AssembleSnapshotV2(entries, blocktab, hops, epoch);
+  KeyRank rank(blocks, classified);
+  SnapshotWriter writer(rank.size(), blocks.size(), HopTotal(blocks));
+  ResolveEntries(rank, blocks, classified, writer.entries());
+  WriteBlockTable(blocks, writer.section(3), writer.section(4));
+  return std::move(writer).Seal(epoch);
 }
 
 bool WriteSnapshotFile(const std::string& path,

@@ -652,6 +652,22 @@ BlockMap RandomBlockMap(std::uint64_t seed) {
   return map;
 }
 
+/// The resolver's entries equal the oracle's, and the compiled buffer
+/// equals the oracle's entries assembled with the same block sections.
+void ExpectCompileMatchesOracle(
+    std::span<const cluster::AggregateBlock> blocks,
+    std::span<const ClassifiedPrefix> classified, const std::string& context) {
+  const std::vector<SnapshotEntry> want =
+      test::OracleSnapshotEntries(blocks, classified);
+  ExpectSameEntries(BuildSnapshotEntries(blocks, classified), want, context);
+  std::vector<std::byte> blocktab;
+  std::vector<std::byte> hops;
+  AppendBlockTable(blocks, &blocktab, &hops);
+  EXPECT_TRUE(CompileSnapshotV2(blocks, classified, 7) ==
+              AssembleSnapshotV2(want, blocktab, hops, 7))
+      << context;
+}
+
 TEST(SnapshotEntries, MatchesTheMapOracleOnSeededInputs) {
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
     const BlockMap map = RandomBlockMap(seed);
@@ -659,6 +675,100 @@ TEST(SnapshotEntries, MatchesTheMapOracleOnSeededInputs) {
                       test::OracleSnapshotEntries(map.blocks, map.classified),
                       "seed " + std::to_string(seed));
   }
+}
+
+TEST(SnapshotEntries, CompileMatchesTheOracleAssemblyOnSeededInputs) {
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const BlockMap map = RandomBlockMap(seed);
+    ExpectCompileMatchesOracle(map.blocks, map.classified,
+                               "seed " + std::to_string(seed));
+  }
+}
+
+TEST(SnapshotEntries, KeysAtBitmapWordAndSummaryBoundaries) {
+  // The first and last /24, the last bit of the first bitmap word and the
+  // first of the second, the first word of the second summary group and
+  // the last word of the first, each alone and in every pairing of block
+  // member and classified record.
+  const std::vector<netsim::Prefix> edges = {
+      Pfx("0.0.0.0/24"),   Pfx("0.0.63.0/24"),   Pfx("0.0.64.0/24"),
+      Pfx("0.15.255.0/24"), Pfx("0.16.0.0/24"),  Pfx("255.255.255.0/24")};
+  const std::uint8_t few = Token(core::Classification::kTooFewActive);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    for (std::size_t j = 0; j < edges.size(); ++j) {
+      std::vector<cluster::AggregateBlock> blocks(2);
+      blocks[0].member_24s = {edges[i]};
+      blocks[1].member_24s = {edges[j], edges[i]};
+      const std::vector<ClassifiedPrefix> classified = {
+          {edges[j], few}, {edges[(i + j) % edges.size()], kNoClass}};
+      ExpectCompileMatchesOracle(
+          blocks, classified,
+          edges[i].ToString() + " " + edges[j].ToString());
+    }
+  }
+  std::vector<cluster::AggregateBlock> all(1);
+  all[0].member_24s = edges;
+  std::vector<ClassifiedPrefix> reversed;
+  for (auto edge = edges.rbegin(); edge != edges.rend(); ++edge) {
+    reversed.push_back({*edge, few});
+  }
+  ExpectCompileMatchesOracle(all, reversed, "all edges");
+  const std::vector<SnapshotEntry> entries =
+      BuildSnapshotEntries(all, reversed);
+  ASSERT_EQ(entries.size(), edges.size());
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    EXPECT_EQ(entries[k].key, edges[k].base().value());
+    EXPECT_EQ(entries[k].block, 0u);
+    EXPECT_EQ(entries[k].class_token, few);
+  }
+}
+
+TEST(SnapshotEntries, KeysThatAreNotSlash24BasesSortAmongTheSlash24s) {
+  // Longer prefixes resolve as their own keys, beside the /24 that holds
+  // them: before it never, after it always, and before the next /24.
+  const std::uint8_t same = Token(core::Classification::kSameLastHop);
+  std::vector<cluster::AggregateBlock> blocks(3);
+  blocks[0].member_24s = {Pfx("10.0.0.128/25"), Pfx("10.0.0.0/24"),
+                          Pfx("10.0.1.0/24")};
+  blocks[1].member_24s = {Pfx("10.0.0.64/26"), Pfx("10.0.0.128/25"),
+                          Pfx("0.0.63.128/25"), Pfx("255.255.255.255/32")};
+  blocks[2].member_24s = {Pfx("0.0.64.0/24"), Pfx("0.0.63.0/24"),
+                          Pfx("77.7.7.7/32")};
+  const std::vector<ClassifiedPrefix> classified = {
+      {Pfx("10.0.0.64/26"), kNoClass},
+      {Pfx("10.0.0.64/26"), same},
+      {Pfx("10.0.0.0/24"), same},
+      {Pfx("255.255.255.0/24"), same},
+      {Pfx("0.0.0.1/32"), same}};
+  ExpectCompileMatchesOracle(blocks, classified, "mixed");
+  const std::vector<SnapshotEntry> entries =
+      BuildSnapshotEntries(blocks, classified);
+  std::vector<std::uint32_t> keys;
+  for (const SnapshotEntry& e : entries) keys.push_back(e.key);
+  const std::vector<std::uint32_t> want = {
+      Addr("0.0.0.1").value(),      Addr("0.0.63.0").value(),
+      Addr("0.0.63.128").value(),   Addr("0.0.64.0").value(),
+      Addr("10.0.0.0").value(),     Addr("10.0.0.64").value(),
+      Addr("10.0.0.128").value(),   Addr("10.0.1.0").value(),
+      Addr("77.7.7.7").value(),     Addr("255.255.255.0").value(),
+      Addr("255.255.255.255").value()};
+  EXPECT_EQ(keys, want);
+  // Longer prefixes only, no /24 at all.
+  const std::vector<ClassifiedPrefix> only = {{Pfx("9.9.9.9/32"), same},
+                                              {Pfx("9.9.9.8/30"), kNoClass}};
+  ExpectCompileMatchesOracle({}, only, "no /24");
+}
+
+TEST(SnapshotCompile, KeyLongerThanSlash24CompilesButDoesNotLoad) {
+  // Only /24 bases are loadable keys: a /25 member is compiled as its
+  // own key, 10.0.0.128, and the loader refuses the file.
+  std::vector<cluster::AggregateBlock> blocks(1);
+  blocks[0].member_24s = {Pfx("10.0.0.0/24"), Pfx("10.0.0.128/25")};
+  blocks[0].last_hops = {Addr("10.0.0.1")};
+  std::string error;
+  EXPECT_FALSE(
+      Snapshot::FromBuffer(CompileSnapshotV2(blocks, {}, 1), &error));
+  EXPECT_EQ(error, "entry key is not a /24 base at index 1");
 }
 
 TEST(SnapshotEntries, DuplicateKeysResolveByTheDocumentedRule) {
@@ -701,7 +811,7 @@ TEST(SnapshotEntries, EmptyInputsResolveToNoEntries) {
 
 /// A census-sized block map (3.37 M /24s, ~710 k blocks) shaped like the
 /// end-to-end benchmark's census, but with blocks and classified records
-/// in descending key order, so every sort pass has to move them.
+/// in descending key order, against the order the entries come out in.
 BlockMap ReversedCensus(std::size_t entries, std::uint64_t seed) {
   BlockMap map;
   netsim::Rng rng(seed);
@@ -739,6 +849,20 @@ TEST(SnapshotEntries, CensusSizedCompileMatchesTheOracleByteForByte) {
       test::OracleSnapshotEntries(census.blocks, census.classified), blocktab,
       hops, 3);
   EXPECT_TRUE(CompileSnapshotV2(census.blocks, census.classified, 3) == want);
+}
+
+TEST(SnapshotEntries, CensusShapedMapsInCanonicalAndShuffledOrder) {
+  BlockMap map = ReversedCensus(200'000, 23);
+  cluster::SortCanonical(map.blocks);
+  std::reverse(map.classified.begin(), map.classified.end());
+  ExpectCompileMatchesOracle(map.blocks, map.classified, "canonical");
+  netsim::Rng rng(23);
+  std::shuffle(map.blocks.begin(), map.blocks.end(), rng);
+  std::shuffle(map.classified.begin(), map.classified.end(), rng);
+  for (cluster::AggregateBlock& block : map.blocks) {
+    std::shuffle(block.member_24s.begin(), block.member_24s.end(), rng);
+  }
+  ExpectCompileMatchesOracle(map.blocks, map.classified, "shuffled");
 }
 
 }  // namespace

@@ -108,7 +108,7 @@ Args ParseArgs(int argc, char** argv) {
       // Boolean flags take no value; value flags consume the next token.
       if (name == "mcl" || name == "mda" || name == "verify" ||
           name == "mda-lite" || name == "stream") {
-        args.flags[name] = "1";
+        args.flags[name] = '1';  // the value "1"
       } else if (i + 1 < argc) {
         args.flags[name] = argv[++i];
       } else {
