@@ -135,13 +135,15 @@ LayoutRun CompareLayouts(const std::vector<std::uint32_t>& keys,
 }
 
 /// A >= 64MB v2 snapshot: `count` bare /24 entries (no blocks, no hop
-/// pool — the entry sections dominate real snapshots too).
+/// pool — the entry sections dominate real snapshots too), each one
+/// classified with no class.
 std::vector<std::byte> BigSnapshotV2(std::size_t count) {
-  std::vector<serve::SnapshotEntry> entries(count);
+  std::vector<serve::ClassifiedPrefix> classified(count);
   for (std::size_t i = 0; i < count; ++i) {
-    entries[i].key = static_cast<std::uint32_t>(i) << 8;
+    classified[i].prefix = netsim::Prefix::Of(
+        netsim::Ipv4Address(static_cast<std::uint32_t>(i) << 8), 24);
   }
-  return serve::AssembleSnapshotV2(entries, {}, {}, /*epoch=*/1);
+  return serve::CompileSnapshotV2({}, classified, /*epoch=*/1);
 }
 
 }  // namespace

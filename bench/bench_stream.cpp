@@ -8,9 +8,11 @@
 //      world size.  Gate: peak_inflight_results <= inflight_bound
 //      (exit 2 on violation).
 //   2. Identical output: per-/24 classifications match the batch
-//      pipeline bit for bit, and every delta-published snapshot —
-//      including the final one — is byte-identical to a full
-//      CompileSnapshotV2 of the same state (exit 1 on any divergence).
+//      pipeline bit for bit, every publish loads and is served (no
+//      publish failure, and the store's generation counts the
+//      publishes), and the final served snapshot is byte-identical to a
+//      CompileSnapshotV2 of the batch run's blocks and results (exit 1
+//      on any divergence).
 //
 // The streaming run happens FIRST so its ru_maxrss high-water mark is
 // not polluted by the batch reference run that follows; the reported
@@ -61,7 +63,7 @@ int main(int argc, char** argv) {
   const std::size_t publish_every = quick ? 40 : 400;
 
   bench::PrintHeader("stream",
-                     "engineering: bounded-memory streaming + delta publish");
+                     "engineering: bounded-memory streaming + live publish");
   bench::JsonReporter report("stream");
   report.Config("seed", static_cast<double>(seed));
   report.Config("scale", scale);
@@ -95,7 +97,6 @@ int main(int argc, char** argv) {
   stream_config.window = window;
   stream_config.publish_every = publish_every;
   stream_config.store = &store;
-  stream_config.verify_full_reference = true;
 
   auto t0 = std::chrono::steady_clock::now();
   stream::StreamResult streamed =
@@ -112,11 +113,9 @@ int main(int argc, char** argv) {
               stats.measured_24s, stream_seconds, blocks_per_second,
               stats.peak_inflight_results, stats.inflight_bound,
               rss_stream_kb);
-  std::printf("publishes: %zu (%zu delta patches, %llu patched entries), "
-              "failures %zu, reference mismatches %zu\n",
-              stats.publishes, stats.delta_publishes,
-              static_cast<unsigned long long>(stats.delta_entries),
-              stats.publish_failures, stats.reference_mismatches);
+  std::printf("publishes: %zu, failures %zu, store generation %llu\n",
+              stats.publishes, stats.publish_failures,
+              static_cast<unsigned long long>(store.generation()));
 
   // --- batch reference: same stages, O(world) residency.
   auto t2 = std::chrono::steady_clock::now();
@@ -156,8 +155,8 @@ int main(int argc, char** argv) {
   const bool snapshot_identical = streamed.final_snapshot == full_reference;
   const bool inflight_ok =
       stats.peak_inflight_results <= stats.inflight_bound;
-  const bool delta_chain_ok =
-      stats.reference_mismatches == 0 && stats.publish_failures == 0;
+  const bool publish_chain_ok = stats.publish_failures == 0 &&
+                                store.generation() == stats.publishes;
 
   report.Metric("measured_24s", static_cast<double>(stats.measured_24s));
   report.Metric("stream_seconds", stream_seconds);
@@ -171,8 +170,6 @@ int main(int argc, char** argv) {
   report.Metric("queue_pop_waits",
                 static_cast<double>(stats.results_queue.pop_waits));
   report.Metric("publishes", static_cast<double>(stats.publishes));
-  report.Metric("delta_publishes", static_cast<double>(stats.delta_publishes));
-  report.Metric("delta_entries", static_cast<double>(stats.delta_entries));
   report.Metric("rss_stream_kb", static_cast<double>(rss_stream_kb));
   report.Metric("rss_batch_kb", static_cast<double>(rss_batch_kb));
   report.Metric("classification_mismatches",
@@ -187,13 +184,12 @@ int main(int argc, char** argv) {
                   : "MISMATCH (bug!)");
   std::printf("final snapshot vs full compile: %s\n",
               snapshot_identical ? "byte-identical" : "MISMATCH (bug!)");
-  std::printf("delta publish chain: %s\n",
-              delta_chain_ok ? "verified against full recompiles"
-                             : "FAILED (bug!)");
+  std::printf("publish chain: %s\n",
+              publish_chain_ok ? "every publish served" : "FAILED (bug!)");
   std::printf("in-flight bound: %s\n",
               inflight_ok ? "held" : "EXCEEDED (bug!)");
   if (classification_mismatches > 0 || !snapshot_identical ||
-      !delta_chain_ok) {
+      !publish_chain_ok) {
     return 1;
   }
   if (!inflight_ok) return 2;

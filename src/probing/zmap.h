@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/popcount.h"
 #include "netsim/internet.h"
 #include "netsim/ipv4.h"
 
@@ -80,8 +81,8 @@ struct ZmapBlock {
   }
   /// Number of responsive octets.
   int ActiveCount() const {
-    return std::popcount(active[0]) + std::popcount(active[1]) +
-           std::popcount(active[2]) + std::popcount(active[3]);
+    return common::Popcount(active[0]) + common::Popcount(active[1]) +
+           common::Popcount(active[2]) + common::Popcount(active[3]);
   }
 
   /// The responsive octets in ascending order:

@@ -238,9 +238,7 @@ void LineService::CmdStats(std::string* out) {
         " reloads=", m.reloads.load(kRelaxed),
         " failed_reloads=", m.failed_reloads.load(kRelaxed),
         " generation=", store_->generation(),
-        " epoch=", snapshot ? snapshot->epoch() : 0,
-        " publish=", ToString(store_->last_publish_kind()),
-        " delta_entries=", store_->last_delta_entries());
+        " epoch=", snapshot ? snapshot->epoch() : 0);
   Reply(out, "latency_ns p50=", m.latency.Quantile(0.50),
         " p90=", m.latency.Quantile(0.90), " p99=", m.latency.Quantile(0.99),
         " samples=", m.latency.TotalCount());

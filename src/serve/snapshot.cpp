@@ -11,6 +11,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/popcount.h"
 #include "serve/lookup.h"
 #include "serve/wire.h"
 
@@ -354,16 +355,6 @@ namespace {
 /// canonical order do not sit in allocation order.
 constexpr std::size_t kBlockPrefetch = 16;
 
-/// The bits set in `x`.  Spelled out because without a popcount
-/// instruction in the target (baseline x86-64 has none) std::popcount is
-/// a call into the compiler's runtime library.
-inline std::size_t Popcount(std::uint64_t x) {
-  x -= (x >> 1) & 0x5555555555555555ULL;
-  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
-  return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
-}
-
 template <class Field>
 void PrefetchAhead(std::span<const cluster::AggregateBlock> blocks,
                    std::size_t b, Field field) {
@@ -423,7 +414,9 @@ class KeyRank {
   /// with kNoBlock and kNoClass.  PositionOf works from then on.
   void Emit(const EntrySections& out) {
     std::size_t non_empty = 0;
-    for (const std::uint64_t group : summary_) non_empty += Popcount(group);
+    for (const std::uint64_t group : summary_) {
+      non_empty += static_cast<std::size_t>(common::Popcount(group));
+    }
     rank_.reserve(non_empty);
     odd_position_.resize(odd_.size());
     std::size_t i = 0;
@@ -466,9 +459,9 @@ class KeyRank {
     const std::uint32_t w = key >> 14;
     const std::uint32_t group = w >> 6;
     const std::size_t slot =
-        first_[group] + Popcount(summary_[group] & Below(w & 63));
+        first_[group] + common::Popcount(summary_[group] & Below(w & 63));
     const std::size_t rank =
-        rank_[slot] + Popcount(bits_[w] & Below((key >> 8) & 63));
+        rank_[slot] + common::Popcount(bits_[w] & Below((key >> 8) & 63));
     return odd_.empty() ? rank : rank + OddBelow(key);
   }
 
@@ -538,8 +531,8 @@ void ResolveEntries(KeyRank& rank,
 
 /// A snapshot buffer for n entries, m blocks and h hops: zeroed, each
 /// section at its offset.  The caller fills the sections; Seal writes
-/// the header and the section checksums.  Every snapshot the program
-/// writes -- a compile, an assembly, a patched one -- is sealed here.
+/// the header and the section checksums.  CompileSnapshotV2 writes
+/// every snapshot the program makes through here.
 class SnapshotWriter {
  public:
   SnapshotWriter(std::size_t n, std::size_t m, std::size_t h)
@@ -608,51 +601,6 @@ void WriteBlockTable(std::span<const cluster::AggregateBlock> blocks,
 }
 
 }  // namespace
-
-std::vector<SnapshotEntry> BuildSnapshotEntries(
-    std::span<const cluster::AggregateBlock> blocks,
-    std::span<const ClassifiedPrefix> classified) {
-  KeyRank rank(blocks, classified);
-  const std::size_t n = rank.size();
-  std::vector<std::byte> columns(n * 9);
-  const EntrySections sections{columns.data(), columns.data() + n * 4,
-                               columns.data() + n * 8};
-  ResolveEntries(rank, blocks, classified, sections);
-  std::vector<SnapshotEntry> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = {wire::ReadU32(sections.keys + i * 4),
-              wire::ReadU32(sections.blocks + i * 4),
-              std::to_integer<std::uint8_t>(sections.classes[i])};
-  }
-  return out;
-}
-
-void AppendBlockTable(std::span<const cluster::AggregateBlock> blocks,
-                      std::vector<std::byte>* blocktab,
-                      std::vector<std::byte>* hops) {
-  const std::size_t tab_start = blocktab->size();
-  const std::size_t hop_start = hops->size();
-  blocktab->resize(tab_start + blocks.size() * 12);
-  hops->resize(hop_start + HopTotal(blocks) * 4);
-  WriteBlockTable(blocks, blocktab->data() + tab_start,
-                  hops->data() + hop_start);
-}
-
-std::vector<std::byte> AssembleSnapshotV2(std::span<const SnapshotEntry> entries,
-                                          std::span<const std::byte> blocktab,
-                                          std::span<const std::byte> hops,
-                                          std::uint64_t epoch) {
-  SnapshotWriter writer(entries.size(), blocktab.size() / 12, hops.size() / 4);
-  const EntrySections out = writer.entries();
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    wire::StoreU32(out.keys + i * 4, entries[i].key);
-    wire::StoreU32(out.blocks + i * 4, entries[i].block);
-    out.classes[i] = static_cast<std::byte>(entries[i].class_token);
-  }
-  std::copy(blocktab.begin(), blocktab.end(), writer.section(3));
-  std::copy(hops.begin(), hops.end(), writer.section(4));
-  return std::move(writer).Seal(epoch);
-}
 
 std::vector<std::byte> CompileSnapshotV2(
     std::span<const cluster::AggregateBlock> blocks,
@@ -969,7 +917,7 @@ bool Snapshot::Validate(const SnapshotLoadOptions& options,
   hops_offset_ = static_cast<std::size_t>(layout.offsets[4]);
   // The snapshot identity: FNV-1a folded over the five little-endian
   // section checksum fields.  Stable across mmap/owned loads and equal
-  // for byte-identical files, so delta base matching works unchanged.
+  // for byte-identical files.
   checksum_ = Fnv1a64({base_ + 80, 40});
 
   if (!options.defer_verification) {

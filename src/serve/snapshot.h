@@ -116,61 +116,26 @@ std::vector<ClassifiedPrefix> ClassifiedFrom(
 std::vector<ClassifiedPrefix> ClassifiedFrom(
     std::span<const core::BlockResult> results);
 
-/// One resolved snapshot entry: a /24 key with its owning block id (or
-/// kNoBlock) and classification token (or kNoClass).  The row form of
-/// the snapshot's three columnar entry sections.
-struct SnapshotEntry {
-  std::uint32_t key = 0;
-  std::uint32_t block = kNoBlock;
-  std::uint8_t class_token = kNoClass;
-};
-
-/// Resolves blocks + classifications into the sorted, deduplicated entry
-/// list.  Entries are the union: every block member /24 and every
-/// classified /24, one per key.  A key's block is the lowest block index
-/// whose member_24s holds it, else kNoBlock; its class is the first
-/// classified token for it, in input order, that is not kNoClass, else
-/// kNoClass.  Resolved by rank over a bitmap of the 2^24 /24s: every key
-/// sets its bit, the set bits in order are the entries, and a key's
+/// Lowers a block list plus (optionally empty) per-/24 classifications into
+/// a snapshot buffer: the only way the program writes one.
+///
+/// Entries are the union: every block member /24 and every classified
+/// /24, one per key, in ascending key order.  A key's block is the lowest
+/// block index whose member_24s holds it, else kNoBlock; its class is the
+/// first classified token for it, in input order, that is not kNoClass,
+/// else kNoClass.  Resolved by rank over a bitmap of the 2^24 /24s: every
+/// key sets its bit, the set bits in order are the entries, and a key's
 /// entry index is the count of set bits below it.  Members then offer
 /// their block ids, blocks in index order, and records their tokens, in
 /// input order; an entry keeps the first of each.  No sort, whatever the
-/// input order.  CompileSnapshotV2 and CompileDelta resolve the same way.
+/// input order: the ranked keys, block ids and tokens are written
+/// straight into the buffer's sections.
 ///
 /// The /24-key contract: a key is the base address of its prefix, and
 /// only a /24 base (low byte zero) is a loadable key -- Snapshot::
 /// FromBuffer refuses any other with "entry key is not a /24 base".  A
 /// member or record whose prefix is longer than /24 still resolves, as
 /// its own key, so compiling one writes a file that no server loads.
-std::vector<SnapshotEntry> BuildSnapshotEntries(
-    std::span<const cluster::AggregateBlock> blocks,
-    std::span<const ClassifiedPrefix> classified);
-
-/// Serializes the blocktab and hop-pool sections for `blocks` (appended
-/// to the given buffers), as the full compiler writes them into its
-/// buffer: the patch compiler ships these bytes, so a patched snapshot's
-/// block sections are the full compile's.
-void AppendBlockTable(std::span<const cluster::AggregateBlock> blocks,
-                      std::vector<std::byte>* blocktab,
-                      std::vector<std::byte>* hops);
-
-/// Assembles a complete snapshot buffer from pre-resolved parts: sorted
-/// entries plus already-serialized blocktab/hops sections.  The patch
-/// applier (serve/delta.h) assembles through here.  This and
-/// CompileSnapshotV2 lay out, fill the header and checksum through one
-/// writer, which is what makes a patched snapshot byte-identical to a
-/// full recompile of the same state.  Deterministic: the layout is a
-/// pure function of the section sizes.
-std::vector<std::byte> AssembleSnapshotV2(
-    std::span<const SnapshotEntry> entries, std::span<const std::byte> blocktab,
-    std::span<const std::byte> hops, std::uint64_t epoch);
-
-/// Lowers a block list plus (optionally empty) per-/24 classifications into
-/// a snapshot buffer.  Byte-identical to AssembleSnapshotV2 over
-/// BuildSnapshotEntries and AppendBlockTable, but the ranked keys, block
-/// ids and tokens are written straight into the buffer's sections: no
-/// entry list in between.  Keys must be /24 bases for the result to load
-/// (see BuildSnapshotEntries).
 std::vector<std::byte> CompileSnapshotV2(
     std::span<const cluster::AggregateBlock> blocks,
     std::span<const ClassifiedPrefix> classified = {},
@@ -291,7 +256,7 @@ class Snapshot {
   std::size_t hop_count() const { return hop_count_; }
   std::uint64_t epoch() const { return epoch_; }
   /// FNV-1a 64 folded over the five little-endian section checksums —
-  /// a stable identity for delta base matching.
+  /// a stable identity of the snapshot's contents.
   std::uint64_t checksum() const { return checksum_; }
   /// True when the payload checks (checksums + invariant scan) have run.
   bool fully_verified() const { return fully_verified_; }

@@ -4,19 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "serve/delta.h"
-#include "serve/wire.h"
-
 namespace hobbit::serve {
-
-const char* ToString(PublishKind kind) {
-  switch (kind) {
-    case PublishKind::kNone: return "none";
-    case PublishKind::kFull: return "full";
-    case PublishKind::kDelta: return "delta";
-  }
-  return "?";
-}
 
 /// The retired memory the next load reuses: one owned file buffer and
 /// one index key array.  An empty slot takes the first one released;
@@ -48,18 +36,15 @@ struct SnapshotStore::Spare {
 SnapshotStore::SnapshotStore() : spare_(std::make_shared<Spare>()) {}
 
 std::uint64_t SnapshotStore::Swap(std::shared_ptr<const Snapshot> snapshot) {
-  if (snapshot == nullptr) return Publish(nullptr, PublishKind::kNone, 0);
+  if (snapshot == nullptr) return Publish(nullptr);
   // The index is built before the lock is taken.
   EytzingerIndex index = EytzingerIndex::Build(*snapshot);
-  return Publish(std::make_shared<const PublishedSnapshot>(PublishedSnapshot{
-                     std::move(snapshot), std::move(index)}),
-                 PublishKind::kFull, 0);
+  return Publish(std::make_shared<const PublishedSnapshot>(
+      PublishedSnapshot{std::move(snapshot), std::move(index)}));
 }
 
 std::uint64_t SnapshotStore::PublishBuilt(Snapshot snapshot,
-                                          EytzingerIndex index,
-                                          PublishKind kind,
-                                          std::uint64_t delta_entries) {
+                                          EytzingerIndex index) {
   // Whichever thread drops the last reference hands the memory to the
   // spare; the snapshot and the pair can retire separately, since a
   // reader may hold Current() past the pair.
@@ -77,12 +62,11 @@ std::uint64_t SnapshotStore::PublishBuilt(Snapshot snapshot,
         delete retired;
         spare->Keep(index);
       });
-  return Publish(std::move(published), kind, delta_entries);
+  return Publish(std::move(published));
 }
 
 std::uint64_t SnapshotStore::Publish(
-    std::shared_ptr<const PublishedSnapshot> published, PublishKind kind,
-    std::uint64_t delta_entries) {
+    std::shared_ptr<const PublishedSnapshot> published) {
   // The old pair's release (possibly the last reference) runs after the
   // lock is dropped.
   std::shared_ptr<const PublishedSnapshot> retired;
@@ -92,8 +76,6 @@ std::uint64_t SnapshotStore::Publish(
     retired = std::move(current_);
     current_ = std::move(published);
     generation = generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    last_kind_.store(kind, std::memory_order_release);
-    last_delta_entries_.store(delta_entries, std::memory_order_release);
   }
   return generation;
 }
@@ -110,41 +92,7 @@ bool SnapshotStore::ReloadFromFile(const std::string& path, std::string* error,
     spare_->Keep(index);
     return false;
   }
-  PublishBuilt(*std::move(loaded), std::move(index), PublishKind::kFull, 0);
-  return true;
-}
-
-bool SnapshotStore::PublishPatch(std::span<const std::byte> patch,
-                                 std::string* error) {
-  // Pin the base once: concurrent full swaps between here and the
-  // publish would change the base out from under the patch, but the
-  // patch's base_checksum check already rejects that case explicitly.
-  std::shared_ptr<const Snapshot> base = Current();
-  if (base == nullptr) {
-    if (error != nullptr) *error = "no base snapshot published yet";
-    failed_reloads_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  std::optional<std::vector<std::byte>> patched =
-      ApplyPatch(*base, patch, error);
-  if (!patched) {
-    failed_reloads_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  EytzingerIndex index = spare_->TakeIndex();
-  std::optional<Snapshot> loaded =
-      Snapshot::FromBuffer(*std::move(patched), error, {}, &index);
-  if (!loaded) {
-    failed_reloads_.fetch_add(1, std::memory_order_relaxed);
-    spare_->Keep(index);
-    return false;
-  }
-  // upsert_count + remove_count, straight from the validated header.
-  const std::uint64_t delta_entries =
-      std::uint64_t{wire::ReadU32(patch.data() + 12)} +
-      wire::ReadU32(patch.data() + 16);
-  PublishBuilt(*std::move(loaded), std::move(index), PublishKind::kDelta,
-               delta_entries);
+  PublishBuilt(*std::move(loaded), std::move(index));
   return true;
 }
 

@@ -13,17 +13,17 @@
 // quiescence tracking needed, no reader ever waits on a reload or an
 // index build.
 //
-// Released, not freed: a pair the store loaded itself (ReloadFromFile,
-// PublishPatch) has deleters that hand its owned file buffer and its
-// index key array to a one-slot spare, on whichever thread drops the last
-// reference, and the next load reads the file into that buffer and
-// writes its index into that array.  A steady-state RELOAD therefore
-// allocates nothing and takes no page faults.  Between reloads the spare
-// holds one buffer and one index: the memory a reload holds at its peak
-// anyway.  A pair still pinned by a reader is never recycled, because
-// nothing is handed over before its last reference drops.  Mapped loads
-// leave the spare buffer alone, and snapshots passed to Swap are freed
-// as before.
+// Released, not freed: a pair the store loaded itself (ReloadFromFile)
+// has deleters that hand its owned file buffer and its index key array
+// to a one-slot spare, on whichever thread drops the last reference, and
+// the next load reads the file into that buffer and writes its index
+// into that array.  A steady-state RELOAD therefore allocates nothing
+// and takes no page faults.  Between reloads the spare holds one buffer
+// and one index: the memory a reload holds at its peak anyway.  A pair
+// still pinned by a reader is never recycled, because nothing is handed
+// over before its last reference drops.  Mapped loads leave the spare
+// buffer alone, and snapshots passed to Swap (a stream publish, say)
+// are simply freed.
 //
 // Implementation note: the publish point is a shared_ptr guarded by a
 // std::shared_mutex rather than std::atomic<std::shared_ptr>.  The
@@ -44,22 +44,12 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <span>
 #include <string>
 
 #include "serve/lookup.h"
 #include "serve/snapshot.h"
 
 namespace hobbit::serve {
-
-/// How the served snapshot last arrived, for STATS provenance.
-enum class PublishKind : std::uint8_t {
-  kNone,  ///< nothing published yet (or store taken offline)
-  kFull,  ///< whole-snapshot Swap / ReloadFromFile
-  kDelta  ///< PublishPatch applied to the previous snapshot
-};
-
-const char* ToString(PublishKind kind);
 
 /// One published state: a snapshot and the index built over its keys,
 /// immutable once published.
@@ -102,17 +92,6 @@ class SnapshotStore {
   bool ReloadFromFile(const std::string& path, std::string* error = nullptr,
                       const SnapshotLoadOptions& options = {});
 
-  /// Applies an HSPT patch (serve/delta.h) to the current snapshot and
-  /// publishes the result.  Validation is end-to-end: the patch itself
-  /// (checksums, base identity, key discipline) and then the patched
-  /// buffer through the full Snapshot::FromBuffer gauntlet.  Any failure
-  /// returns false, counts as a failed reload, and leaves the served
-  /// snapshot untouched — a corrupt patch can never take the store down
-  /// or publish a half-applied state.  Fails when nothing is published
-  /// yet (a patch needs a base; bootstrap with Swap/ReloadFromFile).
-  bool PublishPatch(std::span<const std::byte> patch,
-                    std::string* error = nullptr);
-
   /// Monotonic count of successful swaps.
   std::uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
@@ -121,26 +100,15 @@ class SnapshotStore {
   std::uint64_t failed_reloads() const {
     return failed_reloads_.load(std::memory_order_relaxed);
   }
-  /// How the served snapshot last arrived (full swap vs delta patch).
-  PublishKind last_publish_kind() const {
-    return last_kind_.load(std::memory_order_acquire);
-  }
-  /// Entry-level size (upserts + removes) of the last applied patch;
-  /// 0 after a full publish.
-  std::uint64_t last_delta_entries() const {
-    return last_delta_entries_.load(std::memory_order_acquire);
-  }
 
  private:
   struct Spare;
 
   /// Publishes a pair this store loaded, whose memory goes to the spare
   /// when the last reference to it drops.
-  std::uint64_t PublishBuilt(Snapshot snapshot, EytzingerIndex index,
-                             PublishKind kind, std::uint64_t delta_entries);
+  std::uint64_t PublishBuilt(Snapshot snapshot, EytzingerIndex index);
   /// Makes `published` current; every publish path ends here.
-  std::uint64_t Publish(std::shared_ptr<const PublishedSnapshot> published,
-                        PublishKind kind, std::uint64_t delta_entries);
+  std::uint64_t Publish(std::shared_ptr<const PublishedSnapshot> published);
 
   /// Shared with the deleters of the pairs this store built, which may
   /// run on any thread and after the store is gone.
@@ -149,8 +117,6 @@ class SnapshotStore {
   std::shared_ptr<const PublishedSnapshot> current_;
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<std::uint64_t> failed_reloads_{0};
-  std::atomic<PublishKind> last_kind_{PublishKind::kNone};
-  std::atomic<std::uint64_t> last_delta_entries_{0};
 };
 
 }  // namespace hobbit::serve

@@ -1,27 +1,12 @@
-// wire.h — little-endian byte packing shared by the snapshot and patch
-// compilers.  Kept out of snapshot.h so the two binary formats (HSNP
-// snapshots, HSPT patches) provably serialize integers the same way —
-// the delta path's byte-identity contract rests on both sides funnelling
-// through these four functions.
+// wire.h — the little-endian integer stores and loads of the HSNP
+// snapshot format: the compiler writes through StoreU32/StoreU64, and
+// the loader and the lookup path read through ReadU32/ReadU64.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace hobbit::serve::wire {
-
-inline void AppendU32(std::vector<std::byte>& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::byte>((value >> shift) & 0xFF));
-  }
-}
-
-inline void AppendU64(std::vector<std::byte>& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::byte>((value >> shift) & 0xFF));
-  }
-}
 
 inline void StoreU32(std::byte* p, std::uint32_t value) {
   for (int i = 0; i < 4; ++i) {
@@ -51,8 +36,5 @@ inline std::uint64_t ReadU64(const std::byte* p) {
   }
   return value;
 }
-
-/// Zero bytes needed to realign `n` to a 4-byte boundary.
-inline std::size_t PadTo4(std::size_t n) { return (4 - n % 4) % 4; }
 
 }  // namespace hobbit::serve::wire

@@ -11,7 +11,6 @@
 
 #include "common/arena.h"
 #include "common/parallel.h"
-#include "serve/delta.h"
 #include "serve/snapshot.h"
 
 namespace hobbit::stream {
@@ -117,46 +116,16 @@ class Aggregator {
 
   void Publish() {
     StreamStats& stats = out_->stats;
-    const std::uint64_t epoch = config_.epoch_base + stats.publishes;
-    const std::vector<cluster::AggregateBlock> blocks = BuildBlocks();
-    const std::vector<serve::ClassifiedPrefix> classified = Classified();
-    bool ok = false;
-    if (base_ == nullptr) {
-      // Bootstrap: the store has nothing of ours to patch against.
-      std::vector<std::byte> bytes =
-          serve::CompileSnapshotV2(blocks, classified, epoch);
-      std::optional<serve::Snapshot> snapshot =
-          serve::Snapshot::FromBuffer(std::move(bytes));
-      if (snapshot) {
-        config_.store->Swap(
-            std::make_shared<const serve::Snapshot>(*std::move(snapshot)));
-        ok = true;
-      }
-    } else {
-      serve::DeltaStats delta;
-      std::vector<std::byte> patch =
-          serve::CompileDelta(*base_, blocks, classified, epoch, &delta);
-      ok = config_.store->PublishPatch(patch);
-      if (ok) {
-        stats.delta_publishes++;
-        stats.delta_entries += delta.upserts + delta.removes;
-      }
-    }
-    if (!ok) {
+    std::optional<serve::Snapshot> snapshot =
+        serve::Snapshot::FromBuffer(serve::CompileSnapshotV2(
+            BuildBlocks(), Classified(), config_.epoch_base + stats.publishes));
+    if (!snapshot) {
       stats.publish_failures++;
       return;
     }
+    config_.store->Swap(
+        std::make_shared<const serve::Snapshot>(*std::move(snapshot)));
     stats.publishes++;
-    base_ = config_.store->Current();
-    if (config_.verify_full_reference) {
-      const std::vector<std::byte> reference =
-          serve::CompileSnapshotV2(blocks, classified, epoch);
-      std::span<const std::byte> served = base_->bytes();
-      if (served.size() != reference.size() ||
-          !std::equal(served.begin(), served.end(), reference.begin())) {
-        stats.reference_mismatches++;
-      }
-    }
   }
 
   /// Arena-resident growable member list (netsim::Prefix is trivially
@@ -176,8 +145,6 @@ class Aggregator {
   std::map<std::vector<netsim::Ipv4Address>, MemberList*> groups_;
   std::map<std::uint32_t, StreamRecord> records_;
   std::size_t since_publish_ = 0;
-  /// The snapshot the next patch diffs against (what the store serves).
-  std::shared_ptr<const serve::Snapshot> base_;
 };
 
 }  // namespace

@@ -34,11 +34,11 @@
 // which /24s an intermediate snapshot holds can vary from run to run.
 //
 // Publishing: with a SnapshotStore attached the aggregator publishes the
-// evolving state — a full snapshot first, then HSPT delta patches
-// (serve/delta.h) every `publish_every` classified blocks — while
-// readers keep querying through the store's RCU swap.  Each published
-// state can be differentially checked against a full recompile
-// (`verify_full_reference`), which is the byte-identity gate.
+// evolving state every `publish_every` classified blocks, and the final
+// state at the end, while readers keep querying through the store's RCU
+// swap.  Every publish is one full CompileSnapshotV2 of the state, a
+// verifying Snapshot::FromBuffer and SnapshotStore::Swap, so the served
+// bytes are the compiled bytes by construction.
 //
 // Churn: `on_segment_boundary` fires between probe waves with no probe
 // in flight; it may mutate the topology (scenario::InjectRouteChurn
@@ -76,8 +76,8 @@ struct StreamConfig {
   /// Blocks per probe wave; the segment boundary callback fires between
   /// waves.  0 = one wave over the whole study list (no boundaries).
   std::size_t segment = 0;
-  /// Publish a delta snapshot every this many classified blocks
-  /// (requires `store`); 0 = publish only the final state.
+  /// Publish a snapshot every this many classified blocks (requires
+  /// `store`); 0 = publish only the final state.
   std::size_t publish_every = 0;
   /// Destination of the published snapshots; null = no live publishing
   /// (the final snapshot is still compiled into StreamResult).
@@ -85,10 +85,6 @@ struct StreamConfig {
   /// Epoch of the first published snapshot; each further publish
   /// increments by one.
   std::uint64_t epoch_base = 1;
-  /// After every publish, recompile the full snapshot of the same state
-  /// and byte-compare against what the store serves.  The differential
-  /// gate for the delta path; costs O(state) per publish.
-  bool verify_full_reference = false;
   /// Called between probe waves (segment index 1, 2, ...) with no probe
   /// in flight; may mutate the world (e.g. InjectRouteChurn).
   std::function<void(std::size_t)> on_segment_boundary;
@@ -105,16 +101,11 @@ struct StreamStats {
   std::size_t inflight_bound = 0;
   /// Probe→aggregate queue telemetry (backpressure visibility).
   common::QueueCounters results_queue;
-  std::size_t publishes = 0;        ///< total snapshot publishes
-  std::size_t delta_publishes = 0;  ///< of which HSPT patches
-  std::uint64_t delta_entries = 0;  ///< cumulative patch upserts+removes
-  std::size_t publish_failures = 0; ///< store rejected a publish (bug)
+  std::size_t publishes = 0;         ///< snapshots published
+  std::size_t publish_failures = 0;  ///< a compile failed to load (bug)
   /// High-water capacity of the aggregator's member-list arena — the
   /// retained per-group state, bump-allocated instead of malloc'd.
   std::size_t aggregator_arena_reserved_bytes = 0;
-  /// verify_full_reference: publishes whose served bytes differed from
-  /// the full recompile.  Anything nonzero is a delta-path bug.
-  std::size_t reference_mismatches = 0;
   double measurement_seconds = 0.0;
 };
 

@@ -21,6 +21,7 @@
 #include "serve/lookup.h"
 #include "serve/snapshot.h"
 #include "serve/store.h"
+#include "snapshot_entries_oracle.h"
 #include "test_util.h"
 
 namespace hobbit::serve {
@@ -444,21 +445,17 @@ TEST(SnapshotV2Robustness, InvariantScanNamesTheFirstFailure) {
 /// verifying pass runs all three of its phases (both riding along, one,
 /// none).
 std::vector<std::byte> ThreePhaseBuffer() {
-  std::vector<SnapshotEntry> entries(40);
+  std::vector<test::SnapshotEntry> entries(40);
   for (std::uint32_t i = 0; i < 40; ++i) {
     entries[i] = {0x14000000u + (i << 8), i % 9 == 4 ? kNoBlock : i % 8,
                   static_cast<std::uint8_t>(i % 7 == 6 ? kNoClass : i % 5)};
   }
   std::vector<cluster::AggregateBlock> blocks(8);
   for (std::uint32_t b = 0; b < 8; ++b) {
-    blocks[b].member_24s.resize(5);
     blocks[b].last_hops.emplace_back(0x0A000000u + b);
     if (b % 2 == 0) blocks[b].last_hops.emplace_back(0x0A000100u + b);
   }
-  std::vector<std::byte> blocktab;
-  std::vector<std::byte> hops;
-  AppendBlockTable(blocks, &blocktab, &hops);
-  return AssembleSnapshotV2(entries, blocktab, hops, 6);
+  return test::CompileRows(entries, std::move(blocks), 6);
 }
 
 TEST(SnapshotV2Robustness, EveryEntryCheckFiresAtEveryIndex) {

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "serve/service.h"
 #include "test_util.h"
@@ -187,6 +189,38 @@ TEST(ServiceEmptyStore, QueriesFailCleanlyUntilFirstReload) {
             std::string::npos)
       << out.str();
   EXPECT_NE(out.str().find("generation=0 epoch=0"), std::string::npos);
+}
+
+// A publish's provenance on the STATS line is the store's generation and
+// the served snapshot's epoch, and the first line ends with them.
+TEST(StorePublish, StatsLineCarriesPublishProvenance) {
+  SnapshotStore store;
+  ServeMetrics metrics;
+  LineService service(&store, &metrics);
+  auto counters_line = [&] {
+    std::istringstream in("STATS\n");
+    std::ostringstream out;
+    service.Run(in, out);
+    return out.str().substr(0, out.str().find('\n'));
+  };
+  auto ends_with = [](const std::string& line, const std::string& tail) {
+    return line.size() >= tail.size() &&
+           line.compare(line.size() - tail.size(), tail.size(), tail) == 0;
+  };
+  EXPECT_TRUE(ends_with(counters_line(), " generation=0 epoch=0"));
+  for (std::uint64_t epoch : {7, 3}) {
+    std::optional<Snapshot> snapshot =
+        Snapshot::FromBuffer(SampleSnapshotBytes(epoch));
+    ASSERT_TRUE(snapshot.has_value());
+    store.Swap(std::make_shared<const Snapshot>(*std::move(snapshot)));
+    const std::string line = counters_line();
+    EXPECT_TRUE(ends_with(line, " generation=" +
+                                    std::to_string(store.generation()) +
+                                    " epoch=" + std::to_string(epoch)))
+        << line;
+  }
+  store.Swap(nullptr);
+  EXPECT_TRUE(ends_with(counters_line(), " generation=3 epoch=0"));
 }
 
 }  // namespace

@@ -464,22 +464,18 @@ TEST(EytzingerShape, SlotOfInvertsRankOfForEveryCount) {
 /// shorter or longer than the entry sections.
 std::vector<std::byte> ShapedSnapshot(std::uint32_t n, std::uint32_t m,
                                       std::uint32_t h) {
-  std::vector<SnapshotEntry> entries(n);
+  std::vector<test::SnapshotEntry> entries(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     entries[i] = {(i + 1) << 8, i % 7 == 3 ? kNoBlock : i % m,
                   static_cast<std::uint8_t>(i % 6 == 5 ? kNoClass : i % 5)};
   }
   std::vector<cluster::AggregateBlock> blocks(m);
   for (std::uint32_t b = 0; b < m; ++b) {
-    blocks[b].member_24s.resize(1 + b % 3);
     for (std::uint32_t k = 0; k < h / m + (b < h % m ? 1 : 0); ++k) {
       blocks[b].last_hops.emplace_back(0x0A000000u + b * 64 + k);
     }
   }
-  std::vector<std::byte> blocktab;
-  std::vector<std::byte> hops;
-  AppendBlockTable(blocks, &blocktab, &hops);
-  return AssembleSnapshotV2(entries, blocktab, hops, 4);
+  return test::CompileRows(entries, std::move(blocks), 4);
 }
 
 TEST(EytzingerIndex, VerifyingLoadBuildsTheSameIndexAsBuild) {
@@ -598,8 +594,8 @@ TEST(EytzingerIndex, EngineWithIndexMatchesEngineWithout) {
 // itself, so only these tests catch a resolver that merges duplicate
 // keys differently from the one-map-insert-per-record original.
 
-void ExpectSameEntries(const std::vector<SnapshotEntry>& got,
-                       const std::vector<SnapshotEntry>& want,
+void ExpectSameEntries(const std::vector<test::SnapshotEntry>& got,
+                       const std::vector<test::SnapshotEntry>& want,
                        const std::string& context) {
   ASSERT_EQ(got.size(), want.size()) << context;
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -608,6 +604,13 @@ void ExpectSameEntries(const std::vector<SnapshotEntry>& got,
     ASSERT_EQ(got[i].class_token, want[i].class_token)
         << context << " entry " << i;
   }
+}
+
+/// The entry sections of the compile of `blocks` + `classified`.
+std::vector<test::SnapshotEntry> EntriesOf(
+    std::span<const cluster::AggregateBlock> blocks,
+    std::span<const ClassifiedPrefix> classified) {
+  return test::CompiledEntries(CompileSnapshotV2(blocks, classified, 7));
 }
 
 std::uint8_t Token(core::Classification c) {
@@ -652,26 +655,43 @@ BlockMap RandomBlockMap(std::uint64_t seed) {
   return map;
 }
 
-/// The resolver's entries equal the oracle's, and the compiled buffer
-/// equals the oracle's entries assembled with the same block sections.
+std::uint32_t U32At(std::span<const std::byte> bytes, std::size_t offset) {
+  return wire::ReadU32(bytes.data() + offset);
+}
+std::uint64_t U64At(std::span<const std::byte> bytes, std::size_t offset) {
+  return wire::ReadU64(bytes.data() + offset);
+}
+
+/// The compiled entry sections equal the oracle's entries, and the
+/// header and block sections hold `blocks` as the format lays them out.
 void ExpectCompileMatchesOracle(
     std::span<const cluster::AggregateBlock> blocks,
     std::span<const ClassifiedPrefix> classified, const std::string& context) {
-  const std::vector<SnapshotEntry> want =
-      test::OracleSnapshotEntries(blocks, classified);
-  ExpectSameEntries(BuildSnapshotEntries(blocks, classified), want, context);
-  std::vector<std::byte> blocktab;
-  std::vector<std::byte> hops;
-  AppendBlockTable(blocks, &blocktab, &hops);
-  EXPECT_TRUE(CompileSnapshotV2(blocks, classified, 7) ==
-              AssembleSnapshotV2(want, blocktab, hops, 7))
-      << context;
+  const std::vector<std::byte> bytes = CompileSnapshotV2(blocks, classified, 7);
+  ExpectSameEntries(test::CompiledEntries(bytes),
+                    test::OracleSnapshotEntries(blocks, classified), context);
+  EXPECT_EQ(U64At(bytes, 24), 7u) << context;
+  ASSERT_EQ(U32At(bytes, 16), blocks.size()) << context;
+  const std::size_t blocktab = U64At(bytes, 64);
+  const std::size_t hops = U64At(bytes, 72);
+  std::uint32_t hop_offset = 0;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const std::size_t row = blocktab + b * 12;
+    EXPECT_EQ(U32At(bytes, row), blocks[b].member_24s.size()) << context;
+    EXPECT_EQ(U32At(bytes, row + 4), hop_offset) << context;
+    ASSERT_EQ(U32At(bytes, row + 8), blocks[b].last_hops.size()) << context;
+    for (const netsim::Ipv4Address& hop : blocks[b].last_hops) {
+      EXPECT_EQ(U32At(bytes, hops + hop_offset++ * 4), hop.value())
+          << context;
+    }
+  }
+  EXPECT_EQ(U32At(bytes, 20), hop_offset) << context;
 }
 
 TEST(SnapshotEntries, MatchesTheMapOracleOnSeededInputs) {
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
     const BlockMap map = RandomBlockMap(seed);
-    ExpectSameEntries(BuildSnapshotEntries(map.blocks, map.classified),
+    ExpectSameEntries(EntriesOf(map.blocks, map.classified),
                       test::OracleSnapshotEntries(map.blocks, map.classified),
                       "seed " + std::to_string(seed));
   }
@@ -713,8 +733,7 @@ TEST(SnapshotEntries, KeysAtBitmapWordAndSummaryBoundaries) {
     reversed.push_back({*edge, few});
   }
   ExpectCompileMatchesOracle(all, reversed, "all edges");
-  const std::vector<SnapshotEntry> entries =
-      BuildSnapshotEntries(all, reversed);
+  const std::vector<test::SnapshotEntry> entries = EntriesOf(all, reversed);
   ASSERT_EQ(entries.size(), edges.size());
   for (std::size_t k = 0; k < edges.size(); ++k) {
     EXPECT_EQ(entries[k].key, edges[k].base().value());
@@ -741,10 +760,10 @@ TEST(SnapshotEntries, KeysThatAreNotSlash24BasesSortAmongTheSlash24s) {
       {Pfx("255.255.255.0/24"), same},
       {Pfx("0.0.0.1/32"), same}};
   ExpectCompileMatchesOracle(blocks, classified, "mixed");
-  const std::vector<SnapshotEntry> entries =
-      BuildSnapshotEntries(blocks, classified);
   std::vector<std::uint32_t> keys;
-  for (const SnapshotEntry& e : entries) keys.push_back(e.key);
+  for (const test::SnapshotEntry& e : EntriesOf(blocks, classified)) {
+    keys.push_back(e.key);
+  }
   const std::vector<std::uint32_t> want = {
       Addr("0.0.0.1").value(),      Addr("0.0.63.0").value(),
       Addr("0.0.63.128").value(),   Addr("0.0.64.0").value(),
@@ -789,23 +808,23 @@ TEST(SnapshotEntries, DuplicateKeysResolveByTheDocumentedRule) {
       {Pfx("50.0.0.0/24"), few},
       {Pfx("10.0.0.0/24"), kNoClass},
   };
-  const std::vector<SnapshotEntry> want = {
+  const std::vector<test::SnapshotEntry> want = {
       {Addr("10.0.0.0").value(), kNoBlock, kNoClass},
       {Addr("30.0.0.0").value(), 1, same},
       {Addr("40.0.0.0").value(), 1, kNoClass},
       {Addr("50.0.0.0").value(), kNoBlock, few},
   };
-  ExpectSameEntries(BuildSnapshotEntries(blocks, classified), want, "rule");
+  ExpectSameEntries(EntriesOf(blocks, classified), want, "rule");
   ExpectSameEntries(test::OracleSnapshotEntries(blocks, classified), want,
                     "oracle");
 }
 
 TEST(SnapshotEntries, EmptyInputsResolveToNoEntries) {
   const std::vector<cluster::AggregateBlock> no_members(4);
-  EXPECT_TRUE(BuildSnapshotEntries({}, {}).empty());
-  EXPECT_TRUE(BuildSnapshotEntries(no_members, {}).empty());
+  EXPECT_TRUE(EntriesOf({}, {}).empty());
+  EXPECT_TRUE(EntriesOf(no_members, {}).empty());
   const std::vector<ClassifiedPrefix> one = {{Pfx("9.9.9.0/24"), kNoClass}};
-  ExpectSameEntries(BuildSnapshotEntries({}, one),
+  ExpectSameEntries(EntriesOf({}, one),
                     test::OracleSnapshotEntries({}, one), "classified only");
 }
 
@@ -842,13 +861,17 @@ BlockMap ReversedCensus(std::size_t entries, std::uint64_t seed) {
 
 TEST(SnapshotEntries, CensusSizedCompileMatchesTheOracleByteForByte) {
   const BlockMap census = ReversedCensus(3'370'000, 17);
-  std::vector<std::byte> blocktab;
-  std::vector<std::byte> hops;
-  AppendBlockTable(census.blocks, &blocktab, &hops);
-  const std::vector<std::byte> want = AssembleSnapshotV2(
-      test::OracleSnapshotEntries(census.blocks, census.classified), blocktab,
-      hops, 3);
-  EXPECT_TRUE(CompileSnapshotV2(census.blocks, census.classified, 3) == want);
+  std::vector<std::byte> bytes =
+      CompileSnapshotV2(census.blocks, census.classified, 3);
+  ExpectSameEntries(
+      test::CompiledEntries(bytes),
+      test::OracleSnapshotEntries(census.blocks, census.classified), "census");
+  std::string error;
+  const std::optional<Snapshot> loaded =
+      Snapshot::FromBuffer(std::move(bytes), &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->block_count(), census.blocks.size());
+  EXPECT_EQ(loaded->hop_count(), census.blocks.size());
 }
 
 TEST(SnapshotEntries, CensusShapedMapsInCanonicalAndShuffledOrder) {

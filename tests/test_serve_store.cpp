@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/delta.h"
 #include "serve/lookup.h"
 #include "serve/service.h"
 #include "serve/store.h"
@@ -224,151 +223,6 @@ TEST(SnapshotStore, ConcurrentFileReloadsAgainstReaders) {
   std::remove(bad_path.c_str());
 }
 
-// Delta publishing under live lookups: a writer ping-pongs the served
-// state between two worlds via HSPT patches (serve/delta.h) while
-// readers hammer lookups — every read must be internally consistent
-// with *some* published epoch (RCU semantics carry over to the patch
-// path because PublishPatch lands through the same swap), and every
-// patched snapshot must equal the full compile of its state.
-TEST(SnapshotStore, DeltaPublishUnderConcurrentLookups) {
-  constexpr int kSlash24s = 64;
-  constexpr int kReaders = 4;
-  constexpr int kPublishes = 200;
-  const auto blocks_one = BlocksOne(kSlash24s);
-  const auto blocks_two = BlocksTwo(kSlash24s);
-
-  SnapshotStore store;
-  store.Swap(Load(EpochOne(kSlash24s)));
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> reads{0};
-  std::atomic<int> inconsistencies{0};
-  StartGate gate(kReaders);
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&] {
-      gate.Arrive();
-      do {
-        std::shared_ptr<const Snapshot> snapshot = store.Current();
-        LookupEngine engine(*snapshot);
-        for (int i = 0; i < kSlash24s; ++i) {
-          std::uint32_t probe =
-              0x14000000u + 256u * static_cast<unsigned>(i);
-          LookupResult got = engine.Lookup(netsim::Ipv4Address(probe));
-          bool ok;
-          if (snapshot->epoch() % 2 == 1) {
-            ok = got.found && got.block == static_cast<std::uint32_t>(i);
-          } else {
-            ok = (i % 2 == 0) ? (got.found && got.block == 0) : !got.found;
-          }
-          if (!ok) inconsistencies.fetch_add(1);
-          reads.fetch_add(1, std::memory_order_relaxed);
-        }
-      } while (!stop.load(std::memory_order_acquire));
-    });
-  }
-
-  gate.AwaitAll();
-  for (int s = 0; s < kPublishes; ++s) {
-    // Odd epochs serve the one-block-per-/24 world, even epochs the
-    // merged world — the same discrimination the readers apply.
-    const std::uint64_t epoch = static_cast<std::uint64_t>(s) + 2;
-    const auto& next = (epoch % 2 == 1) ? blocks_one : blocks_two;
-    std::shared_ptr<const Snapshot> base = store.Current();
-    std::vector<std::byte> patch = CompileDelta(*base, next, {}, epoch);
-    std::string error;
-    ASSERT_TRUE(store.PublishPatch(patch, &error)) << error;
-    // Byte-identity of the patched snapshot against the full compile.
-    std::span<const std::byte> served = store.Current()->bytes();
-    std::vector<std::byte> reference = CompileSnapshotV2(next, {}, epoch);
-    ASSERT_EQ(served.size(), reference.size());
-    ASSERT_TRUE(std::equal(served.begin(), served.end(),
-                           reference.begin()));
-    std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& reader : readers) reader.join();
-
-  EXPECT_EQ(inconsistencies.load(), 0);
-  EXPECT_GT(reads.load(), 0u);
-  EXPECT_EQ(store.generation(),
-            static_cast<std::uint64_t>(kPublishes) + 1);
-  EXPECT_EQ(store.last_publish_kind(), PublishKind::kDelta);
-  EXPECT_EQ(store.failed_reloads(), 0u);
-}
-
-// A corrupt patch arriving mid-stream must be rejected without touching
-// the served snapshot — readers never observe a glitch, the exact
-// snapshot object stays published, and the failure is counted.
-TEST(SnapshotStore, CorruptPatchLeavesLiveSnapshotUntouched) {
-  constexpr int kSlash24s = 16;
-  const auto blocks_one = BlocksOne(kSlash24s);
-  const auto blocks_two = BlocksTwo(kSlash24s);
-  SnapshotStore store;
-  store.Swap(Load(EpochOne(kSlash24s)));
-
-  std::atomic<bool> stop{false};
-  StartGate gate(2);
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&] {
-      gate.Arrive();
-      do {
-        auto snapshot = store.Current();
-        ASSERT_NE(snapshot, nullptr);
-        LookupEngine engine(*snapshot);
-        LookupResult got = engine.Lookup(Pfx("20.0.0.0/24"));
-        ASSERT_TRUE(got.found);  // present in both worlds, block 0
-        ASSERT_EQ(got.block, 0u);
-      } while (!stop.load(std::memory_order_acquire));
-    });
-  }
-  gate.AwaitAll();
-
-  std::uint64_t expected_failures = 0;
-  for (int s = 0; s < 40; ++s) {
-    const std::uint64_t epoch = static_cast<std::uint64_t>(s) + 2;
-    const auto& next = (epoch % 2 == 1) ? blocks_one : blocks_two;
-    std::shared_ptr<const Snapshot> before = store.Current();
-    std::vector<std::byte> patch =
-        CompileDelta(*before, next, {}, epoch);
-
-    // Corrupt variants must each bounce off, leaving the very same
-    // snapshot object live.
-    auto corrupt = patch;
-    corrupt[corrupt.size() - 1] ^= std::byte{0xFF};  // payload bitflip
-    auto truncated = std::vector<std::byte>(patch.begin(),
-                                            patch.end() - 8);
-    for (const auto& bad : {corrupt, truncated}) {
-      std::string error;
-      EXPECT_FALSE(store.PublishPatch(bad, &error));
-      EXPECT_FALSE(error.empty());
-      ++expected_failures;
-      EXPECT_EQ(store.Current().get(), before.get());
-    }
-
-    // The intact patch still lands afterwards.
-    std::string error;
-    ASSERT_TRUE(store.PublishPatch(patch, &error)) << error;
-    EXPECT_EQ(store.Current()->epoch(), epoch);
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& reader : readers) reader.join();
-  EXPECT_EQ(store.failed_reloads(), expected_failures);
-  EXPECT_EQ(store.last_publish_kind(), PublishKind::kDelta);
-
-  // A stale patch (compiled against a base that has since been swapped
-  // away) is also rejected: its base checksum no longer matches.
-  std::shared_ptr<const Snapshot> current = store.Current();
-  std::vector<std::byte> stale =
-      CompileDelta(*current, blocks_one, {}, current->epoch() + 1);
-  store.Swap(Load(EpochTwo(kSlash24s)));
-  std::string error;
-  EXPECT_FALSE(store.PublishPatch(stale, &error));
-  EXPECT_NE(error.find("different base"), std::string::npos) << error;
-}
-
 // The full service stack under swap pressure: worker threads pump LOOKUP
 // sessions through LineService while the main thread RELOADs alternating
 // snapshot files — the protocol layer must never return a blended answer.
@@ -453,12 +307,6 @@ TEST(SnapshotStore, EveryPublishCarriesTheIndexOfItsSnapshot) {
     ExpectIndexMatchesSnapshot(store);
   }
   std::remove(path.c_str());
-  std::string error;
-  ASSERT_TRUE(store.PublishPatch(
-      CompileDelta(*store.Current(), BlocksOne(500), {}, 9), &error))
-      << error;
-  EXPECT_EQ(store.Current()->entry_count(), 500u);
-  ExpectIndexMatchesSnapshot(store);
   store.Swap(nullptr);
   EXPECT_EQ(store.Published(), nullptr);
   EXPECT_EQ(store.Current(), nullptr);

@@ -1,7 +1,7 @@
 // The streaming campaign subsystem: queue semantics and backpressure,
 // batch-equivalence of the streamed stages, thread-count invariance
 // (with and without route churn), the bounded in-flight guarantee, and
-// the live delta-publish chain against the byte-identity reference.
+// the live publish chain into a snapshot store.
 // Built into its own binary labelled `stream` + `concurrency` so the
 // tsan presets exercise the producer/consumer machinery under
 // ThreadSanitizer.
@@ -273,10 +273,11 @@ TEST(StreamCampaign, PeakInflightBoundedByWindow) {
             result.stats.results_queue.popped);
 }
 
-// Live delta publishing: full snapshot first, then HSPT patches, each
-// byte-identical to a full recompile (verify_full_reference recompiles
-// and compares after every publish).
-TEST(StreamCampaign, DeltaPublishChainMatchesFullReference) {
+// Live publishing: every publish is a full compile swapped into the
+// store, so the store's generation counts the publishes, the last one
+// carries the last epoch, and the served bytes are the compile of the
+// final blocks and records.
+TEST(StreamCampaign, PublishChainServesTheCompiledFinalState) {
   netsim::Internet internet = netsim::BuildInternet(netsim::TinyConfig(37));
   serve::SnapshotStore store;
   StreamConfig config = SmallStream(37);
@@ -284,25 +285,30 @@ TEST(StreamCampaign, DeltaPublishChainMatchesFullReference) {
   config.publish_every = 25;
   config.store = &store;
   config.epoch_base = 100;
-  config.verify_full_reference = true;
   StreamResult result = RunStreamCampaign(internet, config);
 
-  EXPECT_EQ(result.stats.reference_mismatches, 0u);
   EXPECT_EQ(result.stats.publish_failures, 0u);
   EXPECT_GE(result.stats.publishes, 2u);
-  EXPECT_EQ(result.stats.delta_publishes, result.stats.publishes - 1);
-  EXPECT_GT(result.stats.delta_entries, 0u);
-  EXPECT_EQ(store.last_publish_kind(), serve::PublishKind::kDelta);
+  EXPECT_EQ(store.generation(), result.stats.publishes);
 
   std::shared_ptr<const serve::Snapshot> current = store.Current();
   ASSERT_NE(current, nullptr);
   EXPECT_EQ(current->epoch(),
             config.epoch_base + result.stats.publishes - 1);
-  // The served bytes ARE the final snapshot.
+  // The served bytes ARE the final snapshot, and that is the compile of
+  // the final blocks and records.
   std::span<const std::byte> served = current->bytes();
   EXPECT_TRUE(std::equal(served.begin(), served.end(),
                          result.final_snapshot.begin(),
                          result.final_snapshot.end()));
+  std::vector<serve::ClassifiedPrefix> classified;
+  for (const StreamRecord& record : result.records) {
+    classified.push_back(
+        {record.prefix, static_cast<std::uint8_t>(record.classification)});
+  }
+  EXPECT_EQ(result.final_snapshot,
+            serve::CompileSnapshotV2(result.blocks, classified,
+                                     current->epoch()));
   // And the whole campaign publishes the same final state the
   // store-less run compiles directly.
   netsim::Internet fresh = netsim::BuildInternet(netsim::TinyConfig(37));

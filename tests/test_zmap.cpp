@@ -6,7 +6,9 @@
 #include <initializer_list>
 #include <vector>
 
+#include "common/popcount.h"
 #include "netsim/internet.h"
+#include "netsim/rng.h"
 #include "test_util.h"
 
 namespace hobbit::probing {
@@ -44,10 +46,37 @@ TEST(ZmapBlock, OctetsIterateAscendingOverTheBitmap) {
   EXPECT_TRUE(none.ActiveOctets().begin() == none.ActiveOctets().end());
 
   int expected = 0;
-  for (std::uint8_t octet : test::FullBlock("20.0.0.0/24").ActiveOctets()) {
+  const ZmapBlock full = test::FullBlock("20.0.0.0/24");
+  for (std::uint8_t octet : full.ActiveOctets()) {
     EXPECT_EQ(octet, expected++);
   }
   EXPECT_EQ(expected, 256);
+  EXPECT_EQ(full.ActiveCount(), 256);
+}
+
+int NaivePopcount(std::uint64_t x) {
+  int count = 0;
+  for (int bit = 0; bit < 64; ++bit) count += static_cast<int>((x >> bit) & 1);
+  return count;
+}
+
+TEST(Popcount, MatchesANaiveBitLoop) {
+  EXPECT_EQ(common::Popcount(0), 0);
+  EXPECT_EQ(common::Popcount(~std::uint64_t{0}), 64);
+  for (int bit = 0; bit < 64; ++bit) {
+    const std::uint64_t one = std::uint64_t{1} << bit;
+    EXPECT_EQ(common::Popcount(one), 1) << bit;
+    EXPECT_EQ(common::Popcount(~one), 63) << bit;
+    EXPECT_EQ(common::Popcount(one - 1), bit) << bit;
+  }
+  netsim::Rng rng(83);
+  for (int i = 0; i < 10000; ++i) {
+    // Sparse and dense words as well as uniform ones.
+    std::uint64_t word = rng.Next();
+    if (i % 3 == 1) word &= rng.Next() & rng.Next();
+    if (i % 3 == 2) word |= rng.Next() | rng.Next();
+    ASSERT_EQ(common::Popcount(word), NaivePopcount(word)) << word;
+  }
 }
 
 TEST(ZmapScan, FindsActiveHostsInTinyInternet) {

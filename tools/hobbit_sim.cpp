@@ -19,17 +19,18 @@
 //                         [--epoch E]
 //   hobbit_sim stream-campaign [--seed N] [--scale S] [--threads T]
 //                         [--window W] [--segment B] [--publish-every K]
-//                         [--churn-every M] [--verify] [--out FILE]
-//                         [--epoch E]
+//                         [--churn-every M] [--out FILE] [--epoch E]
 //   hobbit_sim scenario   [--seed N] [--scale S] [--threads T]
 //                         [--loss P] [--ratelimit P] [--loops P]
 //                         [--churn N] [--perpacket N] [--outage PREFIX]
 //                         [--segment B] [--mda-lite] [--stream]
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,30 +55,14 @@ namespace {
 
 using namespace hobbit;
 
-/// The numeric flags, each parsed strictly by main before any command
-/// runs: integers take a plain decimal, the rest a number in [min, max].
-constexpr const char* kIntegerFlags[] = {
-    "seed", "window", "segment", "publish-every", "churn-every", "epoch",
-    "perpacket", "churn"};
-struct RealFlag {
-  const char* name;
-  double min;
-  double max;
-};
-constexpr RealFlag kRealFlags[] = {
-    {"scale", std::numeric_limits<double>::min(), 100.0},
-    {"loss", 0.0, 1.0},
-    {"ratelimit", 0.0, 1.0},
-    {"loops", 0.0, 1.0}};
-
 struct Args {
   std::string command;
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
-  /// --threads, checked by main before any command runs: the size of
-  /// the one pool a campaign command builds and shares across stages.
+  /// --threads: the size of the one pool a campaign command builds and
+  /// shares across stages.
   int threads = 1;
-  /// The kIntegerFlags and kRealFlags given, as parsed by main.
+  /// The integer and real flags given, as parsed by ParseArgs.
   std::map<std::string, std::uint64_t> integers;
   std::map<std::string, double> reals;
 
@@ -98,25 +83,83 @@ struct Args {
   }
 };
 
-Args ParseArgs(int argc, char** argv) {
+enum class FlagKind { kBoolean, kText, kThreads, kInteger, kReal };
+
+struct FlagSpec {
+  const char* name;
+  FlagKind kind;
+  double min = 0.0;  ///< kReal only: the accepted range
+  double max = 0.0;
+};
+
+/// Every flag some command reads; any other `--name` is refused.  A
+/// boolean flag takes no value, the rest consume the next token.
+constexpr FlagSpec kFlags[] = {
+    {"mcl", FlagKind::kBoolean},
+    {"mda", FlagKind::kBoolean},
+    {"mda-lite", FlagKind::kBoolean},
+    {"stream", FlagKind::kBoolean},
+    {"results", FlagKind::kText},
+    {"blocks", FlagKind::kText},
+    {"out", FlagKind::kText},
+    {"outage", FlagKind::kText},
+    {"threads", FlagKind::kThreads},
+    {"seed", FlagKind::kInteger},
+    {"window", FlagKind::kInteger},
+    {"segment", FlagKind::kInteger},
+    {"publish-every", FlagKind::kInteger},
+    {"churn-every", FlagKind::kInteger},
+    {"epoch", FlagKind::kInteger},
+    {"perpacket", FlagKind::kInteger},
+    {"churn", FlagKind::kInteger},
+    {"scale", FlagKind::kReal, std::numeric_limits<double>::min(), 100.0},
+    {"loss", FlagKind::kReal, 0.0, 1.0},
+    {"ratelimit", FlagKind::kReal, 0.0, 1.0},
+    {"loops", FlagKind::kReal, 0.0, 1.0}};
+
+/// Splits argv into the command, positionals and flags, parsing every
+/// numeric flag strictly, like hobbit_serve: garbage must not read as 0,
+/// and no value may ask for an unbounded number of OS threads.  Nullopt
+/// on an unknown flag or a bad number, before any command runs.
+std::optional<Args> ParseArgs(int argc, char** argv) {
   Args args;
   if (argc > 1) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) == 0) {
-      std::string name = token.substr(2);
-      // Boolean flags take no value; value flags consume the next token.
-      if (name == "mcl" || name == "mda" || name == "verify" ||
-          name == "mda-lite" || name == "stream") {
-        args.flags[name] = '1';  // the value "1"
-      } else if (i + 1 < argc) {
-        args.flags[name] = argv[++i];
-      } else {
-        args.flags[name] = "";
-      }
-    } else {
+    const std::string token = argv[i];
+    if (token.rfind("--", 0) != 0) {
       args.positional.push_back(token);
+      continue;
     }
+    const std::string name = token.substr(2);
+    const FlagSpec* spec = std::find_if(
+        std::begin(kFlags), std::end(kFlags),
+        [&](const FlagSpec& flag) { return name == flag.name; });
+    if (spec == std::end(kFlags)) return std::nullopt;
+    if (spec->kind == FlagKind::kBoolean) {
+      args.flags[name] = '1';  // "1" (the literal trips GCC 12's -Wrestrict)
+      continue;
+    }
+    const std::string value = i + 1 < argc ? argv[++i] : "";
+    args.flags[name] = value;
+    bool ok = true;
+    switch (spec->kind) {
+      case FlagKind::kThreads:
+        ok = tools::ParseNumber(value, 1, 1024, &args.threads);
+        break;
+      case FlagKind::kInteger:
+        ok = tools::ParseNumber(value, std::uint64_t{0},
+                                std::numeric_limits<std::uint64_t>::max(),
+                                &args.integers[name]);
+        break;
+      case FlagKind::kReal:
+        ok = tools::ParseNumber(value, spec->min, spec->max,
+                                &args.reals[name]);
+        break;
+      case FlagKind::kBoolean:
+      case FlagKind::kText:
+        break;
+    }
+    if (!ok) return std::nullopt;
   }
   return args;
 }
@@ -145,7 +188,7 @@ int Usage() {
       "             [--epoch E]\n"
       "  stream-campaign [--seed N] [--scale S] [--threads T]\n"
       "             [--window W] [--segment B] [--publish-every K]\n"
-      "             [--churn-every M] [--verify] [--out FILE] [--epoch E]\n"
+      "             [--churn-every M] [--out FILE] [--epoch E]\n"
       "  scenario   [--seed N] [--scale S] [--threads T]\n"
       "             [--loss P] [--ratelimit P] [--loops P]\n"
       "             [--churn N] [--perpacket N] [--outage PREFIX]\n"
@@ -153,7 +196,8 @@ int Usage() {
       "  --threads T takes a plain decimal in 1-1024 (default 1).\n"
       "  --seed, --window, --segment, --publish-every, --churn-every,\n"
       "  --epoch, --perpacket and --churn take a plain decimal; --scale a\n"
-      "  number in (0, 100]; --loss, --ratelimit and --loops one in [0, 1].\n";
+      "  number in (0, 100]; --loss, --ratelimit and --loops one in [0, 1].\n"
+      "  Any other flag prints this text.\n";
   return 2;
 }
 
@@ -430,11 +474,6 @@ int CmdLookup(const Args& args) {
 // --blocks — a fresh simulated campaign (seed/scale/threads/mcl flags as
 // for `measure`), so results flow straight into the compiler.
 int CmdExportSnapshot(const Args& args) {
-  if (args.Has("v2")) {
-    std::cerr << "export-snapshot: --v2 was removed; snapshots are always "
-                 "written in the one (version 2) layout\n";
-    return 2;
-  }
   if (!args.Has("out")) {
     std::cerr << "export-snapshot needs --out\n";
     return 2;
@@ -506,10 +545,10 @@ int CmdExportSnapshot(const Args& args) {
   return 0;
 }
 
-// The streaming campaign: bounded-memory probing with live delta
-// publishing into an in-process SnapshotStore, optional route churn
-// between probe waves (--churn-every M flips ECMP orders every M
-// blocks), and the delta-vs-full differential check (--verify).
+// The streaming campaign: bounded-memory probing with live publishing
+// into an in-process SnapshotStore (one full compile per publish), and
+// optional route churn between probe waves (--churn-every M flips ECMP
+// orders every M blocks).
 int CmdStreamCampaign(const Args& args) {
   netsim::Internet internet = BuildWorld(args);
   common::ThreadPool pool(args.threads);
@@ -523,7 +562,6 @@ int CmdStreamCampaign(const Args& args) {
   config.publish_every = args.Integer("publish-every", 0);
   config.epoch_base = args.Integer("epoch", 1);
   config.store = &store;
-  config.verify_full_reference = args.Has("verify");
 
   const std::size_t churn_every = args.Integer("churn-every", 0);
   netsim::Rng churn_rng = netsim::Rng(config.campaign.seed).Fork(0xC4024ULL);
@@ -557,24 +595,15 @@ int CmdStreamCampaign(const Args& args) {
             << " push_waits=" << stats.results_queue.push_waits
             << " pop_waits=" << stats.results_queue.pop_waits
             << " peak_depth=" << stats.results_queue.peak_depth << "\n"
-            << "publishes:          " << stats.publishes << " ("
-            << stats.delta_publishes << " delta, "
-            << stats.delta_entries << " patched entries)\n";
+            << "publishes:          " << stats.publishes << "\n";
   if (churn_every > 0) {
     std::cout << "route churn:        " << churn_flips
               << " flips (topology mutation epoch "
               << epoch_before << " -> "
               << internet.topology.mutation_epoch() << ")\n";
   }
-  if (config.verify_full_reference) {
-    std::cout << "delta-vs-full:      "
-              << (stats.reference_mismatches == 0 ? "identical"
-                                                  : "MISMATCH")
-              << " (" << stats.publishes << " publishes checked)\n";
-  }
-  if (stats.publish_failures > 0 || stats.reference_mismatches > 0) {
+  if (stats.publish_failures > 0) {
     std::cerr << "stream publish failures: " << stats.publish_failures
-              << ", reference mismatches: " << stats.reference_mismatches
               << "\n";
     return 1;
   }
@@ -743,32 +772,9 @@ int CmdScenario(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args = ParseArgs(argc, argv);
-  // Strict, like hobbit_serve: garbage must not read as 0, and no value
-  // may ask for an unbounded number of OS threads.
-  if (args.Has("threads") &&
-      !tools::ParseNumber(args.Get("threads", ""), 1, 1024, &args.threads)) {
-    return Usage();
-  }
-  for (const char* flag : kIntegerFlags) {
-    if (!args.Has(flag)) continue;
-    std::uint64_t value = 0;
-    if (!tools::ParseNumber(args.Get(flag, ""), std::uint64_t{0},
-                            std::numeric_limits<std::uint64_t>::max(),
-                            &value)) {
-      return Usage();
-    }
-    args.integers[flag] = value;
-  }
-  for (const RealFlag& flag : kRealFlags) {
-    if (!args.Has(flag.name)) continue;
-    double value = 0.0;
-    if (!tools::ParseNumber(args.Get(flag.name, ""), flag.min, flag.max,
-                            &value)) {
-      return Usage();
-    }
-    args.reals[flag.name] = value;
-  }
+  const std::optional<Args> parsed = ParseArgs(argc, argv);
+  if (!parsed) return Usage();
+  const Args& args = *parsed;
   if (args.command == "generate") return CmdGenerate(args);
   if (args.command == "measure") return CmdMeasure(args);
   if (args.command == "classify") return CmdClassify(args);
